@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate tests/golden/bmt_regression.csv from the constant-field oracle.
 
-The golden rows come from the closed-form/refined oracle, not from the RK4
+The golden rows come from the closed-form oracle, not from the RK4
 integrator, so the regression test checks the integrator against an
 independent source.  Run from the repository root:
 
@@ -21,17 +21,18 @@ CONFIG = ROOT / "configs" / "bmt_regression.yaml"
 GOLDEN = ROOT / "tests" / "golden" / "bmt_regression.csv"
 
 
-def main() -> None:
+def golden_lines() -> list[str]:
+    """Header and rows of the golden CSV, built from the oracle."""
     cfg = load_config(str(CONFIG))
     f_lo = constant_f_lower(cfg.field.e_field, cfg.field.b_field)
     state0 = BMTState(cfg.x0, cfg.u0, cfg.spin_tensor_matrix())
-    oracle = ConstantFieldOracle(state0, f_lo, cfg.params, refine=100)
+    oracle = ConstantFieldOracle(state0, f_lo, cfg.params)
 
     record = np.arange(0, cfg.steps + 1, cfg.record_every)
     if record[-1] != cfg.steps:
         record = np.append(record, cfg.steps)
     times = record * cfg.h
-    traj = oracle.sample(times[1:], h_ref=cfg.h)
+    traj = oracle.sample(times[1:])
 
     header = (
         ["s"]
@@ -53,6 +54,11 @@ def main() -> None:
             row(traj.s[i], traj.x[i], traj.u[i], traj.spin[i],
                 traj.uu[i], traj.us_max[i], traj.ss[i])
         )
+    return lines
+
+
+def main() -> None:
+    lines = golden_lines()
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN} ({len(lines) - 1} rows)")

@@ -11,11 +11,12 @@ A^{mu nu} - A^{nu mu} (no 1/2); the bracket normalization is pinned against
 the anticommuting-variable derivation by a dedicated cross-check test.
 States store covariant components S_{mu nu}.
 
-For a homogeneous field the velocity has the closed form
-u(s) = exp((e/m) Fhat s) u(0); position follows by exact quadrature, and the
-spin transport is a linear ODE with coefficients built from the exact u(s),
-integrated here on a much finer grid (default 100x) to serve as an oracle
-for the fixed-step integrator.
+For a homogeneous field the whole system has a closed form (Bargmann,
+Michel, Telegdi 1959): u(s) = exp((e/m) Fhat s) u(0), x(s) by exact
+quadrature of u, and a spin tensor that, seen in the co-rotating frame,
+follows a linear flow with a constant generator.  :class:`ConstantFieldOracle`
+evaluates it with one matrix exponential per sample time and serves as the
+reference for the fixed-step integrator.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .minkowski import EPS_UPPER, SIGNS, minkowski_dot
+from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
+from .minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
 from .super_dynamics import ModelParams
 
 __all__ = [
@@ -40,9 +42,6 @@ __all__ = [
     "spin_velocity_angle",
     "anomalous_precession",
 ]
-
-PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
 
 @dataclass
 class BMTState:
@@ -63,11 +62,7 @@ class BMTState:
     @classmethod
     def from_pairs(cls, x, u, spin_pairs: Sequence[float], s: float = 0.0):
         """spin_pairs lists S_{01}, S_{02}, S_{03}, S_{12}, S_{13}, S_{23}."""
-        spin = np.zeros((4, 4))
-        for val, (m, n) in zip(spin_pairs, PAIRS):
-            spin[m, n] = val
-            spin[n, m] = -val
-        return cls(x, u, spin, s)
+        return cls(x, u, unpack_pairs(spin_pairs), s)
 
     def invariants(self) -> tuple[float, float, float]:
         """(u.u, max |u^mu S_{mu nu}|, S_{mu nu} S^{mu nu})."""
@@ -128,6 +123,10 @@ def integrate_bmt(
     """Fixed-step RK4; optionally rescale u to u.u = 1 after each step."""
     if h <= 0:
         raise ValueError("step size must be positive")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     x = state0.x.copy()
     u = state0.u.copy()
     spin = state0.spin.copy()
@@ -167,27 +166,23 @@ def integrate_bmt(
 # ----------------------------------------------------------------------
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1)/z with a series branch near zero (complex-safe)."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-2
-    zs = np.where(small, 0.0, z)
-    out = np.where(small, 0.0j, (np.exp(zs) - 1.0) / np.where(zs == 0, 1.0, zs))
-    t = z[small]
-    series = 1 + t / 2 + t**2 / 6 + t**3 / 24 + t**4 / 120 + t**5 / 720
-    out[small] = series
-    return out
-
-
 class ConstantFieldOracle:
-    """Closed-form u and x plus refined spin transport for constant F_{mu nu}.
+    """Exact solution of the reduced system for a constant F_{mu nu}.
 
-    u uses the true matrix exponential (eigendecomposition when sound, exact
-    nilpotent series for null fields, scipy expm otherwise); x integrates the
-    exponential exactly.  The spin tensor solves a linear ODE with
-    coefficients from the exact u(s); it is advanced by RK4 on a grid
-    ``refine`` times finer than ``h_ref``, assembled from per-step
-    propagator matrices so long spans stay cheap.
+    With A = (e/m) eta F and Lambda(s) = exp(A s), the velocity is
+    u(s) = Lambda u(0), and x(s) - x(0) = int_0^s Lambda u(0) is the top-right
+    block of exp([[A, 1], [0, 0]] s) applied to u(0).  Lambda is a Lorentz
+    map that commutes with A, so in the co-rotating frame
+    S~ = Lambda^T S Lambda the spin law has a constant generator G: the
+    transport ``_dspin`` at (F, u(0)) with the charge set to zero and mu'
+    replaced by mu' - e.  Hence
+
+        S(s) = L unpack(exp(G s) pack(S(0))) L^T,   L = Lambda^{-T} = eta Lambda eta.
+
+    One matrix exponential of the 14x14 block-diagonal generator gives all
+    three at each sample time.  ``refine`` is accepted for call
+    compatibility and stored as ``self.refine``; it selects nothing, since
+    nothing is integrated.
     """
 
     def __init__(self, state0: BMTState, f_lower: np.ndarray, par: ModelParams,
@@ -198,161 +193,35 @@ class ConstantFieldOracle:
             raise ValueError("constant field tensor must be antisymmetric")
         self.par = par
         self.refine = int(refine)
-        self.a_mat = (par.charge / par.mass) * (SIGNS[:, None] * self.f_lo)
-
-        scale = max(1.0, np.max(np.abs(self.a_mat)))
-        w, vecs = np.linalg.eig(self.a_mat)
-        self._mode = "expm"
-        try:
-            vinv = np.linalg.inv(vecs)
-            resid = np.max(np.abs((vecs * w) @ vinv - self.a_mat))
-            if resid < 1e-12 * scale:
-                self._mode = "eig"
-                self._w = w
-                self._v = vecs
-                self._y0 = vinv @ state0.u.astype(complex)
-        except np.linalg.LinAlgError:
-            pass
-        if self._mode != "eig":
-            a4 = np.linalg.matrix_power(self.a_mat, 4)
-            if np.max(np.abs(a4)) < 1e-12 * scale**4:
-                self._mode = "nilpotent"
-
-        # constant part of the spin-transport generator (6x6 on index pairs)
-        basis = []
-        for m, n in PAIRS:
-            b = np.zeros((4, 4))
-            b[m, n] = 1.0
-            b[n, m] = -1.0
-            basis.append(b)
-        self._basis = np.array(basis)
-        fmix = self.f_lo * SIGNS[None, :]
-        cols = []
-        for b in self._basis:
-            t1 = fmix @ b
-            cols.append(self._pack(par.mu_prime * (t1 - t1.T) / par.mass))
-        self._gen_const = np.array(cols).T  # (6, 6)
-
-    @staticmethod
-    def _pack(mat: np.ndarray) -> np.ndarray:
-        return np.array([mat[m, n] for m, n in PAIRS])
-
-    @staticmethod
-    def _unpack(vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(vec.shape[:-1] + (4, 4))
-        for a, (m, n) in enumerate(PAIRS):
-            out[..., m, n] = vec[..., a]
-            out[..., n, m] = -vec[..., a]
-        return out
-
-    # -- closed-form velocity and position -----------------------------
-
-    def u_at(self, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self._mode == "eig":
-            phases = np.exp(np.outer(times, self._w))
-            return np.real(phases * self._y0 @ self._v.T)
-        if self._mode == "nilpotent":
-            out = np.empty((times.size, 4))
-            a1 = self.a_mat
-            a2 = a1 @ a1
-            a3 = a2 @ a1
-            for k, t in enumerate(times):
-                e = np.eye(4) + a1 * t + a2 * (t**2 / 2) + a3 * (t**3 / 6)
-                out[k] = e @ self.state0.u
-            return out
-        return np.stack(
-            [scipy.linalg.expm(self.a_mat * t) @ self.state0.u for t in times]
+        co_rotating = ModelParams(par.mass, 0.0, par.anomaly)
+        spin_gen = np.stack(
+            [pack_pairs(_dspin(self.f_lo, state0.u, unpack_pairs(e), co_rotating))
+             for e in np.eye(6)],
+            axis=1,
         )
+        self._gen = np.zeros((14, 14))
+        self._gen[:4, :4] = (par.charge / par.mass) * (SIGNS[:, None] * self.f_lo)
+        self._gen[:4, 4:8] = np.eye(4)
+        self._gen[8:, 8:] = spin_gen
 
-    def x_at(self, times: np.ndarray) -> np.ndarray:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if self._mode == "eig":
-            ints = times[:, None] * _phi1(np.outer(times, self._w))
-            return self.state0.x + np.real(ints * self._y0 @ self._v.T)
-        if self._mode == "nilpotent":
-            out = np.empty((times.size, 4))
-            a1 = self.a_mat
-            a2 = a1 @ a1
-            a3 = a2 @ a1
-            for k, t in enumerate(times):
-                q = (
-                    np.eye(4) * t
-                    + a1 * (t**2 / 2)
-                    + a2 * (t**3 / 6)
-                    + a3 * (t**4 / 24)
-                )
-                out[k] = self.state0.x + q @ self.state0.u
-            return out
-        out = np.empty((times.size, 4))
-        aug = np.zeros((8, 8))
-        aug[:4, :4] = self.a_mat
-        aug[:4, 4:] = np.eye(4)
-        for k, t in enumerate(times):
-            e = scipy.linalg.expm(aug * t)
-            out[k] = self.state0.x + e[:4, 4:] @ self.state0.u
-        return out
+    def sample(self, times: np.ndarray, h_ref: float | None = None) -> BMTTrajectory:
+        """Oracle states at increasing times >= state0.s.
 
-    # -- refined spin transport -----------------------------------------
-
-    def _gen_at(self, times: np.ndarray) -> np.ndarray:
-        """Spin-transport generator (T, 6, 6) at the given times."""
-        u = self.u_at(times)                       # (T, 4)
-        q = SIGNS * (u @ self.f_lo)                # (T, 4)
-        u_lo = u * SIGNS
-        p = np.einsum("ts,bsm->tbm", q, self._basis)
-        t2 = np.einsum("tbm,tn->tbmn", p, u_lo)
-        t2 = t2 - np.swapaxes(t2, -1, -2)
-        cols = np.array([t2[..., m, n] for m, n in PAIRS])   # (6, T, 6_basis)
-        gen_t = (self.par.anomaly / self.par.mass) * np.moveaxis(cols, 0, 1)
-        return self._gen_const[None, :, :] + gen_t
-
-    @staticmethod
-    def _chain(mats: np.ndarray) -> np.ndarray:
-        """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-        while mats.shape[0] > 1:
-            n = mats.shape[0]
-            paired = np.einsum("kij,kjl->kil", mats[1 : n - n % 2 : 2], mats[0 : n - n % 2 : 2])
-            if n % 2:
-                paired = np.concatenate([paired, mats[-1:]], axis=0)
-            mats = paired
-        return mats[0]
-
-    def _segment_propagator(self, t0: float, t1: float, h_fine: float) -> np.ndarray:
-        n = max(1, int(np.ceil((t1 - t0) / h_fine - 1e-12)))
-        hh = (t1 - t0) / n
-        stage_times = t0 + hh * np.arange(2 * n + 1) / 2.0
-        gen = self._gen_at(stage_times)
-        a1 = gen[0:-1:2]
-        a2 = gen[1::2]
-        a3 = gen[2::2]
-        eye = np.eye(6)
-        k1 = a1
-        k2 = a2 @ (eye + 0.5 * hh * k1)
-        k3 = a2 @ (eye + 0.5 * hh * k2)
-        k4 = a3 @ (eye + hh * k3)
-        phi = eye + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return self._chain(phi)
-
-    def sample(self, times: np.ndarray, h_ref: float) -> BMTTrajectory:
-        """Oracle states at increasing times >= state0.s."""
+        ``h_ref`` is accepted for call compatibility and unused: the closed
+        form has no step size.
+        """
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if times[0] < self.state0.s - 1e-15:
             raise ValueError("sample times must not precede the initial state")
-        h_fine = float(h_ref) / self.refine
-        rel = times - self.state0.s
-        xs = self.x_at(rel)
-        us = self.u_at(rel)
-        spins = np.empty((times.size, 4, 4))
-        s6 = self._pack(self.state0.spin)
-        t_prev = 0.0
-        for k, t in enumerate(rel):
-            if t > t_prev:
-                s6 = self._segment_propagator(t_prev, t, h_fine) @ s6
-                t_prev = t
-            spins[k] = self._unpack(s6)
+        prop = scipy.linalg.expm((times - self.state0.s)[:, None, None] * self._gen)
+        lam = prop[:, :4, :4]
+        xs = self.state0.x + prop[:, :4, 4:8] @ self.state0.u
+        us = lam @ self.state0.u
+        co_spin = unpack_pairs(prop[:, 8:, 8:] @ pack_pairs(self.state0.spin))
+        lam_inv_t = SIGNS[:, None] * lam * SIGNS
+        spins = lam_inv_t @ co_spin @ np.swapaxes(lam_inv_t, -1, -2)
         uu = minkowski_dot(us, us, axis=-1)
         us_max = np.max(np.abs(np.einsum("tm,tmn->tn", us, spins)), axis=-1)
         ss = np.einsum("tmn,tmn->t", spins**2, np.outer(SIGNS, SIGNS)[None])
@@ -361,14 +230,8 @@ class ConstantFieldOracle:
         )
 
     def state_at(self, s: float, h_ref: float | None = None) -> BMTState:
-        if s == self.state0.s:
-            return BMTState(
-                self.state0.x.copy(), self.state0.u.copy(), self.state0.spin.copy(), s
-            )
-        if h_ref is None:
-            h_ref = (s - self.state0.s) / 10.0
-        traj = self.sample(np.array([s]), h_ref)
-        return traj.state(0)
+        """Oracle state at time s; ``h_ref`` is unused, as in :meth:`sample`."""
+        return self.sample(np.array([s])).state(0)
 
 
 def analytic_constant_field(
@@ -379,8 +242,11 @@ def analytic_constant_field(
     h_ref: float | None = None,
     refine: int = 100,
 ) -> BMTState:
-    """Closed-form/refined reference state for a constant field at time s."""
-    return ConstantFieldOracle(state0, f_lower, par, refine=refine).state_at(s, h_ref)
+    """Exact reference state for a constant field at time s.
+
+    ``h_ref`` and ``refine`` are accepted for call compatibility and unused.
+    """
+    return ConstantFieldOracle(state0, f_lower, par).state_at(s)
 
 
 # ----------------------------------------------------------------------

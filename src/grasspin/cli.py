@@ -18,16 +18,12 @@ import sys
 
 import numpy as np
 
-from .bmt import BMTState, PAIRS, integrate_bmt
+from .bmt import BMTState, integrate_bmt
 from .config import ConfigError, RunConfig, load_config
 from .fields import maxwell_residual
 from .grassmann import GrassmannNumber, algebra
-from .minkowski import SIGNS
-from .super_dynamics import (
-    LightlikeVelocityError,
-    integrate_super,
-    leading_order,
-)
+from .minkowski import PAIRS, pack_pairs
+from .super_dynamics import NumericalAbortError, integrate_super, leading_order
 from .variational import DiscretePath, PathVariation, euler_lagrange_residual, stationarity_residual
 
 EXIT_OK = 0
@@ -58,7 +54,7 @@ def _summary_stream(out_path: str | None):
 def _check_finite(*arrays) -> None:
     for arr in arrays:
         if not np.all(np.isfinite(arr)):
-            raise LightlikeVelocityError("non-finite values in trajectory")
+            raise NumericalAbortError("non-finite values in trajectory")
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +80,7 @@ def _cmd_simulate_bmt(cfg: RunConfig, out_path: str | None) -> int:
         + ["uu", "us_max", "ss"]
     )
     rows = [
-        [traj.s[i], *traj.x[i], *traj.u[i], *[traj.spin[i, m, n] for m, n in PAIRS],
+        [traj.s[i], *traj.x[i], *traj.u[i], *pack_pairs(traj.spin[i]),
          traj.uu[i], traj.us_max[i], traj.ss[i]]
         for i in range(len(traj))
     ]
@@ -142,7 +138,7 @@ def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
     for i in range(len(traj)):
         row = [
             traj.s[i], *red.x[i], *red.u[i],
-            *[red.spin[i, m, n] for m, n in PAIRS],
+            *pack_pairs(red.spin[i]),
             traj.constraint_max[rec[i]], traj.lambda_max[rec[i]],
         ]
         for mask in cfg.coefficient_masks:
@@ -350,7 +346,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except LightlikeVelocityError as err:
+    except NumericalAbortError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,7 +16,7 @@ import yaml
 
 from .fields import DirectField, FieldConfig, constant_field
 from .grassmann import MAX_GENERATORS, algebra
-from .minkowski import SIGNS, minkowski_dot
+from .minkowski import SIGNS, minkowski_dot, unpack_pairs
 from .polynomials import Polynomial
 from .super_dynamics import ModelParams, SuperState
 
@@ -33,8 +33,25 @@ def _need(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _finite(value, name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name} must be numeric") from err
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be finite")
+    return arr
+
+
+def _count(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{name} must be an integer") from err
+
+
 def _vec4(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _finite(value, name)
     if arr.shape != (4,):
         raise ConfigError(f"{name} must be a 4-vector")
     return arr
@@ -98,14 +115,8 @@ class RunConfig:
 
     def spin_tensor_matrix(self) -> np.ndarray:
         """Covariant S_{mu nu} from whichever spin specification is present."""
-        from .bmt import PAIRS
-
         if self.spin_tensor is not None:
-            spin = np.zeros((4, 4))
-            for val, (m, n) in zip(self.spin_tensor, PAIRS):
-                spin[m, n] = val
-                spin[n, m] = -val
-            return spin
+            return unpack_pairs(self.spin_tensor)
         c1 = SIGNS * self.xi_coeffs[0]
         c2 = SIGNS * self.xi_coeffs[1]
         return 0.5 * (np.outer(c1, c2) - np.outer(c2, c1))
@@ -117,8 +128,8 @@ class RunConfig:
 def _parse_field(raw: dict) -> FieldSpec:
     kind = _need(raw, "kind", "field")
     if kind == "constant":
-        e = np.asarray(raw.get("E", [0.0, 0.0, 0.0]), dtype=float)
-        b = np.asarray(raw.get("B", [0.0, 0.0, 0.0]), dtype=float)
+        e = _finite(raw.get("E", [0.0, 0.0, 0.0]), "field.E")
+        b = _finite(raw.get("B", [0.0, 0.0, 0.0]), "field.B")
         if e.shape != (3,) or b.shape != (3,):
             raise ConfigError("field.E and field.B must be 3-vectors")
         return FieldSpec(kind="constant", e_field=e, b_field=b)
@@ -133,6 +144,7 @@ def _parse_field(raw: dict) -> FieldSpec:
                 raise ConfigError(f"field.terms[{i}].component must be 0..3")
             if len(t["exponents"]) != 4:
                 raise ConfigError(f"field.terms[{i}].exponents must have 4 entries")
+            _finite(t["coefficient"], f"field.terms[{i}].coefficient")
         return FieldSpec(kind="polynomial", terms=terms)
     if kind == "direct":
         f_terms = _need(raw, "f_terms", "field")
@@ -142,6 +154,7 @@ def _parse_field(raw: dict) -> FieldSpec:
             m, n = (int(v) for v in t["pair"])
             if not 0 <= m < n <= 3:
                 raise ConfigError(f"field.f_terms[{i}].pair must satisfy 0 <= m < n <= 3")
+            _finite(t["coefficient"], f"field.f_terms[{i}].coefficient")
         return FieldSpec(kind="direct", f_terms=f_terms)
     raise ConfigError(f"field.kind must be constant, polynomial or direct, got {kind!r}")
 
@@ -183,18 +196,18 @@ def parse_config(raw: dict) -> RunConfig:
     if (s_tensor is None) == (xi is None):
         raise ConfigError("initial.spin must give exactly one of s_tensor, xi")
     if s_tensor is not None:
-        s_tensor = np.asarray(s_tensor, dtype=float)
+        s_tensor = _finite(s_tensor, "initial.spin.s_tensor")
         if s_tensor.shape != (6,):
             raise ConfigError("initial.spin.s_tensor must list 6 components")
     if xi is not None:
-        xi = np.asarray(xi, dtype=float)
+        xi = _finite(xi, "initial.spin.xi")
         if xi.shape != (2, 4):
             raise ConfigError("initial.spin.xi must be a (2, 4) coefficient array")
 
     integ = _need(raw, "integrator", "")
-    h = float(_need(integ, "h", "integrator"))
-    steps = int(_need(integ, "steps", "integrator"))
-    record_every = int(integ.get("record_every", 1))
+    h = float(_finite(_need(integ, "h", "integrator"), "integrator.h"))
+    steps = _count(_need(integ, "steps", "integrator"), "integrator.steps")
+    record_every = _count(integ.get("record_every", 1), "integrator.record_every")
     if h <= 0:
         raise ConfigError("integrator.h must be positive")
     if steps < 1:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import GrassmannAlgebra, GrassmannNumber, Parity, algebra
-from .minkowski import EPS_UPPER, SIGNS
+from .minkowski import EPS_UPPER, PAIRS, SIGNS, unpack_pairs
 from .polynomials import Polynomial, PolyVectorEvaluator
 
 __all__ = [
@@ -30,10 +30,6 @@ __all__ = [
     "constant_f_lower",
     "maxwell_residual",
 ]
-
-# Independent index pairs of an antisymmetric 4x4 tensor, in storage order.
-PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
 
 class NonEvenPointError(ValueError):
     """An evaluation point component is not Grassmann-even."""
@@ -102,22 +98,12 @@ class _FieldBase:
 
     def f_lower_real(self, points: np.ndarray) -> np.ndarray:
         """F_{mu nu} at real points (..., 4) -> (..., 4, 4)."""
-        vals = self._f_eval.eval_real(points)
-        out = np.zeros(vals.shape[:-1] + (4, 4))
-        for a, (m, n) in enumerate(PAIRS):
-            out[..., m, n] = vals[..., a]
-            out[..., n, m] = -vals[..., a]
-        return out
+        return unpack_pairs(self._f_eval.eval_real(points))
 
     def df_lower_real(self, points: np.ndarray) -> np.ndarray:
         """d_kappa F_{mu nu} at real points -> (..., 4, 4, 4)."""
         vals = self._df_eval.eval_real(points)
-        out = np.zeros(vals.shape[:-1] + (4, 4, 4))
-        for k in range(4):
-            for a, (m, n) in enumerate(PAIRS):
-                out[..., k, m, n] = vals[..., 6 * k + a]
-                out[..., k, n, m] = -vals[..., 6 * k + a]
-        return out
+        return unpack_pairs(vals.reshape(vals.shape[:-1] + (4, 6)))
 
     # -- Grassmann-even evaluation (full dynamics path) -------------------
 
@@ -129,24 +115,14 @@ class _FieldBase:
             out = np.zeros(np.shape(bodies)[:-1] + (4, 4, alg.dim))
             out[..., 0] = self._f_const
             return out
-        vals = self._f_eval.eval_even(bodies, souls, alg)
-        out = np.zeros(vals.shape[:-2] + (4, 4, alg.dim))
-        for a, (m, n) in enumerate(PAIRS):
-            out[..., m, n, :] = vals[..., a, :]
-            out[..., n, m, :] = -vals[..., a, :]
-        return out
+        return unpack_pairs(self._f_eval.eval_even(bodies, souls, alg), axis=-2)
 
     def df_lower_coeffs(
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
     ) -> np.ndarray:
         """d_kappa F_{mu nu} coefficient arrays, shape (..., 4, 4, 4, dim)."""
         vals = self._df_eval.eval_even(bodies, souls, alg)
-        out = np.zeros(vals.shape[:-2] + (4, 4, 4, alg.dim))
-        for k in range(4):
-            for a, (m, n) in enumerate(PAIRS):
-                out[..., k, m, n, :] = vals[..., 6 * k + a, :]
-                out[..., k, n, m, :] = -vals[..., 6 * k + a, :]
-        return out
+        return unpack_pairs(vals.reshape(vals.shape[:-2] + (4, 6, alg.dim)), axis=-2)
 
     # -- public tensor API -------------------------------------------------
 

@@ -3,7 +3,8 @@
 Signature (+,-,-,-), fully contravariant Levi-Civita tensor with
 eps^{0123} = +1, natural units c = 1.  Because the metric is diagonal,
 raising or lowering an index multiplies the component by the entry of
-``SIGNS`` for that index.
+``SIGNS`` for that index.  An antisymmetric tensor is stored as its six
+independent components in ``PAIRS`` order.
 """
 
 from __future__ import annotations
@@ -12,10 +13,24 @@ import itertools
 
 import numpy as np
 
-__all__ = ["SIGNS", "METRIC", "EPS_UPPER", "lower", "raise_", "minkowski_dot"]
+__all__ = [
+    "SIGNS",
+    "METRIC",
+    "EPS_UPPER",
+    "PAIRS",
+    "lower",
+    "raise_",
+    "minkowski_dot",
+    "pack_pairs",
+    "unpack_pairs",
+]
 
 SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 METRIC = np.diag(SIGNS)
+
+# Independent index pairs of an antisymmetric 4x4 tensor, in storage order.
+PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+_ROWS, _COLS = (np.array(idx) for idx in zip(*PAIRS))
 
 
 def _levi_civita() -> np.ndarray:
@@ -52,3 +67,22 @@ def minkowski_dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
     shape = [1] * a.ndim
     shape[axis] = 4
     return np.sum(a * np.asarray(b) * SIGNS.reshape(shape), axis=axis)
+
+
+def pack_pairs(mat: np.ndarray) -> np.ndarray:
+    """The six components T_{mn}, (m, n) in ``PAIRS``, of tensors (..., 4, 4)."""
+    return np.asarray(mat)[..., _ROWS, _COLS]
+
+
+def unpack_pairs(vals, axis: int = -1) -> np.ndarray:
+    """Antisymmetric tensors from their six ``PAIRS`` components.
+
+    The pair axis ``axis`` of ``vals`` is replaced by two axes of length 4.
+    """
+    vals = np.asarray(vals)
+    axis %= vals.ndim
+    out = np.zeros(vals.shape[:axis] + (4, 4) + vals.shape[axis + 1:])
+    lead = (slice(None),) * axis
+    out[lead + (_ROWS, _COLS)] = vals
+    out[lead + (_COLS, _ROWS)] = -vals
+    return out

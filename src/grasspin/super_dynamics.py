@@ -27,6 +27,7 @@ in one call.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .grassmann import GrassmannAlgebra, GrassmannNumber, Parity
 from .minkowski import SIGNS
 
 __all__ = [
+    "NumericalAbortError",
     "LightlikeVelocityError",
     "ModelParams",
     "SuperState",
@@ -50,7 +52,11 @@ __all__ = [
 ]
 
 
-class LightlikeVelocityError(ValueError):
+class NumericalAbortError(ValueError):
+    """A run cannot continue: its numbers left the range they must stay in."""
+
+
+class LightlikeVelocityError(NumericalAbortError):
     """v.v has zero body; the multiplier equation cannot be solved."""
 
 
@@ -66,6 +72,9 @@ class ModelParams:
     mu_prime: float
 
     def __post_init__(self):
+        for name in ("mass", "charge", "mu_prime"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mass <= 0:
             raise ValueError("mass must be positive")
 
@@ -398,6 +407,8 @@ def integrate_super(
         raise ValueError("step size must be positive")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     state0.validate()
     alg = state0.alg
     x = state0.x.copy()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from grasspin import (
     BMTState,
@@ -21,7 +22,7 @@ from grasspin import (
     spin_vector,
     spin_velocity_angle,
 )
-from grasspin.bmt import PAIRS, _dspin
+from grasspin.bmt import PAIRS, _dspin, _du
 from grasspin.minkowski import SIGNS, minkowski_dot
 
 from conftest import boosted_velocity, gradient_b_field
@@ -136,6 +137,14 @@ class TestIntegrateBmt:
                              renormalize=True)
         assert np.max(np.abs(traj.uu - 1.0)) < 1e-14
 
+    @pytest.mark.parametrize("steps, record_every, name", [
+        (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),
+    ])
+    def test_rejects_bad_step_counts(self, params, b_field, steps, record_every, name):
+        with pytest.raises(ValueError, match=name):
+            integrate_bmt(planar_state(), b_field, params, h=0.05, steps=steps,
+                          record_every=record_every)
+
 
 class TestOracle:
     def test_time_zero_returns_initial(self, params):
@@ -174,12 +183,33 @@ class TestOracle:
         f = constant_f_lower([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         st = BMTState(np.zeros(4), [1.0, 0, 0, 0], np.zeros((4, 4)))
         oracle = ConstantFieldOracle(st, f, params)
-        assert oracle._mode in ("nilpotent", "eig")
         out = oracle.state_at(2.0, h_ref=0.05)
         fine = integrate_bmt(st, constant_field([1, 0, 0], [0, 1, 0]), params,
                              h=2.0 / 4000, steps=4000, record_every=4000)
         assert np.allclose(out.u, fine.u[-1], atol=1e-9)
         assert np.allclose(out.x, fine.x[-1], atol=1e-9)
+
+
+    @pytest.mark.parametrize("e3, b3, s_end", [
+        pytest.param([0, 0, 0], [0, 0, 1.0], 2 * np.pi, id="magnetic"),
+        pytest.param([0, 1.0, 0], [0, 0, 1.0], 3.0, id="crossed-null"),
+        pytest.param([2.0, 0, 0], [0, 0, 0.5], 3.0, id="strong-e"),   # |u| grows to ~650
+    ])
+    def test_matches_dop853(self, params, e3, b3, s_end):
+        f = constant_f_lower(e3, b3)
+        st = planar_state()
+
+        def rhs(_, y):
+            u, spin = y[4:8], y[8:].reshape(4, 4)
+            return np.concatenate([u, _du(f, u, params), _dspin(f, u, spin, params).ravel()])
+
+        y0 = np.concatenate([st.x, st.u, st.spin.ravel()])
+        sol = solve_ivp(rhs, (0.0, s_end), y0, method="DOP853", rtol=1e-12, atol=1e-12)
+        assert sol.success
+        want = sol.y[:, -1]
+        out = ConstantFieldOracle(st, f, params).state_at(s_end)
+        got = np.concatenate([out.x, out.u, out.spin.ravel()])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestSpinVector:

@@ -1,13 +1,15 @@
 """Command-line behavior: exit codes, determinism, golden regression."""
 
 import copy
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from grasspin.cli import main
+from grasspin.cli import _check_finite, main
+from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bmt_regression.csv"
@@ -73,6 +75,52 @@ class TestExitCodes:
         )
         assert main(["simulate-super", "--config", cfg]) == 2
 
+    def test_overflow_is_numerical_abort(self, tmp_path, capsys):
+        # finite input whose run overflows: u grows like exp(1000 s)
+        cfg = write_cfg(tmp_path, {
+            "field": {"kind": "constant", "E": [1000.0, 0.0, 0.0], "B": [0.0, 0.0, 0.0]},
+            "initial.spin": {"s_tensor": [0, 0, 0, 0, 0, 0.5]},
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate-bmt", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_is_not_a_lightlike_velocity(self):
+        with pytest.raises(NumericalAbortError, match="non-finite") as info:
+            _check_finite(np.zeros(3), np.array([1.0, np.inf]))
+        assert not isinstance(info.value, LightlikeVelocityError)
+
+    @pytest.mark.parametrize("path, value, name", [
+        ("params.mass", float("nan"), "mass"),
+        ("params.charge", float("inf"), "charge"),
+        ("params.mu_prime", float("nan"), "mu_prime"),
+        ("integrator.h", float("nan"), "integrator.h"),
+        ("integrator.h", float("inf"), "integrator.h"),
+        ("integrator.steps", float("nan"), "integrator.steps"),
+        ("integrator.record_every", float("inf"), "integrator.record_every"),
+        ("initial.x0", [0.0, float("nan"), 0.0, 0.0], "initial.x0"),
+        ("initial.u0", [float("nan"), 0.0, 0.0, 0.0], "initial.u0"),
+        ("initial.x0", ["a", 0.0, 0.0, 0.0], "initial.x0"),
+        ("initial.spin", {"xi": [[0.0, 0.0, float("inf"), 0.0], [0.0, 0.0, 0.0, 1.0]]},
+         "initial.spin.xi"),
+        ("initial.spin", {"s_tensor": [0, 0, 0, 0, 0, float("nan")]}, "initial.spin.s_tensor"),
+        ("field.E", [float("nan"), 0.0, 0.0], "field.E"),
+        ("field.B", [0.0, 0.0, float("-inf")], "field.B"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1, "exponents": [0, 0, 1, 0],
+                              "coefficient": float("nan")}]},
+         "field.terms[0].coefficient"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [1, 2], "exponents": [0, 0, 0, 0],
+                                "coefficient": float("inf")}]},
+         "field.f_terms[0].coefficient"),
+    ])
+    def test_bad_number_rejected(self, tmp_path, capsys, path, value, name):
+        cfg = write_cfg(tmp_path, {path: value})
+        assert main(["simulate-super", "--config", cfg]) == 2
+        assert name in capsys.readouterr().err
+
     def test_threshold_fail_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "initial.spin": {"s_tensor": [0, 0, 0, 0, 0, 0.5]},
@@ -95,6 +143,21 @@ class TestSimulateBmt:
         assert got.dtype.names == want.dtype.names
         for name in got.dtype.names:
             assert np.max(np.abs(got[name] - want[name])) < 1e-10
+
+    def test_golden_matches_oracle(self):
+        # rebuild the golden rows in memory; the file itself is never rewritten
+        spec = importlib.util.spec_from_file_location(
+            "make_golden", ROOT / "scripts" / "make_golden.py"
+        )
+        make_golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_golden)
+        rebuilt = make_golden.golden_lines()
+        committed = GOLDEN.read_text(encoding="utf-8").splitlines()
+        assert rebuilt[0] == committed[0]
+        assert len(rebuilt) == len(committed)
+        got = np.array([[float(v) for v in line.split(",")] for line in rebuilt[1:]])
+        want = np.array([[float(v) for v in line.split(",")] for line in committed[1:]])
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_zero_field_no_drift(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -13,6 +13,7 @@ from grasspin.fields import (
     maxwell_residual,
 )
 from grasspin.grassmann import GrassmannNumber, algebra
+from grasspin.minkowski import PAIRS, pack_pairs, unpack_pairs
 from grasspin.polynomials import Polynomial
 
 from conftest import field_corpus
@@ -41,6 +42,20 @@ def random_even_point(alg, rng):
             coeffs[m] = rng.uniform(-0.5, 0.5)
         comps.append(GrassmannNumber(alg, coeffs))
     return comps
+
+
+@pytest.mark.parametrize("shape, axis", [((6,), -1), ((3, 6), -1), ((2, 6, 5), -2), ((6, 2), 0)])
+def test_pair_packing_matches_index_loop(shape, axis):
+    vals = np.random.default_rng(31).normal(size=shape)
+    moved = np.moveaxis(vals, axis, -1)
+    want = np.zeros(moved.shape[:-1] + (4, 4))
+    for a, (m, n) in enumerate(PAIRS):
+        want[..., m, n] = moved[..., a]
+        want[..., n, m] = -moved[..., a]
+    ax = axis % len(shape)
+    got = np.moveaxis(unpack_pairs(vals, axis=axis), (ax, ax + 1), (-2, -1))
+    assert np.array_equal(got, want)
+    assert np.array_equal(pack_pairs(want), moved)
 
 
 class TestFieldTensor:

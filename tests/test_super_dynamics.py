@@ -38,6 +38,14 @@ def contraction_oracle(f_real, v_real, xi_coeffs, alg):
     return GrassmannNumber(alg, out)
 
 
+@pytest.mark.parametrize("name", ["mass", "charge", "mu_prime"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_model_params_reject_non_finite(name, value):
+    kwargs = {"mass": 1.0, "charge": 1.0, "mu_prime": 1.2, name: value}
+    with pytest.raises(ValueError, match=name):
+        ModelParams(**kwargs)
+
+
 class TestLambdaSolve:
     def test_no_anomaly_vanishes(self, alg4, b_field, params_no_anomaly):
         st = standard_state(alg4)
@@ -215,6 +223,14 @@ class TestIntegrateSuper:
         st = standard_state(alg4)
         traj = integrate_super(st, b_field, params, h=1e-3, steps=2000, record_every=1000)
         assert np.max(np.abs(traj.vv_body - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("steps, record_every, name", [
+        (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),
+    ])
+    def test_rejects_bad_step_counts(self, alg4, b_field, params, steps, record_every, name):
+        with pytest.raises(ValueError, match=name):
+            integrate_super(standard_state(alg4), b_field, params, h=1e-3, steps=steps,
+                            record_every=record_every)
 
 
 class TestLeadingOrder:
