@@ -14,6 +14,7 @@ identical config + seed reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,6 +46,20 @@ def _emit_csv(out_path: str | None, header: list[str], rows) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
 
 
 def _summary_stream(out_path: str | None):
@@ -328,9 +343,9 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="YAML run configuration")
         sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        sp.add_argument("--threshold", type=float, default=None,
+        sp.add_argument("--threshold", type=_positive_float, default=None,
                         help="override the compare threshold")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=_seed, default=None,
                         help="override the configured random seed")
     args = parser.parse_args(argv)
 

@@ -45,9 +45,46 @@ def _finite(value, name: str) -> np.ndarray:
 
 def _count(value, name: str) -> int:
     try:
-        return int(value)
+        count = int(value)
+        whole = count == float(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be an integer") from err
+    if not whole:
+        raise ConfigError(f"{name} must be an integer")
+    return count
+
+
+def _positive(value, name: str) -> float:
+    arr = _finite(value, name)
+    if arr.shape != () or arr <= 0:
+        raise ConfigError(f"{name} must be a positive number")
+    return float(arr)
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping")
+    return value
+
+
+def _parse_verify(raw: dict) -> dict:
+    """Check the numeric keys that the verify command reads."""
+    out = dict(raw)
+    for key in ("maxwell_tol", "constraint_tol", "stationarity_cap"):
+        if key in raw:
+            out[key] = _positive(raw[key], f"verify.{key}")
+    for key in ("points", "variations"):
+        if key in raw:
+            out[key] = _count(raw[key], f"verify.{key}")
+            if out[key] < 1:
+                raise ConfigError(f"verify.{key} must be >= 1")
+    if "ratio_band" in raw:
+        band = _finite(raw["ratio_band"], "verify.ratio_band")
+        if band.shape != (2,) or band[0] > band[1]:
+            raise ConfigError("verify.ratio_band must be [low, high] with low <= high")
+        out["ratio_band"] = [float(b) for b in band]
+    return out
 
 
 def _vec4(value, name: str) -> np.ndarray:
@@ -215,17 +252,27 @@ def parse_config(raw: dict) -> RunConfig:
     if record_every < 1:
         raise ConfigError("integrator.record_every must be >= 1")
 
-    alg_raw = raw.get("algebra", {})
-    n_gen = int(alg_raw.get("n_generators", 4))
+    alg_raw = _section(raw, "algebra")
+    n_gen = _count(alg_raw.get("n_generators", 4), "algebra.n_generators")
     if not 2 <= n_gen <= MAX_GENERATORS:
         raise ConfigError(f"algebra.n_generators must be in [2, {MAX_GENERATORS}]")
 
-    out_raw = raw.get("output", {})
-    masks = [int(m) for m in out_raw.get("coefficient_masks", [])]
+    seed = _count(raw.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+
+    mask_raw = _section(raw, "output").get("coefficient_masks", [])
+    if not isinstance(mask_raw, list):
+        raise ConfigError("output.coefficient_masks must be a list")
+    masks = [_count(m, "output.coefficient_masks") for m in mask_raw]
     if any(not 0 <= m < (1 << n_gen) for m in masks):
         raise ConfigError("output.coefficient_masks entries must be valid subset masks")
 
-    cmp_raw = raw.get("compare", {})
+    thresholds = {
+        name: _positive(value, f"thresholds.{name}")
+        for name, value in _section(raw, "thresholds").items()
+    }
+    cmp_raw = _section(raw, "compare")
     return RunConfig(
         params=params,
         field=fieldspec,
@@ -237,12 +284,12 @@ def parse_config(raw: dict) -> RunConfig:
         steps=steps,
         record_every=record_every,
         n_generators=n_gen,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         coefficient_masks=masks,
-        thresholds=dict(raw.get("thresholds", {})),
-        compare_threshold=float(cmp_raw.get("threshold", 1e-6)),
+        thresholds=thresholds,
+        compare_threshold=_positive(cmp_raw.get("threshold", 1e-6), "compare.threshold"),
         compare_enforce=bool(cmp_raw.get("enforce", True)),
-        verify=dict(raw.get("verify", {})),
+        verify=_parse_verify(_section(raw, "verify")),
     )
 
 

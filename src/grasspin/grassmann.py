@@ -262,6 +262,25 @@ class GrassmannAlgebra:
         out[..., : self.dim] = a
         return out
 
+    def subalgebra(self, a: np.ndarray) -> tuple["GrassmannAlgebra", np.ndarray]:
+        """Smallest algebra holding ``a``, and where its monomials sit here.
+
+        The k generators that occur in a nonzero coefficient of ``a`` become
+        theta_1..theta_k of ``algebra(k)`` in ascending order, which keeps
+        every merge sign.  Returns that algebra and the mask in this algebra
+        of each of its monomials, so ``np.take(a, masks, axis=-1)`` maps
+        ``a`` into it and ``out[..., masks] = b`` maps back.  With no generator in ``a`` the
+        subalgebra is ``algebra(1)`` holding theta_1.
+        """
+        nonzero = np.flatnonzero(np.any(np.reshape(a, (-1, self.dim)) != 0.0, axis=0))
+        used = int(np.bitwise_or.reduce(nonzero, initial=0))
+        gens = [g for g in range(self.n) if used >> g & 1] or [0]
+        sub = np.arange(1 << len(gens))
+        masks = np.zeros_like(sub)
+        for i, g in enumerate(gens):
+            masks |= (sub >> i & 1) << g
+        return algebra(len(gens)), masks
+
     # ------------------------------------------------------------------
     # Factories for wrapped numbers
     # ------------------------------------------------------------------

@@ -18,7 +18,8 @@ derivative is obtained by differentiating the multiplier equation along the
 flow and substituting the equations of motion; the dv-dependence of dlam/ds
 enters dv only multiplied by xi, raising Grassmann degree each pass, so a
 fixed-point iteration starting from dlam/ds = 0 terminates exactly after
-ceil(N/2) passes.
+ceil(k/2) passes, k being the number of generators the state carries
+(``integrate_super`` works in the subalgebra of the loaded generators).
 
 All kernels below operate on raw coefficient arrays of shape (..., 4, dim)
 and broadcast over leading axes, so a whole grid of states can be evaluated
@@ -327,7 +328,8 @@ def _rhs(alg, fld, par, x, v, xi, *, need_lambda_dot=True):
     # d lam/ds by differentiating the multiplier equation along the flow and
     # substituting the equations of motion.  The dependence on dv enters dv
     # again only multiplied by xi, raising the Grassmann degree by two per
-    # pass, so the fixed point is exact after ceil(N/2) passes.
+    # pass, so the fixed point is exact after ceil(n/2) passes for the n
+    # generators of alg: the active ones, when called from integrate_super.
     if fld.constant:
         a_dot_field = 0.0
     else:
@@ -398,7 +400,14 @@ def integrate_super(
     steps: int,
     record_every: int = 1,
 ) -> SuperTrajectory:
-    """Classical fixed-step RK4 on all Grassmann coefficients.
+    """Classical fixed-step RK4 on the Grassmann coefficients of the state.
+
+    It integrates in the subalgebra of the loaded generators: those that
+    occur in a nonzero coefficient of the initial x, v or xi, relabeled in
+    ascending order into ``algebra(k)``.  That is exact.  F and dF of a real
+    polynomial field, evaluated at even points of the subalgebra, stay in
+    it, and so does every product in ``_rhs``; keeping the order keeps the
+    merge signs.  Recorded states are mapped back into ``state0.alg``.
 
     Monitors (constraint magnitude, multiplier magnitude, body of v.v) are
     evaluated at every accepted step regardless of the recording stride.
@@ -410,10 +419,10 @@ def integrate_super(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     state0.validate()
-    alg = state0.alg
-    x = state0.x.copy()
-    v = state0.v.copy()
-    xi = state0.xi.copy()
+    alg, masks = state0.alg.subalgebra(np.stack([state0.x, state0.v, state0.xi]))
+    # np.take keeps C order, where state0.x[:, masks] would not; einsum sums
+    # in a layout-dependent order, so the layout keeps results bitwise.
+    x, v, xi = (np.take(a, masks, axis=-1) for a in (state0.x, state0.v, state0.xi))
     s0 = float(state0.s)
 
     n_mon = steps + 1
@@ -460,13 +469,18 @@ def integrate_super(
         v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         xi = xi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
 
+    def lift(rec):
+        out = np.zeros((len(rec), 4, state0.alg.dim))
+        out[..., masks] = np.stack(rec)
+        return out
+
     return SuperTrajectory(
-        alg=alg,
+        alg=state0.alg,
         h=h,
         s=np.asarray(rec_s),
-        x=np.stack(rec_x),
-        v=np.stack(rec_v),
-        xi=np.stack(rec_xi),
+        x=lift(rec_x),
+        v=lift(rec_v),
+        xi=lift(rec_xi),
         steps_recorded=np.asarray(rec_steps),
         constraint_max=constraint_max,
         lambda_max=lambda_max,

@@ -115,11 +115,38 @@ class TestExitCodes:
                    "f_terms": [{"pair": [1, 2], "exponents": [0, 0, 0, 0],
                                 "coefficient": float("inf")}]},
          "field.f_terms[0].coefficient"),
+        ("algebra.n_generators", float("nan"), "algebra.n_generators"),
+        ("seed", float("nan"), "seed"),
+        ("seed", -1, "seed"),
+        ("output.coefficient_masks", [float("nan")], "output.coefficient_masks"),
+        ("compare.threshold", "abc", "compare.threshold"),
+        ("compare.threshold", 0.0, "compare.threshold"),
+        ("thresholds.uu_drift", float("nan"), "thresholds.uu_drift"),
+        ("thresholds.constraint", -1e-9, "thresholds.constraint"),
+        ("verify.maxwell_tol", "abc", "verify.maxwell_tol"),
+        ("verify.constraint_tol", float("inf"), "verify.constraint_tol"),
+        ("verify.stationarity_cap", -1.0, "verify.stationarity_cap"),
+        ("verify.points", float("nan"), "verify.points"),
+        ("verify.variations", 0, "verify.variations"),
+        ("verify.ratio_band", [float("nan"), 6.0], "verify.ratio_band"),
+        ("integrator.steps", 2.5, "integrator.steps"),
+        ("thresholds", [1e-9], "thresholds"),
     ])
     def test_bad_number_rejected(self, tmp_path, capsys, path, value, name):
         cfg = write_cfg(tmp_path, {path: value})
         assert main(["simulate-super", "--config", cfg]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-0.5"),
+        ("--seed", "-1"),
+    ])
+    def test_bad_option_number_rejected(self, tmp_path, capsys, option, value):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--config", cfg, option, value])
+        assert info.value.code == 2
+        assert option in capsys.readouterr().err
 
     def test_threshold_fail_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, {

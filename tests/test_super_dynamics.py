@@ -28,6 +28,23 @@ from conftest import boosted_velocity, gradient_b_field, standard_state
 ZERO_FIELD = FieldConfig([Polynomial.zero()] * 4)
 
 
+def full_algebra_rk4(st, fld, par, h, steps):
+    """Reference RK4 through eom_rhs: every product in st.alg, no relabeling."""
+    def rates(x, v, xi):
+        _, dv, dxi = eom_rhs(SuperState(st.alg, x, v, xi), fld, par)
+        return v, np.array([c.coeffs for c in dv]), np.array([c.coeffs for c in dxi])
+
+    y = (st.x, st.v, st.xi)
+    for _ in range(steps):
+        k1 = rates(*y)
+        k2 = rates(*(a + 0.5 * h * k for a, k in zip(y, k1)))
+        k3 = rates(*(a + 0.5 * h * k for a, k in zip(y, k2)))
+        k4 = rates(*(a + h * k for a, k in zip(y, k3)))
+        y = tuple(a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
+                  for a, p, q, r, w in zip(y, k1, k2, k3, k4))
+    return y
+
+
 def contraction_oracle(f_real, v_real, xi_coeffs, alg):
     """F^{mu nu} v_mu xi_nu by explicit index loops (real F, real v)."""
     out = np.zeros(alg.dim)
@@ -223,6 +240,50 @@ class TestIntegrateSuper:
         st = standard_state(alg4)
         traj = integrate_super(st, b_field, params, h=1e-3, steps=2000, record_every=1000)
         assert np.max(np.abs(traj.vv_body - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("field", ["constant", "gradient"])
+    def test_full_load_n6_matches_n2(self, alg6, b_field, params, field):
+        """Every generator loaded, so the run does its arithmetic at N = 6."""
+        fld = b_field if field == "constant" else gradient_b_field()
+        st2 = standard_state(algebra(2))
+        u0 = st2.v[:, 0]
+        rows = np.random.default_rng(66).normal(size=(4, 4))
+        rows -= np.outer(rows @ (SIGNS * u0), u0)     # Minkowski-orthogonal to u0
+        rows *= 0.05 / np.max(np.abs(rows), axis=1, keepdims=True)
+        c = np.vstack([st2.xi[:, 1], st2.xi[:, 2], rows])
+        st6 = SuperState.from_real(np.zeros(4), u0, c, alg6)
+        traj6 = integrate_super(st6, fld, params, h=1e-3, steps=200, record_every=50)
+        traj2 = integrate_super(st2, fld, params, h=1e-3, steps=200, record_every=50)
+        red6 = leading_order(traj6, on_zero="ignore")
+        red2 = leading_order(traj2, on_zero="ignore")
+        for name in ("x", "u", "spin"):
+            assert np.max(np.abs(getattr(red6, name) - getattr(red2, name))) <= 1e-12
+        assert traj6.constraint_max.max() <= 1e-9
+        # the perturbations reach v through the multiplier: theta3 theta4
+        assert np.any(traj6.v[-1][:, 0b001100] != 0.0)
+
+    @pytest.mark.parametrize("field", ["constant", "gradient"])
+    def test_runs_in_loaded_subalgebra(self, alg6, b_field, params, field):
+        """theta2 and theta5 carry standard_state's theta1 and theta2 rows."""
+        fld = b_field if field == "constant" else gradient_b_field()
+        st2 = standard_state(algebra(2))
+        c = np.zeros((5, 4))
+        c[1], c[4] = st2.xi[:, 1], st2.xi[:, 2]
+        st6 = SuperState.from_real(np.zeros(4), st2.v[:, 0], c, alg6)
+        traj6 = integrate_super(st6, fld, params, h=1e-3, steps=60, record_every=20)
+        traj2 = integrate_super(st2, fld, params, h=1e-3, steps=60, record_every=20)
+        assert traj6.alg is st6.alg
+        masks = [0, 2, 16, 18]
+        others = np.setdiff1d(np.arange(alg6.dim), masks)
+        # the N = 2 run is relabeled too, so the theta2 theta5 signs are
+        # checked against a run that never leaves the N = 6 algebra
+        ref = full_algebra_rk4(st6, fld, params, h=1e-3, steps=60)
+        for name, want in zip(("x", "v", "xi"), ref):
+            full, sub = getattr(traj6, name), getattr(traj2, name)
+            assert np.array_equal(full[..., masks], sub)
+            assert np.all(full[..., others] == 0.0)
+            assert np.max(np.abs(full[-1] - want)) <= 1e-13
+        assert np.any(traj6.v[-1][:, 18] != 0.0)
 
     @pytest.mark.parametrize("steps, record_every, name", [
         (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),
