@@ -29,7 +29,7 @@ import scipy.linalg
 
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
-from .super_dynamics import ModelParams
+from .super_dynamics import ModelParams, rk4
 
 __all__ = [
     "BMTState",
@@ -118,45 +118,17 @@ def integrate_bmt(
     h: float,
     steps: int,
     record_every: int = 1,
-    renormalize: bool = False,
 ) -> BMTTrajectory:
-    """Fixed-step RK4; optionally rescale u to u.u = 1 after each step."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    x = state0.x.copy()
-    u = state0.u.copy()
-    spin = state0.spin.copy()
-    s0 = float(state0.s)
+    """Classical fixed-step RK4 (:func:`~grasspin.super_dynamics.rk4`)."""
 
-    rows = []
+    def rates(y, i):
+        x, u, spin = y
+        f_lo = fld.f_lower_real(x)
+        return u, _du(f_lo, u, par), _dspin(f_lo, u, spin, par)
 
-    def rhs(x_, u_, s_):
-        f_lo = fld.f_lower_real(x_)
-        return u_, _du(f_lo, u_, par), _dspin(f_lo, u_, s_, par)
-
-    for i in range(steps + 1):
-        if i % record_every == 0 or i == steps:
-            st = BMTState(x, u, spin, s0 + i * h)
-            rows.append((st.s, x.copy(), u.copy(), spin.copy(), *st.invariants()))
-        if i == steps:
-            break
-        k1 = rhs(x, u, spin)
-        k2 = rhs(x + 0.5 * h * k1[0], u + 0.5 * h * k1[1], spin + 0.5 * h * k1[2])
-        k3 = rhs(x + 0.5 * h * k2[0], u + 0.5 * h * k2[1], spin + 0.5 * h * k2[2])
-        k4 = rhs(x + h * k3[0], u + h * k3[1], spin + h * k3[2])
-        x = x + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u = u + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        spin = spin + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if renormalize:
-            uu = minkowski_dot(u, u)
-            if uu <= 0:
-                raise ValueError(f"u.u = {uu} not positive at step {i}; cannot renormalize")
-            u = u / np.sqrt(uu)
-
+    rec_steps, rec = rk4(rates, (state0.x, state0.u, state0.spin), h, steps, record_every)
+    states = [BMTState(*y, state0.s + i * h) for i, y in zip(rec_steps, rec)]
+    rows = [(st.s, st.x, st.u, st.spin, *st.invariants()) for st in states]
     s_arr, x_arr, u_arr, sp_arr, uu, us, ss = map(np.array, zip(*rows))
     return BMTTrajectory(s=s_arr, x=x_arr, u=u_arr, spin=sp_arr, uu=uu, us_max=us, ss=ss)
 

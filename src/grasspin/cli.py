@@ -22,7 +22,7 @@ import numpy as np
 from .bmt import BMTState, integrate_bmt
 from .config import ConfigError, RunConfig, load_config
 from .fields import maxwell_residual
-from .grassmann import GrassmannNumber, algebra
+from .grassmann import MAX_GENERATORS, GrassmannNumber, algebra
 from .minkowski import PAIRS, pack_pairs
 from .super_dynamics import NumericalAbortError, integrate_super, leading_order
 from .variational import DiscretePath, PathVariation, euler_lagrange_residual, stationarity_residual
@@ -234,6 +234,12 @@ def _random_even_points(rng, alg, count):
 
 
 def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
+    if cfg.n_generators + 1 > MAX_GENERATORS:
+        # odd variations are carried by one extra generator
+        raise ConfigError(
+            f"algebra.n_generators must be <= {MAX_GENERATORS - 1} for verify, "
+            f"got {cfg.n_generators}"
+        )
     fld = cfg.build_field()
     alg = algebra(cfg.n_generators)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)

@@ -392,6 +392,38 @@ def multiplier_rate(state: SuperState, fld, par: ModelParams):
     return GrassmannNumber(state.alg, lam), GrassmannNumber(state.alg, lam_dot)
 
 
+def rk4(rates, y, h: float, steps: int, record_every: int):
+    """Classical fixed-step RK4 (Hairer, Norsett, Wanner, *Solving ODEs I*).
+
+    ``y`` is a tuple of arrays and ``rates(y, i)`` returns their rates in
+    the same order; ``i`` is the step index at a step's first stage and None
+    at the other three.  Returns the step indices and the states after every
+    ``record_every``-th step and after the last.  States are never updated in
+    place, so the recorded ones share their arrays with the integration.
+    """
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    half = 0.5 * h
+    rec_steps, rec_y = [], []
+    for i in range(steps):
+        if i % record_every == 0:
+            rec_steps.append(i)
+            rec_y.append(y)
+        k1 = rates(y, i)
+        k2 = rates(tuple([a + half * k for a, k in zip(y, k1)]), None)
+        k3 = rates(tuple([a + half * k for a, k in zip(y, k2)]), None)
+        k4 = rates(tuple([a + h * k for a, k in zip(y, k3)]), None)
+        y = tuple([a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
+                   for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
+    rec_steps.append(steps)
+    rec_y.append(y)
+    return rec_steps, rec_y
+
+
 def integrate_super(
     state0: SuperState,
     fld,
@@ -400,7 +432,7 @@ def integrate_super(
     steps: int,
     record_every: int = 1,
 ) -> SuperTrajectory:
-    """Classical fixed-step RK4 on the Grassmann coefficients of the state.
+    """Classical fixed-step RK4 (:func:`rk4`) on the Grassmann coefficients.
 
     It integrates in the subalgebra of the loaded generators: those that
     occur in a nonzero coefficient of the initial x, v or xi, relabeled in
@@ -412,79 +444,46 @@ def integrate_super(
     Monitors (constraint magnitude, multiplier magnitude, body of v.v) are
     evaluated at every accepted step regardless of the recording stride.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     state0.validate()
     alg, masks = state0.alg.subalgebra(np.stack([state0.x, state0.v, state0.xi]))
     # np.take keeps C order, where state0.x[:, masks] would not; einsum sums
     # in a layout-dependent order, so the layout keeps results bitwise.
-    x, v, xi = (np.take(a, masks, axis=-1) for a in (state0.x, state0.v, state0.xi))
-    s0 = float(state0.s)
+    y0 = tuple([np.take(a, masks, axis=-1) for a in (state0.x, state0.v, state0.xi)])
+    constraint_max, lambda_max, vv_body = [], [], []
 
-    n_mon = steps + 1
-    constraint_max = np.empty(n_mon)
-    lambda_max = np.empty(n_mon)
-    vv_body = np.empty(n_mon)
-    rec_s, rec_x, rec_v, rec_xi, rec_steps = [], [], [], [], []
-
-    def record(i):
-        rec_s.append(s0 + i * h)
-        rec_x.append(x.copy())
-        rec_v.append(v.copy())
-        rec_xi.append(xi.copy())
-        rec_steps.append(i)
-
-    half = 0.5 * h
-    for i in range(steps + 1):
+    def rates(y, i):
+        x, v, xi = y
+        if i is None:
+            dv, dxi, _, _ = _rhs(alg, fld, par, x, v, xi)
+            return v, dv, dxi
         try:
-            dv1, dxi1, lam, _ = _rhs(
-                alg, fld, par, x, v, xi, need_lambda_dot=(i < steps)
-            )
+            dv, dxi, lam, _ = _rhs(alg, fld, par, x, v, xi, need_lambda_dot=i < steps)
         except LightlikeVelocityError as err:
             raise LightlikeVelocityError(f"{err} at step {i}") from err
-        constraint_max[i] = np.max(np.abs(_gdot(alg, xi, v)))
-        lambda_max[i] = np.max(np.abs(lam))
-        vv_body[i] = _gdot(alg, v, v)[0]
-        if i % record_every == 0 or i == steps:
-            record(i)
-        if i == steps:
-            break
+        constraint_max.append(np.max(np.abs(_gdot(alg, xi, v))))
+        lambda_max.append(np.max(np.abs(lam)))
+        vv_body.append(_gdot(alg, v, v)[0])
+        return v, dv, dxi
 
-        k1 = (v, dv1, dxi1)
-        x2, v2, xi2 = x + half * k1[0], v + half * k1[1], xi + half * k1[2]
-        dv2, dxi2, _, _ = _rhs(alg, fld, par, x2, v2, xi2)
-        k2 = (v2, dv2, dxi2)
-        x3, v3, xi3 = x + half * k2[0], v + half * k2[1], xi + half * k2[2]
-        dv3, dxi3, _, _ = _rhs(alg, fld, par, x3, v3, xi3)
-        k3 = (v3, dv3, dxi3)
-        x4, v4, xi4 = x + h * k3[0], v + h * k3[1], xi + h * k3[2]
-        dv4, dxi4, _, _ = _rhs(alg, fld, par, x4, v4, xi4)
-        k4 = (v4, dv4, dxi4)
+    rec_steps, rec = rk4(rates, y0, h, steps, record_every)
+    rates(rec[-1], steps)   # monitors of the last state
 
-        x = x + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        xi = xi + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-
-    def lift(rec):
+    def lift(j):
         out = np.zeros((len(rec), 4, state0.alg.dim))
-        out[..., masks] = np.stack(rec)
+        out[..., masks] = np.stack([y[j] for y in rec])
         return out
 
     return SuperTrajectory(
         alg=state0.alg,
         h=h,
-        s=np.asarray(rec_s),
-        x=lift(rec_x),
-        v=lift(rec_v),
-        xi=lift(rec_xi),
+        s=state0.s + h * np.asarray(rec_steps),
+        x=lift(0),
+        v=lift(1),
+        xi=lift(2),
         steps_recorded=np.asarray(rec_steps),
-        constraint_max=constraint_max,
-        lambda_max=lambda_max,
-        vv_body=vv_body,
+        constraint_max=np.asarray(constraint_max),
+        lambda_max=np.asarray(lambda_max),
+        vv_body=np.asarray(vv_body),
     )
 
 

@@ -131,12 +131,6 @@ class TestIntegrateBmt:
         assert np.max(np.abs(traj.us_max - traj.us_max[0])) < 1e-8
         assert np.max(np.abs(traj.ss - traj.ss[0])) < 1e-8
 
-    def test_renormalize_flag(self, params, b_field):
-        st = planar_state()
-        traj = integrate_bmt(st, b_field, params, h=0.05, steps=200, record_every=50,
-                             renormalize=True)
-        assert np.max(np.abs(traj.uu - 1.0)) < 1e-14
-
     @pytest.mark.parametrize("steps, record_every, name", [
         (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),
     ])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from grasspin import cli
 from grasspin.cli import _check_finite, main
 from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
 
@@ -85,6 +86,17 @@ class TestExitCodes:
             code = main(["simulate-bmt", "--config", cfg, "--out", str(tmp_path / "o.csv")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_verify_rejects_largest_generator_count(self, tmp_path, capsys, monkeypatch):
+        # odd variations need one generator beyond the run's own
+        def fail(*args, **kwargs):
+            raise AssertionError("verify started work before checking n_generators")
+
+        monkeypatch.setattr(cli, "integrate_super", fail)
+        monkeypatch.setattr(cli, "maxwell_residual", fail)
+        cfg = write_cfg(tmp_path, {"algebra.n_generators": 16})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "algebra.n_generators" in capsys.readouterr().err
 
     def test_non_finite_is_not_a_lightlike_velocity(self):
         with pytest.raises(NumericalAbortError, match="non-finite") as info:

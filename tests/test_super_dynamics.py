@@ -14,6 +14,7 @@ from grasspin import (
     constant_field,
     constraint_value,
     eom_rhs,
+    integrate_bmt,
     integrate_super,
     lambda_solve,
     leading_order,
@@ -292,6 +293,31 @@ class TestIntegrateSuper:
         with pytest.raises(ValueError, match=name):
             integrate_super(standard_state(alg4), b_field, params, h=1e-3, steps=steps,
                             record_every=record_every)
+
+    def test_lightlike_abort_names_step(self, alg4, b_field, params):
+        st = SuperState.from_real(np.zeros(4), [1.0, 1.0, 0.0, 0.0], np.zeros((2, 4)), alg4)
+        with pytest.raises(LightlikeVelocityError, match="at step 0"):
+            integrate_super(st, b_field, params, h=1e-3, steps=3)
+
+
+@pytest.mark.parametrize("integrator", ["super", "bmt"])
+def test_record_stride_not_dividing_steps(integrator, alg4, b_field, params):
+    """Both integrators record every third of 7 steps and the last, from s0."""
+    h, s0 = 1e-2, 0.3
+    u0 = boosted_velocity(2.0)
+    if integrator == "super":
+        st = SuperState.from_real(np.zeros(4), u0, [[0, 0, 1, 0], [0, 0, 0, 1]], alg4, s=s0)
+        run, fields = integrate_super, ("x", "v", "xi")
+    else:
+        st = BMTState.from_pairs(np.zeros(4), u0, [0, 0, 0, 0, 0, 0.5], s=s0)
+        run, fields = integrate_bmt, ("x", "u", "spin")
+    traj = run(st, b_field, params, h, 7, 3)
+    every_step = run(st, b_field, params, h, 7, 1)
+    if integrator == "super":
+        assert traj.steps_recorded.tolist() == [0, 3, 6, 7]
+    assert np.array_equal(traj.s, s0 + np.array([0, 3, 6, 7]) * h)
+    for name in fields:
+        assert np.array_equal(getattr(traj, name)[-1], getattr(every_step, name)[-1])
 
 
 class TestLeadingOrder:
