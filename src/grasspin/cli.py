@@ -254,7 +254,7 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
         point = [GrassmannNumber(alg, coeffs[mu]) for mu in range(4)]
         res = maxwell_residual(fld, point)
         worst = max(worst, max(r.max_abs() for r in res))
-    expect_fail = bool(vcfg.get("expect_maxwell_fail", False))
+    expect_fail = vcfg.get("expect_maxwell_fail", False)
     if expect_fail:
         ok = worst > 0.1
         checks.append(("maxwell", ok, f"max residual {worst:.3e} expected to exceed 0.1"))

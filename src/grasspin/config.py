@@ -54,6 +54,12 @@ def _count(value, name: str) -> int:
     return count
 
 
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return value
+
+
 def _positive(value, name: str) -> float:
     arr = _finite(value, name)
     if arr.shape != () or arr <= 0:
@@ -79,6 +85,9 @@ def _parse_verify(raw: dict) -> dict:
             out[key] = _count(raw[key], f"verify.{key}")
             if out[key] < 1:
                 raise ConfigError(f"verify.{key} must be >= 1")
+    key = "expect_maxwell_fail"
+    if key in raw:
+        out[key] = _flag(raw[key], f"verify.{key}")
     if "ratio_band" in raw:
         band = _finite(raw["ratio_band"], "verify.ratio_band")
         if band.shape != (2,) or band[0] > band[1]:
@@ -142,9 +151,6 @@ class RunConfig:
     def build_field(self):
         return self.field.build()
 
-    def build_params(self) -> ModelParams:
-        return self.params
-
     def build_super_state(self) -> SuperState:
         if self.xi_coeffs is None:
             raise ConfigError("initial.spin.xi is required for the full dynamics")
@@ -162,6 +168,26 @@ class RunConfig:
         return float(self.thresholds.get(name, default))
 
 
+def _term_list(raw: dict, key: str, fields: tuple[str, ...]) -> list:
+    """Check ``field.<key>``: mappings with ``fields``, whole non-negative
+    exponents and a finite coefficient."""
+    terms = _need(raw, key, "field")
+    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+        raise ConfigError(f"field.{key} must be a list of mappings")
+    for i, t in enumerate(terms):
+        name = f"field.{key}[{i}]"
+        if not set(fields) <= set(t):
+            raise ConfigError(f"{name} needs {', '.join(fields)}")
+        exps = t["exponents"]
+        if not isinstance(exps, list) or len(exps) != 4:
+            raise ConfigError(f"{name}.exponents must have 4 entries")
+        if any(_count(e, f"{name}.exponents") < 0 for e in exps):
+            raise ConfigError(f"{name}.exponents must be >= 0")
+        if _finite(t["coefficient"], f"{name}.coefficient").shape != ():
+            raise ConfigError(f"{name}.coefficient must be a number")
+    return terms
+
+
 def _parse_field(raw: dict) -> FieldSpec:
     kind = _need(raw, "kind", "field")
     if kind == "constant":
@@ -171,27 +197,20 @@ def _parse_field(raw: dict) -> FieldSpec:
             raise ConfigError("field.E and field.B must be 3-vectors")
         return FieldSpec(kind="constant", e_field=e, b_field=b)
     if kind == "polynomial":
-        terms = _need(raw, "terms", "field")
+        terms = _term_list(raw, "terms", ("component", "exponents", "coefficient"))
         for i, t in enumerate(terms):
-            if not {"component", "exponents", "coefficient"} <= set(t):
-                raise ConfigError(
-                    f"field.terms[{i}] needs component, exponents, coefficient"
-                )
-            if not 0 <= int(t["component"]) <= 3:
+            if not 0 <= _count(t["component"], f"field.terms[{i}].component") <= 3:
                 raise ConfigError(f"field.terms[{i}].component must be 0..3")
-            if len(t["exponents"]) != 4:
-                raise ConfigError(f"field.terms[{i}].exponents must have 4 entries")
-            _finite(t["coefficient"], f"field.terms[{i}].coefficient")
         return FieldSpec(kind="polynomial", terms=terms)
     if kind == "direct":
-        f_terms = _need(raw, "f_terms", "field")
+        f_terms = _term_list(raw, "f_terms", ("pair", "exponents", "coefficient"))
         for i, t in enumerate(f_terms):
-            if not {"pair", "exponents", "coefficient"} <= set(t):
-                raise ConfigError(f"field.f_terms[{i}] needs pair, exponents, coefficient")
-            m, n = (int(v) for v in t["pair"])
+            name = f"field.f_terms[{i}].pair"
+            if not isinstance(t["pair"], list) or len(t["pair"]) != 2:
+                raise ConfigError(f"{name} must be [m, n]")
+            m, n = (_count(v, name) for v in t["pair"])
             if not 0 <= m < n <= 3:
-                raise ConfigError(f"field.f_terms[{i}].pair must satisfy 0 <= m < n <= 3")
-            _finite(t["coefficient"], f"field.f_terms[{i}].coefficient")
+                raise ConfigError(f"{name} must satisfy 0 <= m < n <= 3")
         return FieldSpec(kind="direct", f_terms=f_terms)
     raise ConfigError(f"field.kind must be constant, polynomial or direct, got {kind!r}")
 
@@ -288,7 +307,7 @@ def parse_config(raw: dict) -> RunConfig:
         coefficient_masks=masks,
         thresholds=thresholds,
         compare_threshold=_positive(cmp_raw.get("threshold", 1e-6), "compare.threshold"),
-        compare_enforce=bool(cmp_raw.get("enforce", True)),
+        compare_enforce=_flag(cmp_raw.get("enforce", True), "compare.enforce"),
         verify=_parse_verify(_section(raw, "verify")),
     )
 

@@ -12,6 +12,13 @@ generators in ascending index order.  The product of two basis monomials is
 where sign(S, T) is the parity of the permutation that merges the two
 ascending index lists.
 
+There is one product kernel.  For N <= 6 a table lists the 3**N disjoint
+pairs (S, T), and the product is one gather and one signed scatter.  A larger
+algebra first drops the generators that neither operand carries.  If it
+still has more than six, it splits off its top generator, a = a0 + a1
+theta_N, and reduces the product to three products in the algebra with
+N - 1 generators, so every N ends in the table.
+
 Coefficients are double precision; all operations are plain numpy arithmetic
 and safe to share between threads (algebras are immutable after construction).
 """
@@ -42,8 +49,10 @@ COEFF_ATOL = 1e-12
 # lowest-degree term or classifying parity (roundoff residue, not content).
 PRUNE_TOL = 1e-14
 
-# Largest N for which the dense multiplication table (3**N rows) is built.
-_MAX_TABLE_N = 8
+# Largest N with a multiplication table (3**N pairs); larger algebras reach it
+# by dropping unused generators and splitting off their top generator.  Every
+# shipped config and benchmark workload multiplies at N <= 6.
+_MAX_TABLE_N = 6
 
 MAX_GENERATORS = 16
 
@@ -79,17 +88,6 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge_sign(i: int, j: int) -> int:
-    """Permutation sign for merging ascending subsets i and j (disjoint)."""
-    inv = 0
-    t = j
-    while t:
-        b = (t & -t).bit_length() - 1
-        inv += bin(i >> (b + 1)).count("1")
-        t &= t - 1
-    return -1 if inv & 1 else 1
-
-
 class GrassmannAlgebra:
     """A Grassmann algebra with a fixed number of generators.
 
@@ -114,33 +112,22 @@ class GrassmannAlgebra:
         self.odd_mask = ~self.even_mask
 
         if self.n <= _MAX_TABLE_N:
-            self._build_table()
-        else:
-            self._idx_a = None
-            # bit matrix used by the generic kernel: bits[j, b] = b-th bit of j
-            self._bits = ((masks[:, None] >> np.arange(self.n)[None, :]) & 1).astype(
-                np.int8
-            )
+            self._build_table(masks)
 
-    def _build_table(self) -> None:
-        dim = self.dim
-        idx_a, idx_b, idx_out, signs = [], [], [], []
-        for i in range(dim):
-            free = ~i & (dim - 1)
-            j = free
-            while True:
-                idx_a.append(i)
-                idx_b.append(j)
-                idx_out.append(i | j)
-                signs.append(_merge_sign(i, j))
-                if j == 0:
-                    break
-                j = (j - 1) & free
-        self._idx_a = np.asarray(idx_a, dtype=np.int64)
-        self._idx_b = np.asarray(idx_b, dtype=np.int64)
+    def _build_table(self, masks: np.ndarray) -> None:
+        # Disjoint pairs (i, j) with i ascending and j descending; the order
+        # fixes the summation order of the matmul in ``mul``.
+        idx_a, rev_b = np.nonzero((masks[:, None] & masks[None, ::-1]) == 0)
+        idx_b = self.dim - 1 - rev_b
+        # Merge sign: each generator h of j passes the generators of i above h.
+        shifts = np.arange(1, self.n + 1)
+        passes = (idx_b[:, None] >> (shifts - 1) & 1) * _popcount(idx_a[:, None] >> shifts)
+        signs = 1 - 2 * (passes.sum(axis=1) & 1)
+        self._idx_a = idx_a
+        self._idx_b = idx_b
         # Scatter-with-sign as a single matmul: out = prod @ scatter.
-        scatter = np.zeros((len(idx_a), dim))
-        scatter[np.arange(len(idx_a)), idx_out] = signs
+        scatter = np.zeros((idx_a.size, self.dim))
+        scatter[np.arange(idx_a.size), idx_a | idx_b] = signs
         self._scatter = scatter
 
     # ------------------------------------------------------------------
@@ -151,31 +138,26 @@ class GrassmannAlgebra:
         """Grassmann product of coefficient arrays, broadcasting leading axes."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self._idx_a is not None:
-            prod = a[..., self._idx_a] * b[..., self._idx_b]
-            return prod @ self._scatter
-        return self._mul_generic(a, b)
-
-    def _mul_generic(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.ndim > 1 or b.ndim > 1:
-            a, b = np.broadcast_arrays(a, b)
-            out = np.empty_like(a)
-            for idx in np.ndindex(a.shape[:-1]):
-                out[idx] = self._mul_generic(a[idx], b[idx])
+        if self.n <= _MAX_TABLE_N:
+            return a[..., self._idx_a] * b[..., self._idx_b] @ self._scatter
+        used, masks = self.subalgebra(a, b)
+        a, b = np.broadcast_arrays(a, b)
+        if used.n < self.n:
+            # Skip the generators neither operand carries: a run loads few
+            # of them, and the split below would carry them all to the table.
+            out = np.zeros(a.shape)
+            out[..., masks] = used.mul(np.take(a, masks, axis=-1), np.take(b, masks, axis=-1))
             return out
-        out = np.zeros(self.dim)
-        masks = np.arange(self.dim)
-        for i in np.nonzero(a)[0]:
-            i = int(i)
-            ok = (masks & i) == 0
-            # inversion count of merging i with each mask, vectorized over masks
-            shifts = np.array(
-                [bin(i >> (b + 1)).count("1") for b in range(self.n)], dtype=np.int64
-            )
-            inv = self._bits @ shifts
-            sign = 1.0 - 2.0 * (inv & 1)
-            out[masks[ok] + i] += sign[ok] * a[i] * b[ok]
-        return out
+        # With a = a0 + a1 theta_N and b = b0 + b1 theta_N,
+        # ab = a0 b0 + (a0 b1 + a1 b0~) theta_N, where b0~ negates the odd
+        # part of b0 that theta_N moves past.
+        sub = algebra(self.n - 1)
+        half = sub.dim
+        a0, a1 = a[..., :half], a[..., half:]
+        b0, b1 = b[..., :half], b[..., half:]
+        b0_tilde = np.where(sub.odd_mask, -b0, b0)
+        p = sub.mul(np.stack([a0, a0, a1]), np.stack([b0, b1, b0_tilde]))
+        return np.concatenate([p[0], p[1] + p[2]], axis=-1)
 
     def power(self, a: np.ndarray, k: int) -> np.ndarray:
         if k < 0:
@@ -262,18 +244,22 @@ class GrassmannAlgebra:
         out[..., : self.dim] = a
         return out
 
-    def subalgebra(self, a: np.ndarray) -> tuple["GrassmannAlgebra", np.ndarray]:
-        """Smallest algebra holding ``a``, and where its monomials sit here.
+    def subalgebra(self, *arrays: np.ndarray) -> tuple["GrassmannAlgebra", np.ndarray]:
+        """Smallest algebra holding every one of ``arrays``, and where its
+        monomials sit here.
 
-        The k generators that occur in a nonzero coefficient of ``a`` become
-        theta_1..theta_k of ``algebra(k)`` in ascending order, which keeps
-        every merge sign.  Returns that algebra and the mask in this algebra
-        of each of its monomials, so ``np.take(a, masks, axis=-1)`` maps
-        ``a`` into it and ``out[..., masks] = b`` maps back.  With no generator in ``a`` the
-        subalgebra is ``algebra(1)`` holding theta_1.
+        The k generators that occur in a nonzero coefficient of any array
+        become theta_1..theta_k of ``algebra(k)`` in ascending order, which
+        keeps every merge sign.  Returns that algebra and the mask in this
+        algebra of each of its monomials, so ``np.take(a, masks, axis=-1)``
+        maps ``a`` into it and ``out[..., masks] = b`` maps back.  With no
+        generator in the arrays the subalgebra is ``algebra(1)`` holding
+        theta_1.
         """
-        nonzero = np.flatnonzero(np.any(np.reshape(a, (-1, self.dim)) != 0.0, axis=0))
-        used = int(np.bitwise_or.reduce(nonzero, initial=0))
+        used = 0
+        for a in arrays:
+            nonzero = np.flatnonzero(np.any(np.reshape(a, (-1, self.dim)) != 0.0, axis=0))
+            used |= int(np.bitwise_or.reduce(nonzero, initial=0))
         gens = [g for g in range(self.n) if used >> g & 1] or [0]
         sub = np.arange(1 << len(gens))
         masks = np.zeros_like(sub)

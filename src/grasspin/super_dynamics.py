@@ -196,25 +196,6 @@ class SuperState:
             xi[:, 1 << a] = c[a]
         return cls(alg, x, v, xi, s)
 
-    @classmethod
-    def from_numbers(cls, x, v, xi, s: float = 0.0) -> "SuperState":
-        comps = list(x) + list(v) + list(xi)
-        algs = {c.alg.n for c in comps if isinstance(c, GrassmannNumber)}
-        if len(algs) != 1:
-            raise ValueError("components must share one algebra")
-        alg = next(c.alg for c in comps if isinstance(c, GrassmannNumber))
-
-        def pack(seq):
-            out = np.zeros((4, alg.dim))
-            for mu, val in enumerate(seq):
-                if isinstance(val, GrassmannNumber):
-                    out[mu] = val.coeffs
-                else:
-                    out[mu, 0] = float(val)
-            return out
-
-        return cls(alg, pack(x), pack(v), pack(xi), s)
-
     def validate(self) -> None:
         for mu in range(4):
             if self.alg.parity_of(self.x[mu]) not in (Parity.EVEN, Parity.ZERO):
@@ -223,18 +204,6 @@ class SuperState:
                 raise ValueError(f"v^{mu} is not Grassmann-even")
             if self.alg.parity_of(self.xi[mu]) not in (Parity.ODD, Parity.ZERO):
                 raise ValueError(f"xi^{mu} is not Grassmann-odd")
-
-    @property
-    def x_gn(self):
-        return [GrassmannNumber(self.alg, self.x[mu]) for mu in range(4)]
-
-    @property
-    def v_gn(self):
-        return [GrassmannNumber(self.alg, self.v[mu]) for mu in range(4)]
-
-    @property
-    def xi_gn(self):
-        return [GrassmannNumber(self.alg, self.xi[mu]) for mu in range(4)]
 
     def spin_tensor(self) -> np.ndarray:
         """S_{mu nu} = (1/2) xi_mu xi_nu as coefficient arrays (4, 4, dim)."""
@@ -445,7 +414,7 @@ def integrate_super(
     evaluated at every accepted step regardless of the recording stride.
     """
     state0.validate()
-    alg, masks = state0.alg.subalgebra(np.stack([state0.x, state0.v, state0.xi]))
+    alg, masks = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
     # np.take keeps C order, where state0.x[:, masks] would not; einsum sums
     # in a layout-dependent order, so the layout keeps results bitwise.
     y0 = tuple([np.take(a, masks, axis=-1) for a in (state0.x, state0.v, state0.xi)])

@@ -26,7 +26,7 @@ import numpy as np
 
 from .grassmann import GrassmannAlgebra, GrassmannNumber, algebra
 from .minkowski import SIGNS
-from .super_dynamics import ModelParams, SuperTrajectory, _freal, _multiplier, _rhs
+from .super_dynamics import ModelParams, SuperTrajectory, _freal, _multiplier, _rhs, _split_even
 
 __all__ = [
     "DiscretePath",
@@ -137,11 +137,7 @@ def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
         vm = (x[lo + 1 : hi + 1] - x[lo:hi]) / h
         xidot = (xi[lo + 1 : hi + 1] - xi[lo:hi]) / h
 
-        bodies = xm[..., 0]
-        souls = xm.copy()
-        souls[..., 0] = 0.0
-        if not np.any(souls):
-            souls = None
+        bodies, souls = _split_even(xm)
         f_lo = fld.f_lower_coeffs(bodies, souls, alg)
         f_real = _freal(f_lo)
         pot = fld.potential_coeffs(bodies, souls, alg)

@@ -143,6 +143,37 @@ class TestExitCodes:
         ("verify.ratio_band", [float("nan"), 6.0], "verify.ratio_band"),
         ("integrator.steps", 2.5, "integrator.steps"),
         ("thresholds", [1e-9], "thresholds"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1, "exponents": [0, 0, -1, 0],
+                              "coefficient": 0.5}]},
+         "field.terms[0].exponents"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1, "exponents": [0, 0, 1.5, 0],
+                              "coefficient": 0.5}]},
+         "field.terms[0].exponents"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1.5, "exponents": [0, 0, 1, 0],
+                              "coefficient": 0.5}]},
+         "field.terms[0].component"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": "x", "exponents": [0, 0, 1, 0],
+                              "coefficient": 0.5}]},
+         "field.terms[0].component"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1, "exponents": [0, 0, 1, 0],
+                              "coefficient": [0.5]}]},
+         "field.terms[0].coefficient"),
+        ("field", {"kind": "polynomial", "terms": 5}, "field.terms"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [1.5, 2], "exponents": [0, 0, 0, 0],
+                                "coefficient": 1.0}]},
+         "field.f_terms[0].pair"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [1, 2], "exponents": [0, 0, 0, -1],
+                                "coefficient": 1.0}]},
+         "field.f_terms[0].exponents"),
+        ("compare.enforce", "false", "compare.enforce"),
+        ("verify.expect_maxwell_fail", "yes", "verify.expect_maxwell_fail"),
     ])
     def test_bad_number_rejected(self, tmp_path, capsys, path, value, name):
         cfg = write_cfg(tmp_path, {path: value})

@@ -178,6 +178,69 @@ def test_mul_matches_reference(ca, cb):
     assert np.max(np.abs((a * b).coeffs - expected.coeffs)) < 1e-9
 
 
+def sparse_number(alg, rng, extra=24):
+    """A body, every single generator theta_1..theta_N, and ``extra`` random
+    monomials, all with normal coefficients."""
+    masks = {0} | {1 << g for g in range(alg.n)}
+    masks |= set(rng.integers(0, alg.dim, size=extra).tolist())
+    coeffs = np.zeros(alg.dim)
+    coeffs[sorted(masks)] = rng.normal(size=len(masks))
+    return GrassmannNumber(alg, coeffs)
+
+
+def exact_product(a: GrassmannNumber, b: GrassmannNumber) -> GrassmannNumber:
+    """The product in exact rationals through the reference, rounded once."""
+    exact = ref_mul(
+        {k: Fraction(v) for k, v in to_dict(a).items()},
+        {k: Fraction(v) for k, v in to_dict(b).items()},
+    )
+    return from_dict(a.alg, {k: float(v) for k, v in exact.items()})
+
+
+def assert_product_close(got: GrassmannNumber, a, b, want: GrassmannNumber):
+    # scaled by operand size, as in criterion 01
+    scale = max(1.0, a.max_abs() * b.max_abs())
+    assert (got - want).max_abs() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_mul_matches_exact_rationals(n):
+    alg = algebra(n)
+    rng = np.random.default_rng(900 + n)
+    for _ in range(5):
+        a, b = sparse_number(alg, rng), sparse_number(alg, rng)
+        assert_product_close(a * b, a, b, exact_product(a, b))
+
+
+def test_mul_broadcasts_above_table():
+    alg = algebra(8)
+    rng = np.random.default_rng(808)
+    a = np.stack([sparse_number(alg, rng).coeffs for _ in range(4)])[:, None, :]
+    b = np.stack([sparse_number(alg, rng).coeffs for _ in range(4)])[None, :, :]
+    out = alg.mul(a, b)
+    assert out.shape == (4, 4, alg.dim)
+    for i in range(4):
+        for j in range(4):
+            ai, bj = GrassmannNumber(alg, a[i, 0]), GrassmannNumber(alg, b[0, j])
+            assert_product_close(GrassmannNumber(alg, out[i, j]), ai, bj, exact_product(ai, bj))
+
+
+def test_mul_without_top_generators():
+    small, big = algebra(3), algebra(10)
+    rng = np.random.default_rng(310)
+    a, b = random_number(small, rng), random_number(small, rng)
+    got = big.mul(small.embed(a.coeffs, big), small.embed(b.coeffs, big))
+    np.testing.assert_allclose(got[: small.dim], (a * b).coeffs, rtol=0.0, atol=1e-15)
+    assert np.all(got[small.dim :] == 0.0)
+
+    # only b carries theta_10: the product must not drop its theta_10 part
+    ab = GrassmannNumber(big, small.embed(a.coeffs, big))
+    bb = GrassmannNumber(big, small.embed(b.coeffs, big))
+    bb = bb + bb * big.generator(10)
+    assert np.any((ab * bb).coeffs[big.dim // 2 :] != 0.0)
+    assert_product_close(ab * bb, ab, bb, exact_product(ab, bb))
+
+
 @settings(max_examples=40, deadline=None)
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_associativity_and_distributivity(ca, cb, cc):
@@ -188,7 +251,7 @@ def test_associativity_and_distributivity(ca, cb, cc):
     assert ((a + b) * c - (a * c + b * c)).max_abs() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 8, 9])
 @pytest.mark.parametrize("pa,pb", [("even", "even"), ("even", "odd"), ("odd", "odd")])
 def test_supercommutativity(n, pa, pb):
     alg = algebra(n)
@@ -201,7 +264,7 @@ def test_supercommutativity(n, pa, pb):
         assert (a * b - sign * (b * a)).max_abs() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 9])
 def test_soul_nilpotency_exact(n):
     alg = algebra(n)
     rng = np.random.default_rng(n)
