@@ -1,9 +1,17 @@
 #!/usr/bin/env python3
-"""Print a digest of every CLI subcommand on every shipped config.
+"""Print a digest of every CLI subcommand on every shipped config, then of
+the library on soul-carrying paths.
 
 One line per (config, subcommand): the exit code and sha256 digests of the
-CSV payload and of the console summary.  The package is imported from this
-checkout's ``src/``, so two checkouts compare with one ``diff``:
+CSV payload and of the console summary.  Then one line per library case,
+over ``field_corpus()`` x N in {2, 4, 6} x mu' in {0, 1, 1.2, 2}: every
+generator loaded, so x and v pick up souls.  Each line hashes the
+``integrate_super`` arrays and monitors, and at N = 4 also the action, the
+even and odd stationarity probes and the Euler-Lagrange residuals.  No
+shipped config reaches these paths.
+
+The package is imported from this checkout's ``src/``, so two checkouts
+compare with one ``diff``:
 
     python scripts/cli_digest.py > after.txt
     python /path/to/other/checkout/scripts/cli_digest.py > before.txt
@@ -19,9 +27,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from conftest import field_corpus, loaded_state  # noqa: E402
+from grasspin import (  # noqa: E402
+    DiscretePath, ModelParams, PathVariation, action, euler_lagrange_residual,
+    integrate_super, stationarity_residual,
+)
 from grasspin.cli import main  # noqa: E402
 
 COMMANDS = ("simulate-bmt", "simulate-super", "compare", "verify")
@@ -40,9 +56,34 @@ def run(config: Path, command: str, tmp: Path) -> str:
     return f"{config.name} {command} exit={code} csv={csv} summary={digest(summary.getvalue().encode())}"
 
 
+def library_case(name: str, fld, n: int, mu_prime: float) -> str:
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
+    traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=16)
+    arrays = [traj.s, traj.x, traj.v, traj.xi,
+              traj.constraint_max, traj.lambda_max, traj.vv_body]
+    if n == 4:
+        path = DiscretePath.from_trajectory(traj)
+        t = (path.s - path.s[0]) / (path.s[-1] - path.s[0])
+        prof = np.sin(np.pi * t)[:, None] * np.array([0.3, 1.0, -0.5, 0.7])
+        prof[[0, -1]] = 0.0
+        arrays += [
+            action(path, fld, par).coeffs,
+            np.array([stationarity_residual(path, fld, par, PathVariation(dx=prof)),
+                      stationarity_residual(path, fld, par, PathVariation(dxi=prof))]),
+        ]
+        el = euler_lagrange_residual(path, fld, par)
+        arrays += [el.x_residual, el.xi_residual]
+    data = b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)
+    return f"library {name} n={n} mu'={mu_prime:g} sha256={digest(data)}"
+
+
 if __name__ == "__main__":
     configs = [Path(p) for p in sys.argv[1:]] or sorted((ROOT / "configs").glob("*.yaml"))
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
             for command in COMMANDS:
                 print(run(config, command, Path(tmp)), flush=True)
+    for name, fld in field_corpus():
+        for n in (2, 4, 6):
+            for mu_prime in (0.0, 1.0, 1.2, 2.0):
+                print(library_case(name, fld, n, mu_prime), flush=True)

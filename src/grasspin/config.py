@@ -33,7 +33,20 @@ def _need(mapping: dict, key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _no_text(value, name: str, what: str) -> None:
+    """Reject YAML strings and booleans, which float() and int() would take."""
+    if isinstance(value, list):
+        for v in value:
+            _no_text(v, name, what)
+    elif isinstance(value, (str, bool)):
+        raise ConfigError(
+            f"{name} must be {what}, got {value!r} (YAML reads quoted values, and "
+            "exponents without a decimal point such as 1e-8, as text)"
+        )
+
+
 def _finite(value, name: str) -> np.ndarray:
+    _no_text(value, name, "numeric")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as err:
@@ -43,7 +56,15 @@ def _finite(value, name: str) -> np.ndarray:
     return arr
 
 
+def _number(value, name: str) -> float:
+    arr = _finite(value, name)
+    if arr.shape != ():
+        raise ConfigError(f"{name} must be a number")
+    return float(arr)
+
+
 def _count(value, name: str) -> int:
+    _no_text(value, name, "an integer")
     try:
         count = int(value)
         whole = count == float(value)
@@ -61,10 +82,10 @@ def _flag(value, name: str) -> bool:
 
 
 def _positive(value, name: str) -> float:
-    arr = _finite(value, name)
-    if arr.shape != () or arr <= 0:
+    number = _number(value, name)
+    if number <= 0:
         raise ConfigError(f"{name} must be a positive number")
-    return float(arr)
+    return number
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -183,8 +204,7 @@ def _term_list(raw: dict, key: str, fields: tuple[str, ...]) -> list:
             raise ConfigError(f"{name}.exponents must have 4 entries")
         if any(_count(e, f"{name}.exponents") < 0 for e in exps):
             raise ConfigError(f"{name}.exponents must be >= 0")
-        if _finite(t["coefficient"], f"{name}.coefficient").shape != ():
-            raise ConfigError(f"{name}.coefficient must be a number")
+        _number(t["coefficient"], f"{name}.coefficient")
     return terms
 
 
@@ -222,9 +242,9 @@ def parse_config(raw: dict) -> RunConfig:
     p = _need(raw, "params", "")
     try:
         params = ModelParams(
-            mass=float(_need(p, "mass", "params")),
-            charge=float(_need(p, "charge", "params")),
-            mu_prime=float(_need(p, "mu_prime", "params")),
+            mass=_number(_need(p, "mass", "params"), "params.mass"),
+            charge=_number(_need(p, "charge", "params"), "params.charge"),
+            mu_prime=_number(_need(p, "mu_prime", "params"), "params.mu_prime"),
         )
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
@@ -261,7 +281,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("initial.spin.xi must be a (2, 4) coefficient array")
 
     integ = _need(raw, "integrator", "")
-    h = float(_finite(_need(integ, "h", "integrator"), "integrator.h"))
+    h = _number(_need(integ, "h", "integrator"), "integrator.h")
     steps = _count(_need(integ, "steps", "integrator"), "integrator.steps")
     record_every = _count(integ.get("record_every", 1), "integrator.record_every")
     if h <= 0:

@@ -86,7 +86,6 @@ class _FieldBase:
         self._df_eval = PolyVectorEvaluator(
             [self._f_polys[m][n].diff(k) for k in range(4) for m, n in PAIRS]
         )
-        self.field_degree = self._f_eval.max_degree
         self.constant = all(
             self._f_polys[m][n].diff(k).is_zero()
             for k in range(4)
@@ -111,10 +110,6 @@ class _FieldBase:
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
     ) -> np.ndarray:
         """F_{mu nu} coefficient arrays, shape (..., 4, 4, dim)."""
-        if self.constant:
-            out = np.zeros(np.shape(bodies)[:-1] + (4, 4, alg.dim))
-            out[..., 0] = self._f_const
-            return out
         return unpack_pairs(self._f_eval.eval_even(bodies, souls, alg), axis=-2)
 
     def df_lower_coeffs(

@@ -167,9 +167,6 @@ class GrassmannAlgebra:
             out = self.mul(out, a)
         return out
 
-    def body(self, a: np.ndarray) -> np.ndarray:
-        return np.asarray(a)[..., 0]
-
     def soul(self, a: np.ndarray) -> np.ndarray:
         s = np.array(a, dtype=float, copy=True)
         s[..., 0] = 0.0

@@ -15,18 +15,14 @@ import numpy as np
 
 __all__ = [
     "SIGNS",
-    "METRIC",
     "EPS_UPPER",
     "PAIRS",
-    "lower",
-    "raise_",
     "minkowski_dot",
     "pack_pairs",
     "unpack_pairs",
 ]
 
 SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-METRIC = np.diag(SIGNS)
 
 # Independent index pairs of an antisymmetric 4x4 tensor, in storage order.
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -48,17 +44,6 @@ def _levi_civita() -> np.ndarray:
 
 # eps^{mu nu rho sigma}; the all-lower version is -EPS_UPPER for this signature.
 EPS_UPPER = _levi_civita()
-
-
-def lower(vec: np.ndarray, axis: int = 0) -> np.ndarray:
-    """v_mu from v^mu (sign flip of spatial components along ``axis``)."""
-    vec = np.asarray(vec)
-    shape = [1] * vec.ndim
-    shape[axis] = 4
-    return vec * SIGNS.reshape(shape)
-
-
-raise_ = lower  # the diagonal (+,-,-,-) metric is an involution
 
 
 def minkowski_dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -23,7 +23,11 @@ ceil(k/2) passes, k being the number of generators the state carries
 
 All kernels below operate on raw coefficient arrays of shape (..., 4, dim)
 and broadcast over leading axes, so a whole grid of states can be evaluated
-in one call.
+in one call.  The field tensors F_{mu nu} (..., 4, 4, dim) and
+d_kappa F_{mu nu} (..., 4, 4, 4, dim) are cut to their body, a last axis of
+length 1, when they carry no soul: for a constant field, and at points
+without a soul.  ``_emul`` multiplies a cut tensor as the real it is and
+uses the Grassmann product otherwise.
 """
 
 from __future__ import annotations
@@ -80,10 +84,6 @@ class ModelParams:
             raise ValueError("mass must be positive")
 
     @property
-    def magnetic_moment(self) -> float:
-        return self.mu_prime / (2.0 * self.mass)
-
-    @property
     def anomaly(self) -> float:
         return self.mu_prime - self.charge
 
@@ -108,27 +108,38 @@ def _split_even(x: np.ndarray):
     return bodies, souls
 
 
-def _freal(f_lo: np.ndarray) -> np.ndarray | None:
-    """Real 4x4 (batched) if the tensor has body only, else None."""
-    if np.any(f_lo[..., 1:]):
-        return None
-    return f_lo[..., 0]
+def _cut(t: np.ndarray) -> np.ndarray:
+    """An even tensor with body only is cut to it: last axis of length 1."""
+    return t if np.any(t[..., 1:]) else t[..., :1]
 
 
-def _f_right(alg, f_lo, f_real, w):
-    """F^{mu nu} w_nu = SIGNS[mu] * sum_nu F_{mu nu} w^nu, shape (..., 4, dim)."""
-    if f_real is not None:
-        out = np.einsum("...mn,...nd->...md", f_real, w)
-    else:
-        out = alg.mul(f_lo, w[..., None, :, :]).sum(axis=-2)
-    return SIGNS[:, None] * out
+def _emul(alg, a, b):
+    """Product a b; a factor cut to its body multiplies as the real it is."""
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b
+    return alg.mul(a, b)
 
 
-def _f_left(alg, f_lo, f_real, w):
-    """Q_nu = sum_mu F_{mu nu} w^mu (all metric signs cancel in its uses)."""
-    if f_real is not None:
-        return np.einsum("...mn,...md->...nd", f_real, w)
-    return alg.mul(f_lo, w[..., :, None, :]).sum(axis=-3)
+def _field(alg, fld, x, grad=False):
+    """F_{mu nu} (..., 4, 4, dim) and d_kappa F_{mu nu} (..., 4, 4, 4, dim)
+    at even points x, each cut to its body when it has no soul.
+
+    dF is None for a constant field, or when ``grad`` is false.
+    """
+    if fld.constant:
+        return fld._f_const[..., None], None
+    bodies, souls = _split_even(x)
+    f = _cut(fld.f_lower_coeffs(bodies, souls, alg))
+    df = _cut(fld.df_lower_coeffs(bodies, souls, alg)) if grad else None
+    return f, df
+
+
+def _f_left(alg, f, w):
+    """Q_nu = sum_mu F_{mu nu} w^mu.
+
+    F is antisymmetric, so F^{mu nu} w_nu = -SIGNS[mu] Q_mu.
+    """
+    return _emul(alg, f, w[..., :, None, :]).sum(axis=-3)
 
 
 def _odd_contract(alg, q, xi):
@@ -136,14 +147,14 @@ def _odd_contract(alg, q, xi):
     return alg.mul(q, xi).sum(axis=-2)
 
 
-def _multiplier(alg, f_lo, f_real, v, xi, par):
+def _multiplier(alg, f, v, xi, par):
     """Multiplier lam plus reusable contractions.
 
     Returns (vv, inv_vv, q, lam) with q_nu = F_{mu nu} v^mu; the first
     stacked product also yields the constraint contraction
     a = F^{mu nu} v_mu xi_nu (metric signs cancel pairwise there).
     """
-    q = _f_left(alg, f_lo, f_real, v)
+    q = _f_left(alg, f, v)
     left = np.stack([SIGNS[:, None] * v, q], axis=-3)
     right = np.stack([v, xi], axis=-3)
     both = alg.mul(left, right).sum(axis=-2)
@@ -205,11 +216,6 @@ class SuperState:
             if self.alg.parity_of(self.xi[mu]) not in (Parity.ODD, Parity.ZERO):
                 raise ValueError(f"xi^{mu} is not Grassmann-odd")
 
-    def spin_tensor(self) -> np.ndarray:
-        """S_{mu nu} = (1/2) xi_mu xi_nu as coefficient arrays (4, 4, dim)."""
-        xi_lo = SIGNS[:, None] * self.xi
-        return 0.5 * self.alg.mul(xi_lo[:, None, :], xi_lo[None, :, :])
-
 
 @dataclass
 class SuperTrajectory:
@@ -248,7 +254,7 @@ class ReducedTrajectory:
 # ----------------------------------------------------------------------
 
 
-def _rhs(alg, fld, par, x, v, xi, *, need_lambda_dot=True):
+def _rhs(alg, fld, par, x, v, xi):
     """Batched right-hand side; returns (dv, dxi, lam, lam_dot).
 
     Inputs are coefficient arrays (..., 4, dim).  dx/ds = v is implicit.
@@ -259,53 +265,29 @@ def _rhs(alg, fld, par, x, v, xi, *, need_lambda_dot=True):
     e = par.charge
     mup = par.mu_prime
     c_lam = (mup - e) / (2.0 * m)
+    lower = SIGNS[:, None]
 
-    if fld.constant:
-        f_lo = None
-        f_real = fld._f_const
-    else:
-        bodies, souls = _split_even(x)
-        f_lo = fld.f_lower_coeffs(bodies, souls, alg)
-        f_real = _freal(f_lo)
-
-    vv, inv_vv, q, lam = _multiplier(alg, f_lo, f_real, v, xi, par)
-
-    # Lorentz force piece
-    w_lor = _f_right(alg, f_lo, f_real, v)
+    f, df = _field(alg, fld, x, grad=True)
+    vv, inv_vv, q, lam = _multiplier(alg, f, v, xi, par)
 
     # gradient (Stern-Gerlach) piece; vanishes for homogeneous fields
-    if fld.constant:
-        grad = 0.0
-    else:
-        df_lo = fld.df_lower_coeffs(bodies, souls, alg)
-        df_real = _freal(df_lo)
+    grad = 0.0
+    if df is not None:
         pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :])
-        if df_real is not None:
-            grad = np.einsum("...mrs,...rsd->...md", df_real, pair)
-        else:
-            grad = alg.mul(df_lo, pair[..., None, :, :, :]).sum(axis=(-3, -2))
-        grad = 0.5 * SIGNS[:, None] * grad
+        grad = 0.5 * lower * _emul(alg, df, pair[..., None, :, :, :]).sum(axis=(-3, -2))
 
-    # dxi (depends on lam only)
-    x_mag = _f_right(alg, f_lo, f_real, xi)
-    dxi = (mup / m) * x_mag - 2.0 * alg.mul(lam[..., None, :], v)
-
-    dv_base = (e / m) * w_lor + (mup / (2.0 * m * m)) * grad
-    if not need_lambda_dot:
-        return dv_base, dxi, lam, np.zeros_like(lam)
+    # dxi (depends on lam only); F^{mu nu} w_nu = -SIGNS[mu] Q_mu(w)
+    dxi = (mup / m) * (-lower * _f_left(alg, f, xi)) - 2.0 * alg.mul(lam[..., None, :], v)
+    dv_base = (e / m) * (-lower * q) + (mup / (2.0 * m * m)) * grad
 
     # d lam/ds by differentiating the multiplier equation along the flow and
     # substituting the equations of motion.  The dependence on dv enters dv
     # again only multiplied by xi, raising the Grassmann degree by two per
     # pass, so the fixed point is exact after ceil(n/2) passes for the n
     # generators of alg: the active ones, when called from integrate_super.
-    if fld.constant:
-        a_dot_field = 0.0
-    else:
-        if df_real is not None:
-            f_dot = np.einsum("...kmn,...kd->...mnd", df_real, v)
-        else:
-            f_dot = alg.mul(v[..., :, None, None, :], df_lo).sum(axis=-4)
+    a_dot_field = 0.0
+    if df is not None:
+        f_dot = _emul(alg, v[..., :, None, None, :], df).sum(axis=-4)
         r_dot = alg.mul(f_dot, v[..., :, None, :]).sum(axis=-3)
         a_dot_field = _odd_contract(alg, r_dot, xi)
     a_dot_xi = _odd_contract(alg, q, dxi)    # F^{mu nu} v_mu dxi_nu
@@ -313,9 +295,9 @@ def _rhs(alg, fld, par, x, v, xi, *, need_lambda_dot=True):
     lam_dot = np.zeros_like(lam)
     dv = dv_base
     for _ in range((alg.n + 1) // 2):
-        q_dv = _f_left(alg, f_lo, f_real, dv)
+        q_dv = _f_left(alg, f, dv)
         # [0]: F^{mu nu} dv_mu xi_nu ; [1]: v.dv
-        left = np.stack([q_dv, SIGNS[:, None] * v], axis=-3)
+        left = np.stack([q_dv, lower * v], axis=-3)
         right = np.stack([xi, dv], axis=-3)
         both = alg.mul(left, right).sum(axis=-2)
         a_dot_v = both[..., 0, :]
@@ -336,10 +318,8 @@ def _rhs(alg, fld, par, x, v, xi, *, need_lambda_dot=True):
 def lambda_solve(state: SuperState, fld, par: ModelParams) -> GrassmannNumber:
     """Constraint multiplier at a state (Grassmann-odd for odd xi)."""
     alg = state.alg
-    bodies, souls = _split_even(state.x)
-    f_lo = fld.f_lower_coeffs(bodies, souls, alg)
-    f_real = _freal(f_lo)
-    _, _, _, lam = _multiplier(alg, f_lo, f_real, state.v, state.xi, par)
+    f, _ = _field(alg, fld, state.x)
+    _, _, _, lam = _multiplier(alg, f, state.v, state.xi, par)
     return GrassmannNumber(alg, lam)
 
 
@@ -415,27 +395,35 @@ def integrate_super(
     """
     state0.validate()
     alg, masks = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
-    # np.take keeps C order, where state0.x[:, masks] would not; einsum sums
-    # in a layout-dependent order, so the layout keeps results bitwise.
+    # np.take keeps C order, where state0.x[:, masks] would not; reductions
+    # sum in a layout-dependent order, so the layout keeps results bitwise.
     y0 = tuple([np.take(a, masks, axis=-1) for a in (state0.x, state0.v, state0.xi)])
     constraint_max, lambda_max, vv_body = [], [], []
+
+    def at_step(i, kernel, *args):
+        try:
+            return kernel(*args)
+        except LightlikeVelocityError as err:
+            raise LightlikeVelocityError(f"{err} at step {i}") from err
+
+    def monitor(v, xi, lam):
+        constraint_max.append(np.max(np.abs(_gdot(alg, xi, v))))
+        lambda_max.append(np.max(np.abs(lam)))
+        vv_body.append(_gdot(alg, v, v)[0])
 
     def rates(y, i):
         x, v, xi = y
         if i is None:
             dv, dxi, _, _ = _rhs(alg, fld, par, x, v, xi)
-            return v, dv, dxi
-        try:
-            dv, dxi, lam, _ = _rhs(alg, fld, par, x, v, xi, need_lambda_dot=i < steps)
-        except LightlikeVelocityError as err:
-            raise LightlikeVelocityError(f"{err} at step {i}") from err
-        constraint_max.append(np.max(np.abs(_gdot(alg, xi, v))))
-        lambda_max.append(np.max(np.abs(lam)))
-        vv_body.append(_gdot(alg, v, v)[0])
+        else:
+            dv, dxi, lam, _ = at_step(i, _rhs, alg, fld, par, x, v, xi)
+            monitor(v, xi, lam)
         return v, dv, dxi
 
     rec_steps, rec = rk4(rates, y0, h, steps, record_every)
-    rates(rec[-1], steps)   # monitors of the last state
+    x, v, xi = rec[-1]   # monitors of the last state
+    f, _ = _field(alg, fld, x)
+    monitor(v, xi, at_step(steps, _multiplier, alg, f, v, xi, par)[3])
 
     def lift(j):
         out = np.zeros((len(rec), 4, state0.alg.dim))

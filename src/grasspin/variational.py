@@ -26,7 +26,7 @@ import numpy as np
 
 from .grassmann import GrassmannAlgebra, GrassmannNumber, algebra
 from .minkowski import SIGNS
-from .super_dynamics import ModelParams, SuperTrajectory, _freal, _multiplier, _rhs, _split_even
+from .super_dynamics import ModelParams, SuperTrajectory, _emul, _field, _multiplier, _rhs, _split_even
 
 __all__ = [
     "DiscretePath",
@@ -61,10 +61,6 @@ class DiscretePath:
     @property
     def h(self) -> float:
         return float(self.s[1] - self.s[0])
-
-    @property
-    def n_intervals(self) -> int:
-        return self.s.size - 1
 
     @classmethod
     def from_trajectory(cls, traj: SuperTrajectory) -> "DiscretePath":
@@ -107,10 +103,6 @@ class PathVariation:
         else:
             self.dxi = arr
 
-    @property
-    def profile(self) -> np.ndarray:
-        return self.dx if self.dx is not None else self.dxi
-
 
 @dataclass
 class ELResidual:
@@ -137,23 +129,17 @@ def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
         vm = (x[lo + 1 : hi + 1] - x[lo:hi]) / h
         xidot = (xi[lo + 1 : hi + 1] - xi[lo:hi]) / h
 
-        bodies, souls = _split_even(xm)
-        f_lo = fld.f_lower_coeffs(bodies, souls, alg)
-        f_real = _freal(f_lo)
-        pot = fld.potential_coeffs(bodies, souls, alg)
+        f, _ = _field(alg, fld, xm)
+        pot = fld.potential_coeffs(*_split_even(xm), alg)
 
-        vv, _, _, lam = _multiplier(alg, f_lo, f_real, vm, xim, par)
+        vv, _, _, lam = _multiplier(alg, f, vm, xim, par)
         kin = 0.5 * m * vv
         spin_kin = -0.25 * np.einsum(
             "m,...md->...d", SIGNS, alg.mul(xim, xidot)
         )
         coupling = par.charge * alg.mul(pot, vm).sum(axis=-2)
         pair = alg.mul(xim[..., :, None, :], xim[..., None, :, :])
-        if f_real is not None:
-            mag = np.einsum("...mn,...mnd->...d", f_real, pair)
-        else:
-            mag = alg.mul(f_lo, pair).sum(axis=(-3, -2))
-        mag = (par.mu_prime / (4.0 * m)) * mag
+        mag = (par.mu_prime / (4.0 * m)) * _emul(alg, f, pair).sum(axis=(-3, -2))
         con = np.einsum("m,...md->...d", SIGNS, alg.mul(xim, vm))
         l_mid = kin + spin_kin + coupling + mag + alg.mul(lam, con)
         total += h * l_mid.sum(axis=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grasspin import FieldConfig, ModelParams, Polynomial, SuperState, algebra, constant_field
+from grasspin.minkowski import SIGNS
 
 
 @pytest.fixture(scope="session")
@@ -77,3 +78,15 @@ def standard_state(alg, gamma: float = 2.0) -> SuperState:
     """gamma-boost along axis 1, spin generators along axes 2 and 3."""
     c = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     return SuperState.from_real(np.zeros(4), boosted_velocity(gamma), c, alg)
+
+
+def loaded_state(n: int) -> SuperState:
+    """standard_state's theta1 and theta2 rows plus rows of size 0.05 on
+    theta3..thetaN, Minkowski-orthogonal to u0: every generator is loaded."""
+    st2 = standard_state(algebra(2))
+    u0 = st2.v[:, 0]
+    rows = np.random.default_rng(66).normal(size=(n - 2, 4))
+    rows -= np.outer(rows @ (SIGNS * u0), u0)
+    rows *= 0.05 / np.max(np.abs(rows), axis=1, keepdims=True)
+    c = np.vstack([st2.xi[:, 1], st2.xi[:, 2], rows])
+    return SuperState.from_real(np.zeros(4), u0, c, algebra(n))

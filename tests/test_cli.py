@@ -174,6 +174,15 @@ class TestExitCodes:
          "field.f_terms[0].exponents"),
         ("compare.enforce", "false", "compare.enforce"),
         ("verify.expect_maxwell_fail", "yes", "verify.expect_maxwell_fail"),
+        ("integrator.steps", "300", "integrator.steps"),
+        ("integrator.h", "0.01", "integrator.h"),
+        ("params.mass", True, "params.mass"),
+        ("initial.x0", ["0", 0, 0, 0], "initial.x0"),
+        ("algebra.n_generators", "4", "algebra.n_generators"),
+        ("seed", True, "seed"),
+        ("field.B", [0, 0, True], "field.B"),
+        ("thresholds.uu_drift", "1e-8", "thresholds.uu_drift"),
+        ("verify.points", "10", "verify.points"),
     ])
     def test_bad_number_rejected(self, tmp_path, capsys, path, value, name):
         cfg = write_cfg(tmp_path, {path: value})

@@ -21,9 +21,9 @@ from grasspin import (
 )
 from grasspin.grassmann import GrassmannNumber, Parity, algebra
 from grasspin.minkowski import SIGNS
-from grasspin.super_dynamics import LightlikeVelocityError, multiplier_rate
+from grasspin.super_dynamics import LightlikeVelocityError, _cut, _emul, multiplier_rate
 
-from conftest import boosted_velocity, gradient_b_field, standard_state
+from conftest import boosted_velocity, field_corpus, gradient_b_field, loaded_state, standard_state
 
 
 ZERO_FIELD = FieldConfig([Polynomial.zero()] * 4)
@@ -150,6 +150,60 @@ class TestEomRhs:
         assert errs[0] < 5e-5
         assert 3.4 < errs[0] / errs[1] < 4.6
         assert 3.4 < errs[1] / errs[2] < 4.6
+
+
+@pytest.mark.parametrize("name, fld", field_corpus(), ids=[n for n, _ in field_corpus()])
+def test_eom_rhs_at_soul_points_matches_module_equations(name, fld):
+    """The module docstring's equations in GrassmannNumber arithmetic, index
+    by index, at a state whose x carries a soul (N = 4, all generators)."""
+    par = ModelParams(mass=1.3, charge=0.8, mu_prime=1.7)
+    m, e, mup = par.mass, par.charge, par.mu_prime
+    traj = integrate_super(loaded_state(4), fld, par, h=0.05, steps=4)
+    st = traj.state(len(traj) - 1)
+    alg = st.alg
+    if name != "zero":
+        assert np.any(st.x[:, 1:] != 0.0)
+    x, v, xi = ([GrassmannNumber(alg, a[mu]) for mu in range(4)] for a in (st.x, st.v, st.xi))
+    v_lo = [SIGNS[mu] * v[mu] for mu in range(4)]
+    xi_lo = [SIGNS[mu] * xi[mu] for mu in range(4)]
+    f = fld.field_tensor(x)                          # F_{mu nu}
+    df = fld.field_derivative(x)                     # d_kappa F^{rho sigma}
+    f_up = [[SIGNS[mu] * SIGNS[nu] * f[mu, nu] for nu in range(4)] for mu in range(4)]
+    lam = lambda_solve(st, fld, par)
+    lam_again, lam_dot = multiplier_rate(st, fld, par)
+    assert np.array_equal(lam.coeffs, lam_again.coeffs)
+
+    vv = sum((v_lo[mu] * v[mu] for mu in range(4)), alg.zero())
+    a_con = sum((f_up[mu][nu] * v_lo[mu] * xi_lo[nu] for mu in range(4) for nu in range(4)),
+                alg.zero())
+    assert (lam - vv.inv() * a_con * ((mup - e) / (2 * m))).max_abs() < 1e-13
+
+    _, dv, dxi = eom_rhs(st, fld, par)
+    for mu in range(4):
+        lorentz = sum((f_up[mu][nu] * v_lo[nu] for nu in range(4)), alg.zero())
+        grad = sum((df[mu, r, s] * (0.5 * xi_lo[r] * xi_lo[s])
+                    for r in range(4) for s in range(4)), alg.zero())
+        want_dv = (e * lorentz + (mup / (2 * m)) * SIGNS[mu] * grad - lam_dot * xi[mu]) / m
+        mag = sum((f_up[mu][nu] * xi_lo[nu] for nu in range(4)), alg.zero())
+        want_dxi = (mup / m) * mag - 2.0 * lam * v[mu]
+        assert (dv[mu] - want_dv).max_abs() < 1e-13
+        assert (dxi[mu] - want_dxi).max_abs() < 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_emul_on_cut_tensor_equals_mul(n):
+    """A body-only tensor cut to its body multiplies like its full coefficients."""
+    alg = algebra(n)
+    rng = np.random.default_rng(n)
+    full = np.zeros((4, 4, alg.dim))
+    full[..., 0] = rng.normal(size=(4, 4))
+    cut = _cut(full)
+    assert cut.shape == (4, 4, 1)
+    w = rng.normal(size=(4, 1, alg.dim))
+    assert np.array_equal(_emul(alg, cut, w), alg.mul(full, w))
+    assert np.array_equal(_emul(alg, w, cut), alg.mul(w, full))
+    full[1, 2, 3] = 0.5
+    assert _cut(full) is full
 
 
 class TestConstraint:
