@@ -17,7 +17,9 @@ compare with one ``diff``:
     python /path/to/other/checkout/scripts/cli_digest.py > before.txt
     diff before.txt after.txt
 
-Extra arguments replace the default ``configs/*.yaml``.
+Extra arguments replace the default ``configs/*.yaml``.  Where a change may
+move the library arrays by roundoff, ``scripts/lib_compare.py`` compares them
+by tolerance.
 """
 
 import contextlib
@@ -56,25 +58,34 @@ def run(config: Path, command: str, tmp: Path) -> str:
     return f"{config.name} {command} exit={code} csv={csv} summary={digest(summary.getvalue().encode())}"
 
 
-def library_case(name: str, fld, n: int, mu_prime: float) -> str:
+def library_arrays(fld, n: int, mu_prime: float) -> dict[str, np.ndarray]:
+    """The arrays of one library case, by name, in hashing order."""
     par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
     traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=16)
-    arrays = [traj.s, traj.x, traj.v, traj.xi,
-              traj.constraint_max, traj.lambda_max, traj.vv_body]
+    arrays = {"s": traj.s, "x": traj.x, "v": traj.v, "xi": traj.xi,
+              "constraint_max": traj.constraint_max, "lambda_max": traj.lambda_max,
+              "vv_body": traj.vv_body}
     if n == 4:
         path = DiscretePath.from_trajectory(traj)
         t = (path.s - path.s[0]) / (path.s[-1] - path.s[0])
         prof = np.sin(np.pi * t)[:, None] * np.array([0.3, 1.0, -0.5, 0.7])
         prof[[0, -1]] = 0.0
-        arrays += [
-            action(path, fld, par).coeffs,
-            np.array([stationarity_residual(path, fld, par, PathVariation(dx=prof)),
-                      stationarity_residual(path, fld, par, PathVariation(dxi=prof))]),
-        ]
+        arrays["action"] = action(path, fld, par).coeffs
+        arrays["stationarity"] = np.array([
+            stationarity_residual(path, fld, par, PathVariation(dx=prof)),
+            stationarity_residual(path, fld, par, PathVariation(dxi=prof))])
         el = euler_lagrange_residual(path, fld, par)
-        arrays += [el.x_residual, el.xi_residual]
-    data = b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)
-    return f"library {name} n={n} mu'={mu_prime:g} sha256={digest(data)}"
+        arrays["el_x"] = el.x_residual
+        arrays["el_xi"] = el.xi_residual
+    return arrays
+
+
+def library_grid():
+    """(case label, arrays) for every library case."""
+    for name, fld in field_corpus():
+        for n in (2, 4, 6):
+            for mu_prime in (0.0, 1.0, 1.2, 2.0):
+                yield f"library {name} n={n} mu'={mu_prime:g}", library_arrays(fld, n, mu_prime)
 
 
 if __name__ == "__main__":
@@ -83,7 +94,6 @@ if __name__ == "__main__":
         for config in configs:
             for command in COMMANDS:
                 print(run(config, command, Path(tmp)), flush=True)
-    for name, fld in field_corpus():
-        for n in (2, 4, 6):
-            for mu_prime in (0.0, 1.0, 1.2, 2.0):
-                print(library_case(name, fld, n, mu_prime), flush=True)
+    for case, arrays in library_grid():
+        data = b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays.values())
+        print(f"{case} sha256={digest(data)}", flush=True)

@@ -19,8 +19,19 @@ still has more than six, it splits off its top generator, a = a0 + a1
 theta_N, and reduces the product to three products in the algebra with
 N - 1 generators, so every N ends in the table.
 
+A product may name the parity of each operand: ``EVEN``, ``ODD``, or None
+for either (the default).  For N <= 6 a hinted product uses a typed table,
+the rows of the full table whose masks have the hinted parities, in the full
+table's order: for two known parities about a quarter of the pairs.  The
+rows dropped multiply coefficients that must be zero, so a true hint gives
+the same product up to summation order, and a wrong hint silently drops
+terms.  Nothing checks a hint at run time; the tests audit every hint the
+dynamics passes.
+
 Coefficients are double precision; all operations are plain numpy arithmetic
-and safe to share between threads (algebras are immutable after construction).
+and safe to share between threads.  An algebra changes after construction
+only by caching a typed table on its first use; two threads that build the
+same table store equal copies.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ import numpy as np
 
 __all__ = [
     "COEFF_ATOL",
+    "EVEN",
+    "ODD",
     "PRUNE_TOL",
     "AlgebraMismatchError",
     "NotInvertibleError",
@@ -55,6 +68,11 @@ PRUNE_TOL = 1e-14
 _MAX_TABLE_N = 6
 
 MAX_GENERATORS = 16
+
+# Operand parity hints for GrassmannAlgebra.mul; None means either.  Plain
+# ints, not Parity members, since a product hashes its hints on every call.
+EVEN = 0
+ODD = 1
 
 
 class AlgebraMismatchError(ValueError):
@@ -123,23 +141,45 @@ class GrassmannAlgebra:
         shifts = np.arange(1, self.n + 1)
         passes = (idx_b[:, None] >> (shifts - 1) & 1) * _popcount(idx_a[:, None] >> shifts)
         signs = 1 - 2 * (passes.sum(axis=1) & 1)
-        self._idx_a = idx_a
-        self._idx_b = idx_b
         # Scatter-with-sign as a single matmul: out = prod @ scatter.
         scatter = np.zeros((idx_a.size, self.dim))
         scatter[np.arange(idx_a.size), idx_a | idx_b] = signs
-        self._scatter = scatter
+        # (pa, pb) -> (idx_a, idx_b, scatter); typed tables are cut on first use.
+        self._tables = {(None, None): (idx_a, idx_b, scatter)}
+
+    def _typed_table(self, pa: int | None, pb: int | None):
+        """The rows of the full table whose masks have parities (pa, pb)."""
+        idx_a, idx_b, scatter = self._tables[None, None]
+        fits = {None: np.ones(self.dim, dtype=bool), EVEN: self.even_mask, ODD: self.odd_mask}
+        keep = fits[pa][idx_a] & fits[pb][idx_b]
+        table = (idx_a[keep], idx_b[keep], scatter[keep])
+        self._tables[pa, pb] = table
+        return table
 
     # ------------------------------------------------------------------
     # Raw-coefficient kernels (batched over leading axes)
     # ------------------------------------------------------------------
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Grassmann product of coefficient arrays, broadcasting leading axes."""
+    def mul(
+        self, a: np.ndarray, b: np.ndarray, pa: int | None = None, pb: int | None = None
+    ) -> np.ndarray:
+        """Grassmann product of coefficient arrays, broadcasting leading axes.
+
+        ``pa`` and ``pb`` are the parities of ``a`` and ``b``: ``EVEN``,
+        ``ODD``, or None for either.  Up to N = 6 a hint drops the pairs
+        that multiply coefficients of the other parity, which a true hint
+        says are zero; a wrong hint drops terms of the product.  Hints are
+        not checked here; a test audits those the dynamics passes.  Above
+        N = 6 the hints are ignored.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.n <= _MAX_TABLE_N:
-            return a[..., self._idx_a] * b[..., self._idx_b] @ self._scatter
+            try:
+                ia, ib, sc = self._tables[pa, pb]
+            except KeyError:
+                ia, ib, sc = self._typed_table(pa, pb)
+            return a[..., ia] * b[..., ib] @ sc
         used, masks = self.subalgebra(a, b)
         a, b = np.broadcast_arrays(a, b)
         if used.n < self.n:
@@ -179,7 +219,9 @@ class GrassmannAlgebra:
         1/(body + n) = (1/body) * sum_k (-n/body)**k terminates after
         floor(N/2) terms: there is no truncation error.  The coefficients
         carry double-precision roundoff relative to max|a^-1|, which is
-        large when the body is small.
+        large when the body is small.  Odd coefficients at or below
+        PRUNE_TOL pass the parity check and are then ignored: the series
+        multiplies as even x even.
         """
         a = np.asarray(a, dtype=float)
         bad = ~self.even_mask & (np.abs(a) > PRUNE_TOL)
@@ -190,10 +232,10 @@ class GrassmannAlgebra:
             raise NotInvertibleError("zero body, element not invertible")
         t = -a / b[..., None]
         t[..., 0] = 0.0  # t = -soul/body
-        out = self.scalar_coeffs(1.0) + np.zeros_like(a)
-        acc = out.copy()
-        for _ in range(self.n // 2):
-            acc = self.mul(acc, t)
+        out = self.scalar_coeffs(1.0) + t
+        acc = t
+        for _ in range(self.n // 2 - 1):
+            acc = self.mul(acc, t, EVEN, EVEN)
             if not np.any(acc):
                 break
             out = out + acc

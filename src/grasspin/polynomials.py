@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grassmann import GrassmannAlgebra
+from .grassmann import EVEN, GrassmannAlgebra
 
 __all__ = ["Polynomial", "PolyVectorEvaluator"]
 
@@ -242,7 +242,7 @@ class PolyVectorEvaluator:
                 mon = souls
             else:
                 mon = alg.mul(
-                    mon_prev[..., g["parent"], :], souls[..., g["axis"], :]
+                    mon_prev[..., g["parent"], :], souls[..., g["axis"], :], EVEN, EVEN
                 )
             if np.any(vals):
                 out += np.einsum("...ap,...ad->...pd", vals, mon)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmann import GrassmannAlgebra, GrassmannNumber, Parity
+from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, Parity
 from .minkowski import SIGNS
 
 __all__ = [
@@ -93,9 +93,10 @@ class ModelParams:
 # ----------------------------------------------------------------------
 
 
-def _gdot(alg: GrassmannAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_mu b^mu for Grassmann 4-vectors (..., 4, dim), factors in this order."""
-    prod = alg.mul(a, b)
+def _gdot(alg: GrassmannAlgebra, a: np.ndarray, b: np.ndarray, pa, pb) -> np.ndarray:
+    """a_mu b^mu for Grassmann 4-vectors (..., 4, dim) of parity hints pa and
+    pb, factors in this order."""
+    prod = alg.mul(a, b, pa, pb)
     return np.einsum("m,...md->...d", SIGNS, prod)
 
 
@@ -113,11 +114,12 @@ def _cut(t: np.ndarray) -> np.ndarray:
     return t if np.any(t[..., 1:]) else t[..., :1]
 
 
-def _emul(alg, a, b):
-    """Product a b; a factor cut to its body multiplies as the real it is."""
+def _emul(alg, a, b, pb=None):
+    """Product a b of an even a and a b of parity hint pb; a factor cut to
+    its body multiplies as the real it is."""
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b
-    return alg.mul(a, b)
+    return alg.mul(a, b, EVEN, pb)
 
 
 def _field(alg, fld, x, grad=False):
@@ -134,17 +136,17 @@ def _field(alg, fld, x, grad=False):
     return f, df
 
 
-def _f_left(alg, f, w):
-    """Q_nu = sum_mu F_{mu nu} w^mu.
+def _f_left(alg, f, w, pw):
+    """Q_nu = sum_mu F_{mu nu} w^mu, for w of parity hint pw.
 
     F is antisymmetric, so F^{mu nu} w_nu = -SIGNS[mu] Q_mu.
     """
-    return _emul(alg, f, w[..., :, None, :]).sum(axis=-3)
+    return _emul(alg, f, w[..., :, None, :], pw).sum(axis=-3)
 
 
 def _odd_contract(alg, q, xi):
-    """sum_nu q^nu * xi^nu with q the left factor, shape (..., dim)."""
-    return alg.mul(q, xi).sum(axis=-2)
+    """sum_nu q^nu * xi^nu with even q the left factor, shape (..., dim)."""
+    return alg.mul(q, xi, EVEN, ODD).sum(axis=-2)
 
 
 def _multiplier(alg, f, v, xi, par):
@@ -154,17 +156,17 @@ def _multiplier(alg, f, v, xi, par):
     stacked product also yields the constraint contraction
     a = F^{mu nu} v_mu xi_nu (metric signs cancel pairwise there).
     """
-    q = _f_left(alg, f, v)
+    q = _f_left(alg, f, v, EVEN)
     left = np.stack([SIGNS[:, None] * v, q], axis=-3)
     right = np.stack([v, xi], axis=-3)
-    both = alg.mul(left, right).sum(axis=-2)
+    both = alg.mul(left, right, EVEN, None).sum(axis=-2)
     vv = both[..., 0, :]
     a_con = both[..., 1, :]
     if np.any(np.abs(vv[..., 0]) == 0.0):
         raise LightlikeVelocityError("v.v has zero body")
     inv_vv = alg.invert_even(vv)
     c_lam = (par.mu_prime - par.charge) / (2.0 * par.mass)
-    lam = c_lam * alg.mul(inv_vv, a_con)
+    lam = c_lam * alg.mul(inv_vv, a_con, EVEN, ODD)
     return vv, inv_vv, q, lam
 
 
@@ -273,11 +275,11 @@ def _rhs(alg, fld, par, x, v, xi):
     # gradient (Stern-Gerlach) piece; vanishes for homogeneous fields
     grad = 0.0
     if df is not None:
-        pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :])
-        grad = 0.5 * lower * _emul(alg, df, pair[..., None, :, :, :]).sum(axis=(-3, -2))
+        pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :], ODD, ODD)
+        grad = 0.5 * lower * _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
 
     # dxi (depends on lam only); F^{mu nu} w_nu = -SIGNS[mu] Q_mu(w)
-    dxi = (mup / m) * (-lower * _f_left(alg, f, xi)) - 2.0 * alg.mul(lam[..., None, :], v)
+    dxi = (mup / m) * (-lower * _f_left(alg, f, xi, ODD)) - 2.0 * alg.mul(lam[..., None, :], v, ODD, EVEN)
     dv_base = (e / m) * (-lower * q) + (mup / (2.0 * m * m)) * grad
 
     # d lam/ds by differentiating the multiplier equation along the flow and
@@ -287,26 +289,28 @@ def _rhs(alg, fld, par, x, v, xi):
     # generators of alg: the active ones, when called from integrate_super.
     a_dot_field = 0.0
     if df is not None:
-        f_dot = _emul(alg, v[..., :, None, None, :], df).sum(axis=-4)
-        r_dot = alg.mul(f_dot, v[..., :, None, :]).sum(axis=-3)
+        f_dot = _emul(alg, v[..., :, None, None, :], df, EVEN).sum(axis=-4)
+        r_dot = alg.mul(f_dot, v[..., :, None, :], EVEN, EVEN).sum(axis=-3)
         a_dot_field = _odd_contract(alg, r_dot, xi)
     a_dot_xi = _odd_contract(alg, q, dxi)    # F^{mu nu} v_mu dxi_nu
 
     lam_dot = np.zeros_like(lam)
     dv = dv_base
     for _ in range((alg.n + 1) // 2):
-        q_dv = _f_left(alg, f, dv)
+        q_dv = _f_left(alg, f, dv, EVEN)
         # [0]: F^{mu nu} dv_mu xi_nu ; [1]: v.dv
         left = np.stack([q_dv, lower * v], axis=-3)
         right = np.stack([xi, dv], axis=-3)
-        both = alg.mul(left, right).sum(axis=-2)
+        both = alg.mul(left, right, EVEN, None).sum(axis=-2)
         a_dot_v = both[..., 0, :]
         vv_dot = 2.0 * both[..., 1, :]
         lam_dot = alg.mul(
             inv_vv,
-            c_lam * (a_dot_field + a_dot_v + a_dot_xi) - alg.mul(lam, vv_dot),
+            c_lam * (a_dot_field + a_dot_v + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN),
+            EVEN,
+            ODD,
         )
-        dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi)
+        dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi, ODD, ODD)
     return dv, dxi, lam, lam_dot
 
 
@@ -332,7 +336,7 @@ def eom_rhs(state: SuperState, fld, par: ModelParams):
 
 def constraint_value(state: SuperState) -> GrassmannNumber:
     """xi_mu v^mu; zero (to roundoff) along consistent trajectories."""
-    return GrassmannNumber(state.alg, _gdot(state.alg, state.xi, state.v))
+    return GrassmannNumber(state.alg, _gdot(state.alg, state.xi, state.v, ODD, EVEN))
 
 
 def multiplier_rate(state: SuperState, fld, par: ModelParams):
@@ -407,9 +411,9 @@ def integrate_super(
             raise LightlikeVelocityError(f"{err} at step {i}") from err
 
     def monitor(v, xi, lam):
-        constraint_max.append(np.max(np.abs(_gdot(alg, xi, v))))
+        constraint_max.append(np.max(np.abs(_gdot(alg, xi, v, ODD, EVEN))))
         lambda_max.append(np.max(np.abs(lam)))
-        vv_body.append(_gdot(alg, v, v)[0])
+        vv_body.append(_gdot(alg, v, v, EVEN, EVEN)[0])
 
     def rates(y, i):
         x, v, xi = y

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmann import GrassmannAlgebra, GrassmannNumber, algebra
+from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, algebra
 from .minkowski import SIGNS
 from .super_dynamics import ModelParams, SuperTrajectory, _emul, _field, _multiplier, _rhs, _split_even
 
@@ -135,13 +135,13 @@ def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
         vv, _, _, lam = _multiplier(alg, f, vm, xim, par)
         kin = 0.5 * m * vv
         spin_kin = -0.25 * np.einsum(
-            "m,...md->...d", SIGNS, alg.mul(xim, xidot)
+            "m,...md->...d", SIGNS, alg.mul(xim, xidot, ODD, ODD)
         )
-        coupling = par.charge * alg.mul(pot, vm).sum(axis=-2)
-        pair = alg.mul(xim[..., :, None, :], xim[..., None, :, :])
-        mag = (par.mu_prime / (4.0 * m)) * _emul(alg, f, pair).sum(axis=(-3, -2))
-        con = np.einsum("m,...md->...d", SIGNS, alg.mul(xim, vm))
-        l_mid = kin + spin_kin + coupling + mag + alg.mul(lam, con)
+        coupling = par.charge * alg.mul(pot, vm, EVEN, EVEN).sum(axis=-2)
+        pair = alg.mul(xim[..., :, None, :], xim[..., None, :, :], ODD, ODD)
+        mag = (par.mu_prime / (4.0 * m)) * _emul(alg, f, pair, EVEN).sum(axis=(-3, -2))
+        con = np.einsum("m,...md->...d", SIGNS, alg.mul(xim, vm, ODD, EVEN))
+        l_mid = kin + spin_kin + coupling + mag + alg.mul(lam, con, ODD, ODD)
         total += h * l_mid.sum(axis=0)
     return total
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasspin.grassmann import (
+    EVEN,
+    ODD,
     AlgebraMismatchError,
     GrassmannNumber,
     NotInvertibleError,
@@ -239,6 +241,74 @@ def test_mul_without_top_generators():
     bb = bb + bb * big.generator(10)
     assert np.any((ab * bb).coeffs[big.dim // 2 :] != 0.0)
     assert_product_close(ab * bb, ab, bb, exact_product(ab, bb))
+
+
+# ----------------------------------------------------------------------
+# Parity-typed product tables
+# ----------------------------------------------------------------------
+
+
+HINTS = {EVEN: "even", ODD: "odd", None: None}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_typed_mul_matches_exact_rationals(n):
+    """A product hinted with its operands' true parities is the product."""
+    alg = algebra(n)
+    rng = np.random.default_rng(700 + n)
+    for pa in HINTS:
+        for pb in HINTS:
+            for _ in range(2):
+                a = random_number(alg, rng, HINTS[pa])
+                b = random_number(alg, rng, HINTS[pb])
+                got = GrassmannNumber(alg, alg.mul(a.coeffs, b.coeffs, pa, pb))
+                assert_product_close(got, a, b, exact_product(a, b))
+
+
+def loop_table(n):
+    """The full table by explicit loops: pairs (i ascending, j descending),
+    merge signs from the reference product."""
+    alg = algebra(n)
+    rows = [(i, j) for i in range(alg.dim) for j in reversed(range(alg.dim)) if not i & j]
+    scatter = np.zeros((len(rows), alg.dim))
+    for r, (i, j) in enumerate(rows):
+        a, b = alg.zero(), alg.zero()
+        a.coeffs[i] = b.coeffs[j] = 1.0
+        ((_, sign),) = ref_mul(to_dict(a), to_dict(b)).items()
+        scatter[r, i | j] = sign
+    idx_a, idx_b = (np.array(col) for col in zip(*rows))
+    return idx_a, idx_b, scatter
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_typed_tables_partition_the_full_table(n):
+    alg = algebra(n)
+    idx_a, idx_b, scatter = loop_table(n)
+    row_of = {(i, j): r for r, (i, j) in enumerate(zip(idx_a.tolist(), idx_b.tolist()))}
+    rows = []
+    for pa in (EVEN, ODD):
+        for pb in (EVEN, ODD):
+            ia, ib, sc = alg._typed_table(pa, pb)
+            assert np.all(alg.even_mask[ia] == (pa == EVEN))
+            assert np.all(alg.even_mask[ib] == (pb == EVEN))
+            r = np.array([row_of[i, j] for i, j in zip(ia.tolist(), ib.tolist())], dtype=int)
+            assert np.all(np.diff(r) > 0)          # the full table's order
+            assert np.array_equal(sc, scatter[r])
+            rows.append(r)
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(idx_a.size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_untyped_mul_is_the_full_table_product(n):
+    """mul without hints multiplies every pair of the loop-built table, in
+    its order, so it is bitwise the product of the untyped kernel."""
+    alg = algebra(n)
+    idx_a, idx_b, scatter = loop_table(n)
+    rng = np.random.default_rng(n)
+    for shape_a, shape_b in [((), ()), ((4,), (4,)), ((3, 1), (1, 4)), ((16, 4, 4), (16, 4, 4))]:
+        a = rng.normal(size=shape_a + (alg.dim,))
+        b = rng.normal(size=shape_b + (alg.dim,))
+        assert np.array_equal(alg.mul(a, b), a[..., idx_a] * b[..., idx_b] @ scatter)
 
 
 @settings(max_examples=40, deadline=None)
