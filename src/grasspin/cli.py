@@ -22,9 +22,9 @@ import numpy as np
 from .bmt import BMTState, integrate_bmt
 from .config import ConfigError, RunConfig, load_config
 from .fields import maxwell_residual
-from .grassmann import MAX_GENERATORS, GrassmannNumber, algebra
+from .grassmann import GrassmannNumber, algebra
 from .minkowski import PAIRS, pack_pairs
-from .super_dynamics import NumericalAbortError, integrate_super, leading_order
+from .super_dynamics import NumericalAbortError, SuperState, integrate_super, leading_order
 from .variational import DiscretePath, PathVariation, euler_lagrange_residual, stationarity_residual
 
 EXIT_OK = 0
@@ -221,12 +221,12 @@ def _cmd_compare(cfg: RunConfig, out_path: str | None, threshold: float | None) 
 def _random_even_points(rng, alg, count):
     """Mix of real and soul-carrying even evaluation points."""
     pts = []
+    even_masks = np.flatnonzero(alg.even_mask)[1:]
     for k in range(count):
         body = rng.uniform(-2.0, 2.0, size=4)
         coeffs = np.zeros((4, alg.dim))
         coeffs[:, 0] = body
         if k % 4 == 0 and alg.n >= 2:
-            even_masks = [m for m in range(alg.dim) if m and alg.degree[m] % 2 == 0]
             for mu in range(4):
                 coeffs[mu, rng.choice(even_masks)] += rng.uniform(-0.5, 0.5)
         pts.append(coeffs)
@@ -234,12 +234,6 @@ def _random_even_points(rng, alg, count):
 
 
 def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
-    if cfg.n_generators + 1 > MAX_GENERATORS:
-        # odd variations are carried by one extra generator
-        raise ConfigError(
-            f"algebra.n_generators must be <= {MAX_GENERATORS - 1} for verify, "
-            f"got {cfg.n_generators}"
-        )
     fld = cfg.build_field()
     alg = algebra(cfg.n_generators)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
@@ -264,7 +258,9 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
 
     has_potential = hasattr(fld, "potential")
     if has_potential and cfg.xi_coeffs is not None:
-        state0 = cfg.build_super_state()
+        # the run and its probes restrict to the theta1, theta2 that xi loads,
+        # so they start there; n_generators is for the Maxwell points only
+        state0 = SuperState.from_real(cfg.x0, cfg.u0, cfg.xi_coeffs, algebra(2))
         traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, record_every=1)
         con_tol = float(vcfg.get("constraint_tol", 1e-9))
         con = float(np.max(traj.constraint_max))

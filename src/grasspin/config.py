@@ -88,10 +88,25 @@ def _positive(value, name: str) -> float:
     return number
 
 
+# Keys of the sections whose every key is optional; a misspelt one would
+# otherwise fall back to its default without a word.
+_SECTION_KEYS = {
+    "algebra": ("n_generators",),
+    "output": ("coefficient_masks",),
+    "thresholds": ("uu_drift", "us_drift", "ss_drift", "constraint"),
+    "compare": ("threshold", "enforce"),
+    "verify": ("points", "maxwell_tol", "expect_maxwell_fail", "constraint_tol",
+               "variations", "ratio_band", "stationarity_cap"),
+}
+
+
 def _section(raw: dict, key: str) -> dict:
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping")
+    for name in value:
+        if name not in _SECTION_KEYS[key]:
+            raise ConfigError(f"unknown field {key}.{name}")
     return value
 
 

@@ -13,11 +13,11 @@ where sign(S, T) is the parity of the permutation that merges the two
 ascending index lists.
 
 There is one product kernel.  For N <= 6 a table lists the 3**N disjoint
-pairs (S, T), and the product is one gather and one signed scatter.  A larger
-algebra first drops the generators that neither operand carries.  If it
-still has more than six, it splits off its top generator, a = a0 + a1
-theta_N, and reduces the product to three products in the algebra with
-N - 1 generators, so every N ends in the table.
+pairs (S, T), and the product is one gather and one signed scatter.  Above
+six, it splits off the top generator, a = a0 + a1 theta_N, and reduces to
+three products in the algebra with N - 1 generators, so every N ends in the
+table.  A caller whose data loads few generators restricts to them once, with
+``subalgebra``, and multiplies there.
 
 A product may name the parity of each operand: ``EVEN``, ``ODD``, or None
 for either (the default).  For N <= 6 a hinted product uses a typed table,
@@ -63,8 +63,8 @@ COEFF_ATOL = 1e-12
 PRUNE_TOL = 1e-14
 
 # Largest N with a multiplication table (3**N pairs); larger algebras reach it
-# by dropping unused generators and splitting off their top generator.  Every
-# shipped config and benchmark workload multiplies at N <= 6.
+# by splitting off their top generator.  Every shipped config and benchmark
+# workload multiplies at N <= 6.
 _MAX_TABLE_N = 6
 
 MAX_GENERATORS = 16
@@ -170,7 +170,7 @@ class GrassmannAlgebra:
         that multiply coefficients of the other parity, which a true hint
         says are zero; a wrong hint drops terms of the product.  Hints are
         not checked here; a test audits those the dynamics passes.  Above
-        N = 6 the hints are ignored.
+        N = 6 the hints are ignored and the top generator is split off.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -180,14 +180,6 @@ class GrassmannAlgebra:
             except KeyError:
                 ia, ib, sc = self._typed_table(pa, pb)
             return a[..., ia] * b[..., ib] @ sc
-        used, masks = self.subalgebra(a, b)
-        a, b = np.broadcast_arrays(a, b)
-        if used.n < self.n:
-            # Skip the generators neither operand carries: a run loads few
-            # of them, and the split below would carry them all to the table.
-            out = np.zeros(a.shape)
-            out[..., masks] = used.mul(np.take(a, masks, axis=-1), np.take(b, masks, axis=-1))
-            return out
         # With a = a0 + a1 theta_N and b = b0 + b1 theta_N,
         # ab = a0 b0 + (a0 b1 + a1 b0~) theta_N, where b0~ negates the odd
         # part of b0 that theta_N moves past.
@@ -283,15 +275,16 @@ class GrassmannAlgebra:
         out[..., : self.dim] = a
         return out
 
-    def subalgebra(self, *arrays: np.ndarray) -> tuple["GrassmannAlgebra", np.ndarray]:
-        """Smallest algebra holding every one of ``arrays``, and where its
-        monomials sit here.
+    def subalgebra(self, *arrays: np.ndarray) -> tuple:
+        """Smallest algebra holding every one of ``arrays``, where its
+        monomials sit here, and the arrays mapped into it.
 
         The k generators that occur in a nonzero coefficient of any array
         become theta_1..theta_k of ``algebra(k)`` in ascending order, which
-        keeps every merge sign.  Returns that algebra and the mask in this
-        algebra of each of its monomials, so ``np.take(a, masks, axis=-1)``
-        maps ``a`` into it and ``out[..., masks] = b`` maps back.  With no
+        keeps every merge sign.  Returns that algebra, the mask in this
+        algebra of each of its monomials, and each array mapped into it;
+        ``out[..., masks] = b`` maps a result back.  When every generator
+        occurs, that is this algebra and the arrays as they are.  With no
         generator in the arrays the subalgebra is ``algebra(1)`` holding
         theta_1.
         """
@@ -300,11 +293,15 @@ class GrassmannAlgebra:
             nonzero = np.flatnonzero(np.any(np.reshape(a, (-1, self.dim)) != 0.0, axis=0))
             used |= int(np.bitwise_or.reduce(nonzero, initial=0))
         gens = [g for g in range(self.n) if used >> g & 1] or [0]
+        if len(gens) == self.n:
+            return self, np.arange(self.dim), arrays
         sub = np.arange(1 << len(gens))
         masks = np.zeros_like(sub)
         for i, g in enumerate(gens):
             masks |= (sub >> i & 1) << g
-        return algebra(len(gens)), masks
+        # np.take keeps C order, where a[..., masks] would not; reductions sum
+        # in a layout-dependent order, so the layout keeps results bitwise.
+        return algebra(len(gens)), masks, tuple([np.take(a, masks, axis=-1) for a in arrays])
 
     # ------------------------------------------------------------------
     # Factories for wrapped numbers

@@ -387,21 +387,18 @@ def integrate_super(
 ) -> SuperTrajectory:
     """Classical fixed-step RK4 (:func:`rk4`) on the Grassmann coefficients.
 
-    It integrates in the subalgebra of the loaded generators: those that
-    occur in a nonzero coefficient of the initial x, v or xi, relabeled in
-    ascending order into ``algebra(k)``.  That is exact.  F and dF of a real
-    polynomial field, evaluated at even points of the subalgebra, stay in
-    it, and so does every product in ``_rhs``; keeping the order keeps the
-    merge signs.  Recorded states are mapped back into ``state0.alg``.
+    It restricts once (``GrassmannAlgebra.subalgebra``) to the generators
+    that occur in a nonzero coefficient of the initial x, v or xi, relabeled
+    in ascending order into ``algebra(k)``.  That is exact.  F and dF of a
+    real polynomial field, evaluated at even points of the subalgebra, stay
+    in it, and so does every product in ``_rhs``; keeping the order keeps
+    the merge signs.  Recorded states are mapped back into ``state0.alg``.
 
     Monitors (constraint magnitude, multiplier magnitude, body of v.v) are
     evaluated at every accepted step regardless of the recording stride.
     """
     state0.validate()
-    alg, masks = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
-    # np.take keeps C order, where state0.x[:, masks] would not; reductions
-    # sum in a layout-dependent order, so the layout keeps results bitwise.
-    y0 = tuple([np.take(a, masks, axis=-1) for a in (state0.x, state0.v, state0.xi)])
+    alg, masks, y0 = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
     constraint_max, lambda_max, vv_body = [], [], []
 
     def at_step(i, kernel, *args):

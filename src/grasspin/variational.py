@@ -14,8 +14,12 @@ The multiplier lam is recomputed pointwise from the consistency condition
 Stationarity is probed directionally: even directions perturb x by a real
 profile and use a two-sided difference quotient in the perturbation
 amplitude; odd directions perturb xi by a real profile times a fresh
-generator appended to the algebra, so the derivative is read off exactly as
-the coefficient block of that generator.
+generator, so the derivative is read off exactly as the coefficient block of
+that generator.
+
+Each public function restricts its path once, to the k generators that x and
+xi load, and maps Grassmann-valued results back into ``path.alg``.  An odd
+probe's fresh generator goes next to them, as theta_{k+1} of algebra(k + 1).
 """
 
 from __future__ import annotations
@@ -68,14 +72,6 @@ class DiscretePath:
         if traj.s.size < 2 or np.any(strides != strides[0]):
             raise ValueError("trajectory must be recorded at a uniform stride")
         return cls(alg=traj.alg, s=traj.s.copy(), x=traj.x.copy(), xi=traj.xi.copy())
-
-    def embedded(self, target: GrassmannAlgebra) -> "DiscretePath":
-        return DiscretePath(
-            alg=target,
-            s=self.s.copy(),
-            x=self.alg.embed(self.x, target),
-            xi=self.alg.embed(self.xi, target),
-        )
 
 
 @dataclass
@@ -146,11 +142,25 @@ def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
     return total
 
 
+def _lift(alg: GrassmannAlgebra, masks: np.ndarray, coeffs: np.ndarray) -> GrassmannNumber:
+    """A result of the restricted path as a number of the path's algebra."""
+    out = np.zeros(alg.dim)
+    out[masks] = coeffs
+    return GrassmannNumber(alg, out)
+
+
+def _quotient(alg, fld, par, s, x, xi, dx, h_dir) -> np.ndarray:
+    bump = np.zeros_like(x)
+    bump[..., 0] = dx
+    plus = _action_coeffs(alg, fld, par, s, x + h_dir * bump, xi)
+    minus = _action_coeffs(alg, fld, par, s, x - h_dir * bump, xi)
+    return (plus - minus) / (2.0 * h_dir)
+
+
 def action(path: DiscretePath, fld, par: ModelParams) -> GrassmannNumber:
     """Midpoint-discretized action of the path (an even Grassmann number)."""
-    return GrassmannNumber(
-        path.alg, _action_coeffs(path.alg, fld, par, path.s, path.x, path.xi)
-    )
+    sub, masks, (x, xi) = path.alg.subalgebra(path.x, path.xi)
+    return _lift(path.alg, masks, _action_coeffs(sub, fld, par, path.s, x, xi))
 
 
 def even_directional_quotient(
@@ -159,11 +169,8 @@ def even_directional_quotient(
     """Two-sided difference quotient of the action along an even direction."""
     if variation.dx is None:
         raise ValueError("even quotient needs an x-variation")
-    bump = np.zeros_like(path.x)
-    bump[..., 0] = variation.dx
-    plus = _action_coeffs(path.alg, fld, par, path.s, path.x + h_dir * bump, path.xi)
-    minus = _action_coeffs(path.alg, fld, par, path.s, path.x - h_dir * bump, path.xi)
-    return GrassmannNumber(path.alg, (plus - minus) / (2.0 * h_dir))
+    sub, masks, (x, xi) = path.alg.subalgebra(path.x, path.xi)
+    return _lift(path.alg, masks, _quotient(sub, fld, par, path.s, x, xi, variation.dx, h_dir))
 
 
 def stationarity_residual(
@@ -179,18 +186,18 @@ def stationarity_residual(
     extrapolated.  Odd directions: exact coefficient of the fresh generator
     (h_dir is not used).
     """
+    sub, _, (x, xi) = path.alg.subalgebra(path.x, path.xi)
     if variation.dx is not None:
-        q1 = even_directional_quotient(path, fld, par, variation, h_dir).coeffs
-        q2 = even_directional_quotient(path, fld, par, variation, 0.5 * h_dir).coeffs
+        q1 = _quotient(sub, fld, par, path.s, x, xi, variation.dx, h_dir)
+        q2 = _quotient(sub, fld, par, path.s, x, xi, variation.dx, 0.5 * h_dir)
         return float(np.max(np.abs((4.0 * q2 - q1) / 3.0)))
 
-    ext = algebra(path.alg.n + 1)
-    epath = path.embedded(ext)
-    xi = epath.xi.copy()
-    xi[..., 1 << path.alg.n] += variation.dxi
-    act = _action_coeffs(ext, fld, par, epath.s, epath.x, xi)
+    ext = algebra(sub.n + 1)
+    xi = sub.embed(xi, ext)
+    xi[..., sub.dim] += variation.dxi
+    act = _action_coeffs(ext, fld, par, path.s, sub.embed(x, ext), xi)
     # monomials containing the fresh (highest) generator sit in the upper half
-    return float(np.max(np.abs(act[path.alg.dim :])))
+    return float(np.max(np.abs(act[sub.dim :])))
 
 
 def euler_lagrange_residual(path: DiscretePath, fld, par: ModelParams) -> ELResidual:
@@ -201,8 +208,7 @@ def euler_lagrange_residual(path: DiscretePath, fld, par: ModelParams) -> ELResi
     large values flag a non-solution path (diagnostic, never an error).
     """
     h = path.h
-    alg = path.alg
-    x, xi = path.x, path.xi
+    alg, _, (x, xi) = path.alg.subalgebra(path.x, path.xi)
     n_int = path.s.size - 2
     res_x = np.empty(n_int)
     res_xi = np.empty(n_int)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import yaml
 
-from grasspin import cli
 from grasspin.cli import _check_finite, main
 from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
 
@@ -87,16 +86,15 @@ class TestExitCodes:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
-    def test_verify_rejects_largest_generator_count(self, tmp_path, capsys, monkeypatch):
-        # odd variations need one generator beyond the run's own
-        def fail(*args, **kwargs):
-            raise AssertionError("verify started work before checking n_generators")
-
-        monkeypatch.setattr(cli, "integrate_super", fail)
-        monkeypatch.setattr(cli, "maxwell_residual", fail)
-        cfg = write_cfg(tmp_path, {"algebra.n_generators": 16})
-        assert main(["verify", "--config", cfg]) == 2
-        assert "algebra.n_generators" in capsys.readouterr().err
+    @pytest.mark.parametrize("path", [
+        "thresholds.uu_drfit", "compare.treshold", "verify.point",
+        "output.coefficient_mask", "algebra.n_generator",
+    ])
+    def test_unknown_section_key_rejected(self, tmp_path, capsys, path):
+        # a misspelt optional key must not fall back to its default silently
+        cfg = write_cfg(tmp_path, {path: 1})
+        assert main(["simulate-super", "--config", cfg]) == 2
+        assert path in capsys.readouterr().err
 
     def test_non_finite_is_not_a_lightlike_velocity(self):
         with pytest.raises(NumericalAbortError, match="non-finite") as info:
@@ -348,6 +346,27 @@ class TestVerify:
         assert "stationarity: PASS" in text
         data = read_csv(out)
         assert data["x_residual"].max() < 1e-2
+
+    def test_result_independent_of_generator_count(self, tmp_path, capsys):
+        """The run and its probes use the generators that initial.spin.xi
+        loads; algebra.n_generators sets only the Maxwell points' algebra."""
+        lines, csvs = [], []
+        for n in (4, 16):
+            cfg = write_cfg(tmp_path, {
+                "integrator": {"h": 2 * np.pi / 1000, "steps": 150, "record_every": 1},
+                "verify": {"points": 8, "variations": 2},
+                "algebra.n_generators": n,
+            }, name=f"n{n}.yaml")
+            out = tmp_path / f"n{n}.csv"
+            code = main(["verify", "--config", cfg, "--out", str(out)])
+            text = capsys.readouterr().out
+            assert code == 0, text
+            lines.append([line for line in text.splitlines()
+                          if line.startswith(("constraint:", "stationarity:"))])
+            csvs.append(out.read_bytes())
+        assert len(lines[0]) == 2
+        assert lines[0] == lines[1]
+        assert csvs[0] == csvs[1]
 
     def test_nonclosed_expected_fail(self, capsys):
         code = main(["verify", "--config", str(ROOT / "configs" / "nonclosed_f.yaml")])

@@ -18,7 +18,7 @@ from grasspin import (
 from grasspin.grassmann import Parity, algebra
 from grasspin.variational import even_directional_quotient
 
-from conftest import boosted_velocity, standard_state
+from conftest import boosted_velocity, field_corpus, standard_state
 
 
 ZERO_FIELD = FieldConfig([Polynomial.zero()] * 4)
@@ -194,3 +194,38 @@ class TestEulerLagrangeResidual:
         el = euler_lagrange_residual(path, b_field, params)
         assert np.isfinite(el.x_residual).all()
         assert el.x_residual.max() > 1.0
+
+
+@pytest.mark.parametrize("field", ["constant_eb", "random_cubic"])
+def test_restricts_to_loaded_generators(params, field):
+    """A path in algebra(8) that loads theta2 and theta5 gives what the same
+    path written into algebra(2) gives (theta2 -> theta1, theta5 -> theta2).
+
+    Neither generator is the lowest, so a restriction that reorders them
+    flips the sign of the action's theta2 theta5 coefficient.
+    """
+    fld = dict(field_corpus())[field]
+    alg8, masks = algebra(8), [0, 2, 16, 18]
+    st2 = standard_state(algebra(2))
+    c = np.zeros((5, 4))
+    c[1], c[4] = st2.xi[:, 1], st2.xi[:, 2]
+    st8 = SuperState.from_real(np.zeros(4), st2.v[:, 0], c, alg8)
+    path8 = DiscretePath.from_trajectory(
+        integrate_super(st8, fld, params, h=2 * np.pi / 1000, steps=60))
+    path2 = DiscretePath(algebra(2), path8.s, path8.x[..., masks], path8.xi[..., masks])
+    assert np.all(np.delete(path8.xi, masks, axis=-1) == 0.0)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    want = np.zeros(alg8.dim)
+    want[masks] = action(path2, fld, params).coeffs
+    assert abs(want[18]) > 1e-6 * abs(want[0])
+    assert_close(action(path8, fld, params).coeffs, want)
+    for kind in ("x", "xi"):
+        var = bump(path8, 2, [0.3, 1.0, -0.5, 0.7], kind)
+        assert_close(stationarity_residual(path8, fld, params, var),
+                     stationarity_residual(path2, fld, params, var))
+    el8, el2 = (euler_lagrange_residual(p, fld, params) for p in (path8, path2))
+    assert_close(el8.x_residual, el2.x_residual)
+    assert_close(el8.xi_residual, el2.xi_residual)
