@@ -105,9 +105,9 @@ def _cmd_simulate_bmt(cfg: RunConfig, out_path: str | None) -> int:
     us_drift = float(np.max(np.abs(traj.us_max - traj.us_max[0])))
     ss_drift = float(np.max(np.abs(traj.ss - traj.ss[0])))
     limits = {
-        "uu_drift": cfg.threshold("uu_drift", 1e-8),
-        "us_drift": cfg.threshold("us_drift", 1e-8),
-        "ss_drift": cfg.threshold("ss_drift", 1e-8),
+        "uu_drift": cfg.thresholds["uu_drift"],
+        "us_drift": cfg.thresholds["us_drift"],
+        "ss_drift": cfg.thresholds["ss_drift"],
     }
     values = {"uu_drift": uu_drift, "us_drift": us_drift, "ss_drift": ss_drift}
     stream = _summary_stream(out_path)
@@ -166,7 +166,7 @@ def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
     con = float(np.max(traj.constraint_max))
     lam = float(np.max(traj.lambda_max))
     vv_drift = float(np.max(np.abs(traj.vv_body - traj.vv_body[0])))
-    limit = cfg.threshold("constraint", 1e-9)
+    limit = cfg.thresholds["constraint"]
     stream = _summary_stream(out_path)
     zero_xi = [m for m in range(4) if not np.any(traj.xi[0, m])]
     if zero_xi:
@@ -241,14 +241,16 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     # Maxwell residual at randomized points
-    tol = float(vcfg.get("maxwell_tol", 1e-12))
-    count = int(vcfg.get("points", 100))
+    tol = vcfg["maxwell_tol"]
+    count = vcfg["points"]
     worst = 0.0
     for coeffs in _random_even_points(rng, alg, count):
-        point = [GrassmannNumber(alg, coeffs[mu]) for mu in range(4)]
+        # the residual at a point lives in the generators the point loads
+        sub, _, (coeffs,) = alg.subalgebra(coeffs)
+        point = [GrassmannNumber(sub, coeffs[mu]) for mu in range(4)]
         res = maxwell_residual(fld, point)
         worst = max(worst, max(r.max_abs() for r in res))
-    expect_fail = vcfg.get("expect_maxwell_fail", False)
+    expect_fail = vcfg["expect_maxwell_fail"]
     if expect_fail:
         ok = worst > 0.1
         checks.append(("maxwell", ok, f"max residual {worst:.3e} expected to exceed 0.1"))
@@ -262,7 +264,7 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
         # so they start there; n_generators is for the Maxwell points only
         state0 = SuperState.from_real(cfg.x0, cfg.u0, cfg.xi_coeffs, algebra(2))
         traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, record_every=1)
-        con_tol = float(vcfg.get("constraint_tol", 1e-9))
+        con_tol = vcfg["constraint_tol"]
         con = float(np.max(traj.constraint_max))
         checks.append(("constraint", con < con_tol, f"max |xi.v| {con:.3e} vs {con_tol:.1e}"))
 
@@ -271,7 +273,7 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
             state0, fld, cfg.params, cfg.h / 2.0, 2 * cfg.steps, record_every=1
         )
         path_f = DiscretePath.from_trajectory(traj_f)
-        n_var = int(vcfg.get("variations", 4))
+        n_var = vcfg["variations"]
         res_h, res_h2 = [], []
         for spec in _variation_specs(rng, n_var):
             res_h.append(
@@ -282,8 +284,8 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
             )
         mean_h = float(np.mean(res_h))
         mean_h2 = float(np.mean(res_h2))
-        lo, hi = vcfg.get("ratio_band", [2.5, 6.0])
-        cap = float(vcfg.get("stationarity_cap", 1e-2))
+        lo, hi = vcfg["ratio_band"]
+        cap = vcfg["stationarity_cap"]
         ratio = mean_h / mean_h2 if mean_h2 > 0 else float("inf")
         ok = (mean_h < cap) and (lo <= ratio <= hi or mean_h < 1e-12)
         checks.append(

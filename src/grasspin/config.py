@@ -88,47 +88,48 @@ def _positive(value, name: str) -> float:
     return number
 
 
-# Keys of the sections whose every key is optional; a misspelt one would
-# otherwise fall back to its default without a word.
-_SECTION_KEYS = {
-    "algebra": ("n_generators",),
-    "output": ("coefficient_masks",),
-    "thresholds": ("uu_drift", "us_drift", "ss_drift", "constraint"),
-    "compare": ("threshold", "enforce"),
-    "verify": ("points", "maxwell_tol", "expect_maxwell_fail", "constraint_tol",
-               "variations", "ratio_band", "stationarity_cap"),
-}
+def _section(raw: dict, key: str, defaults: dict) -> dict:
+    """An all-optional section with its ``defaults`` filled in.
 
-
-def _section(raw: dict, key: str) -> dict:
+    ``defaults`` names every key the section has, so a misspelt key is an
+    error instead of a silent fall back to its default.
+    """
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping")
     for name in value:
-        if name not in _SECTION_KEYS[key]:
+        if name not in defaults:
             raise ConfigError(f"unknown field {key}.{name}")
-    return value
+    return {**defaults, **value}
+
+
+_THRESHOLD_DEFAULTS = {"uu_drift": 1e-8, "us_drift": 1e-8, "ss_drift": 1e-8, "constraint": 1e-9}
+
+_VERIFY_DEFAULTS = {
+    "points": 100,
+    "maxwell_tol": 1e-12,
+    "expect_maxwell_fail": False,
+    "constraint_tol": 1e-9,
+    "variations": 4,
+    "ratio_band": [2.5, 6.0],
+    "stationarity_cap": 1e-2,
+}
 
 
 def _parse_verify(raw: dict) -> dict:
-    """Check the numeric keys that the verify command reads."""
+    """Check every key that the verify command reads."""
     out = dict(raw)
     for key in ("maxwell_tol", "constraint_tol", "stationarity_cap"):
-        if key in raw:
-            out[key] = _positive(raw[key], f"verify.{key}")
+        out[key] = _positive(raw[key], f"verify.{key}")
     for key in ("points", "variations"):
-        if key in raw:
-            out[key] = _count(raw[key], f"verify.{key}")
-            if out[key] < 1:
-                raise ConfigError(f"verify.{key} must be >= 1")
-    key = "expect_maxwell_fail"
-    if key in raw:
-        out[key] = _flag(raw[key], f"verify.{key}")
-    if "ratio_band" in raw:
-        band = _finite(raw["ratio_band"], "verify.ratio_band")
-        if band.shape != (2,) or band[0] > band[1]:
-            raise ConfigError("verify.ratio_band must be [low, high] with low <= high")
-        out["ratio_band"] = [float(b) for b in band]
+        out[key] = _count(raw[key], f"verify.{key}")
+        if out[key] < 1:
+            raise ConfigError(f"verify.{key} must be >= 1")
+    out["expect_maxwell_fail"] = _flag(raw["expect_maxwell_fail"], "verify.expect_maxwell_fail")
+    band = _finite(raw["ratio_band"], "verify.ratio_band")
+    if band.shape != (2,) or band[0] > band[1]:
+        raise ConfigError("verify.ratio_band must be [low, high] with low <= high")
+    out["ratio_band"] = [float(b) for b in band]
     return out
 
 
@@ -199,9 +200,6 @@ class RunConfig:
         c1 = SIGNS * self.xi_coeffs[0]
         c2 = SIGNS * self.xi_coeffs[1]
         return 0.5 * (np.outer(c1, c2) - np.outer(c2, c1))
-
-    def threshold(self, name: str, default: float) -> float:
-        return float(self.thresholds.get(name, default))
 
 
 def _term_list(raw: dict, key: str, fields: tuple[str, ...]) -> list:
@@ -306,8 +304,8 @@ def parse_config(raw: dict) -> RunConfig:
     if record_every < 1:
         raise ConfigError("integrator.record_every must be >= 1")
 
-    alg_raw = _section(raw, "algebra")
-    n_gen = _count(alg_raw.get("n_generators", 4), "algebra.n_generators")
+    alg_raw = _section(raw, "algebra", {"n_generators": 4})
+    n_gen = _count(alg_raw["n_generators"], "algebra.n_generators")
     if not 2 <= n_gen <= MAX_GENERATORS:
         raise ConfigError(f"algebra.n_generators must be in [2, {MAX_GENERATORS}]")
 
@@ -315,7 +313,7 @@ def parse_config(raw: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError("seed must be >= 0")
 
-    mask_raw = _section(raw, "output").get("coefficient_masks", [])
+    mask_raw = _section(raw, "output", {"coefficient_masks": []})["coefficient_masks"]
     if not isinstance(mask_raw, list):
         raise ConfigError("output.coefficient_masks must be a list")
     masks = [_count(m, "output.coefficient_masks") for m in mask_raw]
@@ -324,9 +322,9 @@ def parse_config(raw: dict) -> RunConfig:
 
     thresholds = {
         name: _positive(value, f"thresholds.{name}")
-        for name, value in _section(raw, "thresholds").items()
+        for name, value in _section(raw, "thresholds", _THRESHOLD_DEFAULTS).items()
     }
-    cmp_raw = _section(raw, "compare")
+    cmp_raw = _section(raw, "compare", {"threshold": 1e-6, "enforce": True})
     return RunConfig(
         params=params,
         field=fieldspec,
@@ -341,9 +339,9 @@ def parse_config(raw: dict) -> RunConfig:
         seed=seed,
         coefficient_masks=masks,
         thresholds=thresholds,
-        compare_threshold=_positive(cmp_raw.get("threshold", 1e-6), "compare.threshold"),
-        compare_enforce=_flag(cmp_raw.get("enforce", True), "compare.enforce"),
-        verify=_parse_verify(_section(raw, "verify")),
+        compare_threshold=_positive(cmp_raw["threshold"], "compare.threshold"),
+        compare_enforce=_flag(cmp_raw["enforce"], "compare.enforce"),
+        verify=_parse_verify(_section(raw, "verify", _VERIFY_DEFAULTS)),
     )
 
 

@@ -180,6 +180,8 @@ class GrassmannAlgebra:
             except KeyError:
                 ia, ib, sc = self._typed_table(pa, pb)
             return a[..., ia] * b[..., ib] @ sc
+        # the halves are stacked on a new leading axis, so line the batch up first
+        a, b = np.broadcast_arrays(a, b)
         # With a = a0 + a1 theta_N and b = b0 + b1 theta_N,
         # ab = a0 b0 + (a0 b1 + a1 b0~) theta_N, where b0~ negates the odd
         # part of b0 that theta_N moves past.
@@ -283,18 +285,14 @@ class GrassmannAlgebra:
         become theta_1..theta_k of ``algebra(k)`` in ascending order, which
         keeps every merge sign.  Returns that algebra, the mask in this
         algebra of each of its monomials, and each array mapped into it;
-        ``out[..., masks] = b`` maps a result back.  When every generator
-        occurs, that is this algebra and the arrays as they are.  With no
-        generator in the arrays the subalgebra is ``algebra(1)`` holding
-        theta_1.
+        ``out[..., masks] = b`` maps a result back.  With no generator in
+        the arrays the subalgebra is ``algebra(1)`` holding theta_1.
         """
         used = 0
         for a in arrays:
             nonzero = np.flatnonzero(np.any(np.reshape(a, (-1, self.dim)) != 0.0, axis=0))
             used |= int(np.bitwise_or.reduce(nonzero, initial=0))
         gens = [g for g in range(self.n) if used >> g & 1] or [0]
-        if len(gens) == self.n:
-            return self, np.arange(self.dim), arrays
         sub = np.arange(1 << len(gens))
         masks = np.zeros_like(sub)
         for i, g in enumerate(gens):

@@ -227,6 +227,35 @@ def test_mul_broadcasts_above_table():
             assert_product_close(GrassmannNumber(alg, out[i, j]), ai, bj, exact_product(ai, bj))
 
 
+@pytest.mark.parametrize("n, batch", [(7, 3), (7, 4), (8, 3)])
+def test_mul_broadcasts_unequal_ndim_above_table(n, batch):
+    # the split stacks its halves on a new leading axis; a batch against a
+    # single number must still pair every row with that number
+    alg = algebra(n)
+    rng = np.random.default_rng(700 + 10 * n + batch)
+    rows = [sparse_number(alg, rng) for _ in range(batch)]
+    one = sparse_number(alg, rng)
+    stacked = np.stack([r.coeffs for r in rows])
+    for out, pairs in [
+        (alg.mul(stacked, one.coeffs), [(r, one) for r in rows]),
+        (alg.mul(one.coeffs, stacked), [(one, r) for r in rows]),
+    ]:
+        assert out.shape == (batch, alg.dim)
+        for got, (a, b) in zip(out, pairs):
+            assert_product_close(GrassmannNumber(alg, got), a, b, exact_product(a, b))
+
+
+def test_power_of_a_batch_above_table():
+    # power starts from the unbatched scalar 1
+    alg = algebra(7)
+    rng = np.random.default_rng(707)
+    rows = [sparse_number(alg, rng, extra=8) for _ in range(3)]
+    out = alg.power(np.stack([r.coeffs for r in rows]), 2)
+    assert out.shape == (3, alg.dim)
+    for got, r in zip(out, rows):
+        assert_product_close(GrassmannNumber(alg, got), r, r, exact_product(r, r))
+
+
 def test_mul_without_top_generators():
     small, big = algebra(3), algebra(10)
     rng = np.random.default_rng(310)
