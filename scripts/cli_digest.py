@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Print a digest of every CLI subcommand on every shipped config, then of
-the library on soul-carrying paths.
+the library on soul-carrying paths and on the reduced BMT system.
 
 One line per (config, subcommand): the exit code and sha256 digests of the
 CSV payload and of the console summary.  Then one line per library case,
 over ``field_corpus()`` x N in {2, 4, 6} x mu' in {0, 1, 1.2, 2}: every
 generator loaded, so x and v pick up souls.  Each line hashes the
 ``integrate_super`` arrays and monitors, and at N = 4 also the action, the
-even and odd stationarity probes and the Euler-Lagrange residuals.  No
-shipped config reaches these paths.
+even and odd stationarity probes and the Euler-Lagrange residuals.  Last,
+one line per ``integrate_bmt`` case over ``field_corpus()`` x mu' in
+{0, 1.2, 2}, hashing the recorded states and their invariants.  No shipped
+config reaches these paths: the shipped configs run ``integrate_bmt``'s
+invariant columns on a constant field only.
 
 The package is imported from this checkout's ``src/``, so two checkouts
 compare with one ``diff``:
@@ -35,10 +38,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from conftest import field_corpus, loaded_state  # noqa: E402
+from conftest import boosted_velocity, field_corpus, loaded_state  # noqa: E402
 from grasspin import (  # noqa: E402
-    DiscretePath, ModelParams, PathVariation, action, euler_lagrange_residual,
-    integrate_super, stationarity_residual,
+    BMTState, DiscretePath, ModelParams, PathVariation, action, euler_lagrange_residual,
+    integrate_bmt, integrate_super, stationarity_residual,
 )
 from grasspin.cli import main  # noqa: E402
 
@@ -80,12 +83,26 @@ def library_arrays(fld, n: int, mu_prime: float) -> dict[str, np.ndarray]:
     return arrays
 
 
+def bmt_arrays(fld, mu_prime: float) -> dict[str, np.ndarray]:
+    """The arrays of one ``integrate_bmt`` case.  The spin tensor has every
+    pair loaded and u.S != 0, so each invariant column is nonzero."""
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
+    st = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                             [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+    traj = integrate_bmt(st, fld, par, h=0.05, steps=16, record_every=3)
+    return {"s": traj.s, "x": traj.x, "u": traj.u, "spin": traj.spin,
+            "uu": traj.uu, "us_max": traj.us_max, "ss": traj.ss}
+
+
 def library_grid():
     """(case label, arrays) for every library case."""
     for name, fld in field_corpus():
         for n in (2, 4, 6):
             for mu_prime in (0.0, 1.0, 1.2, 2.0):
                 yield f"library {name} n={n} mu'={mu_prime:g}", library_arrays(fld, n, mu_prime)
+    for name, fld in field_corpus():
+        for mu_prime in (0.0, 1.2, 2.0):
+            yield f"library bmt {name} mu'={mu_prime:g}", bmt_arrays(fld, mu_prime)
 
 
 if __name__ == "__main__":

@@ -66,10 +66,16 @@ class BMTState:
 
     def invariants(self) -> tuple[float, float, float]:
         """(u.u, max |u^mu S_{mu nu}|, S_{mu nu} S^{mu nu})."""
-        uu = float(minkowski_dot(self.u, self.u))
-        us = float(np.max(np.abs(self.u @ self.spin)))
-        ss = float(np.sum(self.spin**2 * np.outer(SIGNS, SIGNS)))
-        return uu, us, ss
+        return tuple(float(v) for v in _invariants(self.u, self.spin))
+
+
+def _invariants(u: np.ndarray, spin: np.ndarray):
+    """u.u, max_nu |u^mu S_{mu nu}| and S_{mu nu} S^{mu nu} of states
+    (..., 4) and (..., 4, 4)."""
+    uu = minkowski_dot(u, u, axis=-1)
+    us_max = np.max(np.abs((u[..., None, :] @ spin)[..., 0, :]), axis=-1)
+    ss = np.sum(spin**2 * np.outer(SIGNS, SIGNS), axis=(-2, -1))
+    return uu, us_max, ss
 
 
 @dataclass
@@ -105,10 +111,26 @@ def _dspin(f_lo: np.ndarray, u: np.ndarray, spin: np.ndarray, par: ModelParams) 
     return (t1 + t2) / par.mass
 
 
+def _pack(state: BMTState) -> np.ndarray:
+    """One state as the 24-vector (x, u, spin.ravel())."""
+    return np.concatenate([state.x, state.u, state.spin.ravel()])
+
+
+def _split(y: np.ndarray):
+    """Views x, u and spin of packed states (..., 24)."""
+    return y[..., :4], y[..., 4:8], y[..., 8:].reshape(y.shape[:-1] + (4, 4))
+
+
+def _rates(y: np.ndarray, fld, par: ModelParams) -> np.ndarray:
+    """Rate of one packed state (x, u, spin), packed the same way."""
+    x, u, spin = _split(y)
+    f_lo = fld.f_lower_real(x)
+    return np.concatenate([u, _du(f_lo, u, par), _dspin(f_lo, u, spin, par).ravel()])
+
+
 def bmt_rhs(state: BMTState, fld, par: ModelParams):
     """(dx, du, dspin) of the reduced system at a state."""
-    f_lo = fld.f_lower_real(state.x)
-    return state.u.copy(), _du(f_lo, state.u, par), _dspin(f_lo, state.u, state.spin, par)
+    return _split(_rates(_pack(state), fld, par))
 
 
 def integrate_bmt(
@@ -119,18 +141,15 @@ def integrate_bmt(
     steps: int,
     record_every: int = 1,
 ) -> BMTTrajectory:
-    """Classical fixed-step RK4 (:func:`~grasspin.super_dynamics.rk4`)."""
+    """Classical fixed-step RK4 (:func:`~grasspin.super_dynamics.rk4`).
 
-    def rates(y, i):
-        x, u, spin = y
-        f_lo = fld.f_lower_real(x)
-        return u, _du(f_lo, u, par), _dspin(f_lo, u, spin, par)
-
-    rec_steps, rec = rk4(rates, (state0.x, state0.u, state0.spin), h, steps, record_every)
-    states = [BMTState(*y, state0.s + i * h) for i, y in zip(rec_steps, rec)]
-    rows = [(st.s, st.x, st.u, st.spin, *st.invariants()) for st in states]
-    s_arr, x_arr, u_arr, sp_arr, uu, us, ss = map(np.array, zip(*rows))
-    return BMTTrajectory(s=s_arr, x=x_arr, u=u_arr, spin=sp_arr, uu=uu, us_max=us, ss=ss)
+    The state (x, u, S) is packed into one 24-vector.  The records are
+    returned as views into one (R, 24) array, together with the invariants
+    u.u, max |u.S| and S.S of each recorded state.
+    """
+    rec_steps, rec = rk4(lambda y, i: _rates(y, fld, par), _pack(state0), h, steps, record_every)
+    x, u, spin = _split(rec)
+    return BMTTrajectory(state0.s + h * rec_steps, x, u, spin, *_invariants(u, spin))
 
 
 # ----------------------------------------------------------------------
@@ -194,12 +213,7 @@ class ConstantFieldOracle:
         co_spin = unpack_pairs(prop[:, 8:, 8:] @ pack_pairs(self.state0.spin))
         lam_inv_t = SIGNS[:, None] * lam * SIGNS
         spins = lam_inv_t @ co_spin @ np.swapaxes(lam_inv_t, -1, -2)
-        uu = minkowski_dot(us, us, axis=-1)
-        us_max = np.max(np.abs(np.einsum("tm,tmn->tn", us, spins)), axis=-1)
-        ss = np.einsum("tmn,tmn->t", spins**2, np.outer(SIGNS, SIGNS)[None])
-        return BMTTrajectory(
-            s=times.copy(), x=xs, u=us, spin=spins, uu=uu, us_max=us_max, ss=ss
-        )
+        return BMTTrajectory(times.copy(), xs, us, spins, *_invariants(us, spins))
 
     def state_at(self, s: float, h_ref: float | None = None) -> BMTState:
         """Oracle state at time s; ``h_ref`` is unused, as in :meth:`sample`."""
@@ -226,10 +240,11 @@ def analytic_constant_field(
 # ----------------------------------------------------------------------
 
 
-def spin_vector(state: BMTState) -> np.ndarray:
-    """Polarization 4-vector s^mu = -1/2 eps^{mu nu rho sigma} u_nu S_{rho sigma}."""
+def spin_vector(state: BMTState | BMTTrajectory) -> np.ndarray:
+    """Polarization 4-vector s^mu = -1/2 eps^{mu nu rho sigma} u_nu S_{rho sigma}
+    of a state, or of every record of a trajectory."""
     u_lo = SIGNS * state.u
-    return -0.5 * np.einsum("mnrs,n,rs->m", EPS_UPPER, u_lo, state.spin)
+    return -0.5 * np.einsum("mnrs,...n,...rs->...m", EPS_UPPER, u_lo, state.spin)
 
 
 def spin_velocity_angle(traj: BMTTrajectory, axis: int = 3) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +260,7 @@ def spin_velocity_angle(traj: BMTTrajectory, axis: int = 3) -> tuple[np.ndarray,
     u_plane = traj.u[:, [i, j]]
     if np.max(np.abs(traj.u[:, axis])) > 1e-9 * max(1.0, np.max(np.abs(u_plane))):
         raise ValueError("trajectory is not planar: velocity leaves the gyration plane")
-    u_lo = traj.u * SIGNS
-    sv = -0.5 * np.einsum("mnrs,tn,trs->tm", EPS_UPPER, u_lo, traj.spin)
-    s_plane = sv[:, [i, j]]
+    s_plane = spin_vector(traj)[:, [i, j]]
     if np.min(np.hypot(s_plane[:, 0], s_plane[:, 1])) < 1e-12:
         raise ValueError("spin vector has no in-plane component to track")
     phi_v = np.unwrap(np.arctan2(u_plane[:, 1], u_plane[:, 0]))

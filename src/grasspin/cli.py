@@ -25,7 +25,9 @@ from .fields import maxwell_residual
 from .grassmann import GrassmannNumber, algebra
 from .minkowski import PAIRS, pack_pairs
 from .super_dynamics import NumericalAbortError, SuperState, integrate_super, leading_order
-from .variational import DiscretePath, PathVariation, euler_lagrange_residual, stationarity_residual
+from .variational import (
+    MIN_INTERVALS, DiscretePath, PathVariation, euler_lagrange_residual, stationarity_residual,
+)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -72,6 +74,41 @@ def _check_finite(*arrays) -> None:
             raise NumericalAbortError("non-finite values in trajectory")
 
 
+_STATE_HEADER = (
+    ["s"]
+    + [f"x{m}" for m in range(4)]
+    + [f"u{m}" for m in range(4)]
+    + [f"S{m}{n}" for m, n in PAIRS]
+)
+
+
+def _state_columns(s, x, u, spin) -> list:
+    """The columns under ``_STATE_HEADER`` of states (R,), (R, 4), (R, 4, 4)."""
+    return [s, x, u, pack_pairs(spin)]
+
+
+def _potential_field(cfg: RunConfig):
+    fld = cfg.build_field()
+    if not hasattr(fld, "potential"):
+        raise ConfigError("field.kind direct is only supported by verify")
+    return fld
+
+
+def _bmt_run(cfg: RunConfig, fld):
+    state0 = BMTState(cfg.x0, cfg.u0, cfg.spin_tensor_matrix())
+    traj = integrate_bmt(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
+    _check_finite(traj.x, traj.u, traj.spin)
+    return traj
+
+
+def _super_run(cfg: RunConfig):
+    fld = _potential_field(cfg)
+    state0 = cfg.build_super_state()
+    traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
+    _check_finite(traj.x, traj.v, traj.xi)
+    return fld, traj
+
+
 # ----------------------------------------------------------------------
 # simulate-bmt
 # ----------------------------------------------------------------------
@@ -80,43 +117,21 @@ def _check_finite(*arrays) -> None:
 def _cmd_simulate_bmt(cfg: RunConfig, out_path: str | None) -> int:
     if cfg.spin_tensor is None:
         raise ConfigError("initial.spin.s_tensor is required by simulate-bmt")
-    fld = cfg.build_field()
-    if not hasattr(fld, "potential"):
-        raise ConfigError("field.kind direct is only supported by verify")
-    state0 = BMTState(cfg.x0, cfg.u0, cfg.spin_tensor_matrix())
-    traj = integrate_bmt(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
-    _check_finite(traj.x, traj.u, traj.spin)
-
-    header = (
-        ["s"]
-        + [f"x{m}" for m in range(4)]
-        + [f"u{m}" for m in range(4)]
-        + [f"S{m}{n}" for m, n in PAIRS]
-        + ["uu", "us_max", "ss"]
+    traj = _bmt_run(cfg, _potential_field(cfg))
+    _emit_csv(
+        out_path,
+        _STATE_HEADER + ["uu", "us_max", "ss"],
+        np.column_stack(_state_columns(traj.s, traj.x, traj.u, traj.spin)
+                        + [traj.uu, traj.us_max, traj.ss]),
     )
-    rows = [
-        [traj.s[i], *traj.x[i], *traj.u[i], *pack_pairs(traj.spin[i]),
-         traj.uu[i], traj.us_max[i], traj.ss[i]]
-        for i in range(len(traj))
-    ]
-    _emit_csv(out_path, header, rows)
 
-    uu_drift = float(np.max(np.abs(traj.uu - traj.uu[0])))
-    us_drift = float(np.max(np.abs(traj.us_max - traj.us_max[0])))
-    ss_drift = float(np.max(np.abs(traj.ss - traj.ss[0])))
-    limits = {
-        "uu_drift": cfg.thresholds["uu_drift"],
-        "us_drift": cfg.thresholds["us_drift"],
-        "ss_drift": cfg.thresholds["ss_drift"],
-    }
-    values = {"uu_drift": uu_drift, "us_drift": us_drift, "ss_drift": ss_drift}
     stream = _summary_stream(out_path)
     ok = True
-    for name, value in values.items():
-        passed = value < limits[name]
-        ok = ok and passed
-        print(f"{name}: {value:.3e} (limit {limits[name]:.1e}) "
-              f"{'ok' if passed else 'EXCEEDED'}", file=stream)
+    for name, series in (("uu_drift", traj.uu), ("us_drift", traj.us_max), ("ss_drift", traj.ss)):
+        value, limit = float(np.max(np.abs(series - series[0]))), cfg.thresholds[name]
+        ok = ok and value < limit
+        print(f"{name}: {value:.3e} (limit {limit:.1e}) "
+              f"{'ok' if value < limit else 'EXCEEDED'}", file=stream)
     return EXIT_OK if ok else EXIT_THRESHOLD
 
 
@@ -125,43 +140,18 @@ def _cmd_simulate_bmt(cfg: RunConfig, out_path: str | None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _super_run(cfg: RunConfig):
-    fld = cfg.build_field()
-    if not hasattr(fld, "potential"):
-        raise ConfigError("field.kind direct is only supported by verify")
-    state0 = cfg.build_super_state()
-    traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
-    _check_finite(traj.x, traj.v, traj.xi)
-    return fld, traj
-
-
 def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
     _, traj = _super_run(cfg)
     red = leading_order(traj, on_zero="ignore")
 
-    header = (
-        ["s"]
-        + [f"x{m}" for m in range(4)]
-        + [f"u{m}" for m in range(4)]
-        + [f"S{m}{n}" for m, n in PAIRS]
-        + ["constraint", "lambda"]
-    )
+    header = _STATE_HEADER + ["constraint", "lambda"]
+    rec = traj.steps_recorded
+    columns = _state_columns(traj.s, red.x, red.u, red.spin) + [
+        traj.constraint_max[rec], traj.lambda_max[rec]]
     for mask in cfg.coefficient_masks:
         header += [f"{name}{m}_c{mask}" for name in ("x", "u", "xi") for m in range(4)]
-    rec = traj.steps_recorded
-    rows = []
-    for i in range(len(traj)):
-        row = [
-            traj.s[i], *red.x[i], *red.u[i],
-            *pack_pairs(red.spin[i]),
-            traj.constraint_max[rec[i]], traj.lambda_max[rec[i]],
-        ]
-        for mask in cfg.coefficient_masks:
-            row.extend(traj.x[i, :, mask])
-            row.extend(traj.v[i, :, mask])
-            row.extend(traj.xi[i, :, mask])
-        rows.append(row)
-    _emit_csv(out_path, header, rows)
+        columns += [traj.x[..., mask], traj.v[..., mask], traj.xi[..., mask]]
+    _emit_csv(out_path, header, np.column_stack(columns))
 
     con = float(np.max(traj.constraint_max))
     lam = float(np.max(traj.lambda_max))
@@ -188,17 +178,13 @@ def _cmd_compare(cfg: RunConfig, out_path: str | None, threshold: float | None) 
         raise ConfigError("initial.spin.xi is required by compare")
     fld, traj = _super_run(cfg)
     red = leading_order(traj, on_zero="ignore")
-    state0 = BMTState(cfg.x0, cfg.u0, cfg.spin_tensor_matrix())
-    btraj = integrate_bmt(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
+    btraj = _bmt_run(cfg, fld)
 
     dev_x = np.max(np.abs(red.x - btraj.x), axis=1)
     dev_u = np.max(np.abs(red.u - btraj.u), axis=1)
     dev_s = np.max(np.abs(red.spin - btraj.spin), axis=(1, 2))
-    _emit_csv(
-        out_path,
-        ["s", "dev_x", "dev_u", "dev_spin"],
-        [[red.s[i], dev_x[i], dev_u[i], dev_s[i]] for i in range(red.s.size)],
-    )
+    _emit_csv(out_path, ["s", "dev_x", "dev_u", "dev_spin"],
+              np.column_stack([red.s, dev_x, dev_u, dev_s]))
 
     tol = threshold if threshold is not None else cfg.compare_threshold
     worst = float(max(dev_x.max(), dev_u.max(), dev_s.max()))
@@ -260,6 +246,9 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
 
     has_potential = hasattr(fld, "potential")
     if has_potential and cfg.xi_coeffs is not None:
+        if cfg.steps < MIN_INTERVALS:
+            raise ConfigError(f"integrator.steps must be >= {MIN_INTERVALS} for verify, "
+                              f"got {cfg.steps}")
         # the run and its probes restrict to the theta1, theta2 that xi loads,
         # so they start there; n_generators is for the Maxwell points only
         state0 = SuperState.from_real(cfg.x0, cfg.u0, cfg.xi_coeffs, algebra(2))
@@ -295,11 +284,8 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
 
         if out_path:
             el = euler_lagrange_residual(path, fld, cfg.params)
-            _emit_csv(
-                out_path,
-                ["s", "x_residual", "xi_residual"],
-                [[el.s[i], el.x_residual[i], el.xi_residual[i]] for i in range(el.s.size)],
-            )
+            _emit_csv(out_path, ["s", "x_residual", "xi_residual"],
+                      np.column_stack([el.s, el.x_residual, el.xi_residual]))
 
     stream = sys.stdout
     all_ok = True

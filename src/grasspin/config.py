@@ -16,9 +16,9 @@ import yaml
 
 from .fields import DirectField, FieldConfig, constant_field
 from .grassmann import MAX_GENERATORS, algebra
-from .minkowski import SIGNS, minkowski_dot, unpack_pairs
+from .minkowski import minkowski_dot, unpack_pairs
 from .polynomials import Polynomial
-from .super_dynamics import ModelParams, SuperState
+from .super_dynamics import ModelParams, SuperState, spin_block
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -31,6 +31,13 @@ def _need(mapping: dict, key: str, context: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"missing field {context}.{key}" if context else f"missing field {key}")
     return mapping[key]
+
+
+def _mapping(value, name: str) -> dict:
+    """A section's value, which must be a mapping (not empty, not a list)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    return value
 
 
 def _no_text(value, name: str, what: str) -> None:
@@ -94,9 +101,7 @@ def _section(raw: dict, key: str, defaults: dict) -> dict:
     ``defaults`` names every key the section has, so a misspelt key is an
     error instead of a silent fall back to its default.
     """
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping")
+    value = _mapping(raw.get(key, {}), key)
     for name in value:
         if name not in defaults:
             raise ConfigError(f"unknown field {key}.{name}")
@@ -197,9 +202,7 @@ class RunConfig:
         """Covariant S_{mu nu} from whichever spin specification is present."""
         if self.spin_tensor is not None:
             return unpack_pairs(self.spin_tensor)
-        c1 = SIGNS * self.xi_coeffs[0]
-        c2 = SIGNS * self.xi_coeffs[1]
-        return 0.5 * (np.outer(c1, c2) - np.outer(c2, c1))
+        return spin_block(self.xi_coeffs[0], self.xi_coeffs[1])
 
 
 def _term_list(raw: dict, key: str, fields: tuple[str, ...]) -> list:
@@ -252,7 +255,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration document must be a mapping")
 
-    p = _need(raw, "params", "")
+    p = _mapping(_need(raw, "params", ""), "params")
     try:
         params = ModelParams(
             mass=_number(_need(p, "mass", "params"), "params.mass"),
@@ -262,9 +265,9 @@ def parse_config(raw: dict) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"params: {err}") from err
 
-    fieldspec = _parse_field(_need(raw, "field", ""))
+    fieldspec = _parse_field(_mapping(_need(raw, "field", ""), "field"))
 
-    init = _need(raw, "initial", "")
+    init = _mapping(_need(raw, "initial", ""), "initial")
     x0 = _vec4(_need(init, "x0", "initial"), "initial.x0")
     u0 = _vec4(_need(init, "u0", "initial"), "initial.u0")
     uu = float(minkowski_dot(u0, u0))
@@ -279,7 +282,7 @@ def parse_config(raw: dict) -> RunConfig:
             warnings.warn(f"initial.u0 rescaled: u.u = {uu!r}", stacklevel=2)
         u0 = u0 / np.sqrt(uu)
 
-    spin = _need(init, "spin", "initial")
+    spin = _mapping(_need(init, "spin", "initial"), "initial.spin")
     s_tensor = spin.get("s_tensor")
     xi = spin.get("xi")
     if (s_tensor is None) == (xi is None):
@@ -293,7 +296,7 @@ def parse_config(raw: dict) -> RunConfig:
         if xi.shape != (2, 4):
             raise ConfigError("initial.spin.xi must be a (2, 4) coefficient array")
 
-    integ = _need(raw, "integrator", "")
+    integ = _mapping(_need(raw, "integrator", ""), "integrator")
     h = _number(_need(integ, "h", "integrator"), "integrator.h")
     steps = _count(_need(integ, "steps", "integrator"), "integrator.steps")
     record_every = _count(integ.get("record_every", 1), "integrator.record_every")

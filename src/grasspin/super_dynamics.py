@@ -348,32 +348,32 @@ def multiplier_rate(state: SuperState, fld, par: ModelParams):
 def rk4(rates, y, h: float, steps: int, record_every: int):
     """Classical fixed-step RK4 (Hairer, Norsett, Wanner, *Solving ODEs I*).
 
-    ``y`` is a tuple of arrays and ``rates(y, i)`` returns their rates in
-    the same order; ``i`` is the step index at a step's first stage and None
-    at the other three.  Returns the step indices and the states after every
-    ``record_every``-th step and after the last.  States are never updated in
-    place, so the recorded ones share their arrays with the integration.
+    ``y`` is one array holding the whole state, and ``rates(y, i)`` returns
+    its rate as an array of the same shape; ``i`` is the step index at a
+    step's first stage and None at the other three.  Every stage is one
+    whole-array expression, so leading axes of ``y`` ride along.  Returns
+    the step counts 0, ``record_every``, 2 ``record_every``, ... below
+    ``steps``, then ``steps``, and the states after that many steps,
+    stacked on a new leading axis.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got {h!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     half = 0.5 * h
-    rec_steps, rec_y = [], []
+    rec_steps = np.append(np.arange(0, steps, record_every), steps)
+    rec_y = np.empty((rec_steps.size,) + np.shape(y))
     for i in range(steps):
         if i % record_every == 0:
-            rec_steps.append(i)
-            rec_y.append(y)
+            rec_y[i // record_every] = y
         k1 = rates(y, i)
-        k2 = rates(tuple([a + half * k for a, k in zip(y, k1)]), None)
-        k3 = rates(tuple([a + half * k for a, k in zip(y, k2)]), None)
-        k4 = rates(tuple([a + h * k for a, k in zip(y, k3)]), None)
-        y = tuple([a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
-                   for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
-    rec_steps.append(steps)
-    rec_y.append(y)
+        k2 = rates(y + half * k1, None)
+        k3 = rates(y + half * k2, None)
+        k4 = rates(y + h * k3, None)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rec_y[-1] = y
     return rec_steps, rec_y
 
 
@@ -419,26 +419,23 @@ def integrate_super(
         else:
             dv, dxi, lam, _ = at_step(i, _rhs, alg, fld, par, x, v, xi)
             monitor(v, xi, lam)
-        return v, dv, dxi
+        return np.stack([v, dv, dxi])
 
-    rec_steps, rec = rk4(rates, y0, h, steps, record_every)
+    rec_steps, rec = rk4(rates, np.stack(y0), h, steps, record_every)
     x, v, xi = rec[-1]   # monitors of the last state
     f, _ = _field(alg, fld, x)
     monitor(v, xi, at_step(steps, _multiplier, alg, f, v, xi, par)[3])
 
-    def lift(j):
-        out = np.zeros((len(rec), 4, state0.alg.dim))
-        out[..., masks] = np.stack([y[j] for y in rec])
-        return out
-
+    lifted = np.zeros(rec.shape[:-1] + (state0.alg.dim,))
+    lifted[..., masks] = rec
     return SuperTrajectory(
         alg=state0.alg,
         h=h,
-        s=state0.s + h * np.asarray(rec_steps),
-        x=lift(0),
-        v=lift(1),
-        xi=lift(2),
-        steps_recorded=np.asarray(rec_steps),
+        s=state0.s + h * rec_steps,
+        x=lifted[:, 0],
+        v=lifted[:, 1],
+        xi=lifted[:, 2],
+        steps_recorded=rec_steps,
         constraint_max=np.asarray(constraint_max),
         lambda_max=np.asarray(lambda_max),
         vv_body=np.asarray(vv_body),
@@ -458,20 +455,19 @@ def leading_order(traj: SuperTrajectory, on_zero: str = "warn") -> ReducedTrajec
     if alg.n < 2:
         raise ValueError("projection needs an algebra with at least 2 generators")
     deg1 = np.array([1 << a for a in range(alg.n)])
-    missing = [
-        mu
-        for mu in range(4)
-        if not np.any(np.abs(traj.xi[0, mu, deg1]) > 0.0)
-    ]
+    missing = [mu for mu in range(4) if not np.any(np.abs(traj.xi[0, mu, deg1]) > 0.0)]
     if missing and on_zero != "ignore":
         msg = f"xi components {missing} have no degree-1 part; their spin block is zero"
         if on_zero == "raise":
             raise ValueError(msg)
         warnings.warn(msg, stacklevel=2)
 
-    x_body = traj.x[..., 0]
-    u_body = traj.v[..., 0]
-    c1 = SIGNS[None, :] * traj.xi[..., :, 1]   # coefficient of theta1, lowered
-    c2 = SIGNS[None, :] * traj.xi[..., :, 2]   # coefficient of theta2, lowered
-    spin = 0.5 * (c1[:, :, None] * c2[:, None, :] - c2[:, :, None] * c1[:, None, :])
-    return ReducedTrajectory(s=traj.s.copy(), x=x_body, u=u_body, spin=spin)
+    spin = spin_block(traj.xi[..., :, 1], traj.xi[..., :, 2])
+    return ReducedTrajectory(s=traj.s.copy(), x=traj.x[..., 0], u=traj.v[..., 0], spin=spin)
+
+
+def spin_block(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """theta1 theta2 coefficient (1/2)(c1_mu c2_nu - c2_mu c1_nu) of S_{mu nu},
+    from the theta1 and theta2 coefficients c1^mu, c2^mu (..., 4) of xi^mu."""
+    lo1, lo2 = SIGNS * c1, SIGNS * c2
+    return 0.5 * (lo1[..., :, None] * lo2[..., None, :] - lo2[..., :, None] * lo1[..., None, :])

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _CHUNK = 256
+MIN_INTERVALS = 4   # the action's difference stencils need this many grid intervals
 
 
 @dataclass
@@ -110,8 +111,8 @@ class ELResidual:
 
 
 def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
-    if s.size - 1 < 4:
-        raise ValueError("path grid too coarse: need at least 4 intervals")
+    if s.size - 1 < MIN_INTERVALS:
+        raise ValueError(f"path grid too coarse: need at least {MIN_INTERVALS} intervals")
     if not hasattr(fld, "potential_coeffs"):
         raise TypeError("action needs a potential-derived field configuration")
     h = float(s[1] - s[0])

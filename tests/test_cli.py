@@ -198,6 +198,21 @@ class TestExitCodes:
         assert info.value.code == 2
         assert option in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare", "simulate-bmt"])
+    @pytest.mark.parametrize("path", ["params", "field", "initial", "initial.spin", "integrator"])
+    @pytest.mark.parametrize("value", [None, [1.0]], ids=["empty", "list"])
+    def test_section_not_a_mapping_rejected(self, tmp_path, capsys, command, path, value):
+        cfg = write_cfg(tmp_path, {path: value})
+        assert main([command, "--config", cfg]) == 2
+        assert f"{path} must be a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_verify_rejects_too_few_steps(self, tmp_path, capsys, steps):
+        cfg = write_cfg(tmp_path, {"integrator.steps": steps, "integrator.record_every": 1,
+                                   "verify": {"points": 1}})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "integrator.steps" in capsys.readouterr().err
+
     def test_threshold_fail_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "initial.spin": {"s_tensor": [0, 0, 0, 0, 0, 0.5]},

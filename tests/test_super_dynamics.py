@@ -21,7 +21,7 @@ from grasspin import (
 )
 from grasspin.grassmann import GrassmannNumber, Parity, algebra
 from grasspin.minkowski import SIGNS
-from grasspin.super_dynamics import LightlikeVelocityError, _cut, _emul, multiplier_rate
+from grasspin.super_dynamics import LightlikeVelocityError, _cut, _emul, multiplier_rate, rk4
 
 from conftest import boosted_velocity, field_corpus, gradient_b_field, loaded_state, standard_state
 
@@ -372,6 +372,31 @@ def test_record_stride_not_dividing_steps(integrator, alg4, b_field, params):
     assert np.array_equal(traj.s, s0 + np.array([0, 3, 6, 7]) * h)
     for name in fields:
         assert np.array_equal(getattr(traj, name)[-1], getattr(every_step, name)[-1])
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+@pytest.mark.parametrize("integrator", ["super", "bmt"])
+def test_rejects_non_finite_step_size(integrator, h, alg4, b_field, params):
+    if integrator == "super":
+        st, run = standard_state(alg4), integrate_super
+    else:
+        st = BMTState.from_pairs(np.zeros(4), boosted_velocity(2.0), [0, 0, 0, 0, 0, 0.5])
+        run = integrate_bmt
+    with pytest.raises(ValueError, match="step size h"):
+        run(st, b_field, params, h, 5)
+
+
+def test_rk4_leading_axis_rides_along():
+    """A batch stacked on a leading axis steps as each member does alone."""
+    def rates(y, i):
+        p, q, r = y[..., 0], y[..., 1], y[..., 2]
+        return np.stack([q, -np.sin(p) + 0.3 * r, -0.2 * p * q], axis=-1)
+
+    batch = np.random.default_rng(5).normal(size=(4, 3))
+    steps, rec = rk4(rates, batch, 0.1, 7, 3)
+    assert steps.tolist() == [0, 3, 6, 7] and rec.shape == (4, 4, 3)
+    for j, y0 in enumerate(batch):
+        assert np.array_equal(rec[:, j], rk4(rates, y0, 0.1, 7, 3)[1])
 
 
 class TestLeadingOrder:
