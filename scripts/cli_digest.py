@@ -4,7 +4,7 @@ the library on soul-carrying paths and on the reduced BMT system.
 
 One line per (config, subcommand): the exit code and sha256 digests of the
 CSV payload and of the console summary.  Then one line per library case,
-over ``field_corpus()`` x N in {2, 4, 6} x mu' in {0, 1, 1.2, 2}: every
+over ``field_corpus()`` x N in {2, 3, 4, 5, 6} x mu' in {0, 1, 1.2, 2}: every
 generator loaded, so x and v pick up souls.  Each line hashes the
 ``integrate_super`` arrays and monitors, and at N = 4 also the action, the
 even and odd stationarity probes and the Euler-Lagrange residuals.  Last,
@@ -97,7 +97,7 @@ def bmt_arrays(fld, mu_prime: float) -> dict[str, np.ndarray]:
 def library_grid():
     """(case label, arrays) for every library case."""
     for name, fld in field_corpus():
-        for n in (2, 4, 6):
+        for n in (2, 3, 4, 5, 6):
             for mu_prime in (0.0, 1.0, 1.2, 2.0):
                 yield f"library {name} n={n} mu'={mu_prime:g}", library_arrays(fld, n, mu_prime)
     for name, fld in field_corpus():

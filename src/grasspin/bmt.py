@@ -202,6 +202,8 @@ class ConstantFieldOracle:
         form has no step size.
         """
         times = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if times[0] < self.state0.s - 1e-15:

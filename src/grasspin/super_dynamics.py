@@ -13,13 +13,18 @@ of the constraint xi_mu v^mu = 0:
 
     lam = (v.v)^{-1} (mu'-e)/(2m) F^{mu nu} v_mu xi_nu .
 
-lam is Grassmann-odd (it multiplies an odd constraint).  Its proper-time
-derivative is obtained by differentiating the multiplier equation along the
-flow and substituting the equations of motion; the dv-dependence of dlam/ds
-enters dv only multiplied by xi, raising Grassmann degree each pass, so a
-fixed-point iteration starting from dlam/ds = 0 terminates exactly after
-ceil(k/2) passes, k being the number of generators the state carries
-(``integrate_super`` works in the subalgebra of the loaded generators).
+lam is Grassmann-odd (it multiplies an odd constraint).  Differentiating
+the multiplier equation along the flow gives (v.v) dlam/ds = R, with
+R = c d(F^{mu nu} v_mu xi_nu)/ds - lam d(v.v)/ds and c = (mu'-e)/(2m).
+With the equations of motion substituted, dlam/ds comes back into R only
+through -(1/m)(dlam/ds) xi in dv, so it solves
+
+    E dlam/ds = R0,   E = v.v + (c/m) xi_mu F^{mu nu} xi_nu + (2/m) lam (v.xi),
+
+with R0 = R at dv without that term.  E is even with an invertible body.
+In an algebra of at most 2 generators (``integrate_super`` keeps only the
+loaded ones) the soul of E has degree >= 2 and R0 degree >= 1, so
+E^{-1} R0 = R0/(v.v).
 
 All kernels below operate on raw coefficient arrays of shape (..., 4, dim)
 and broadcast over leading axes, so a whole grid of states can be evaluated
@@ -160,8 +165,7 @@ def _multiplier(alg, f, v, xi, par):
     left = np.stack([SIGNS[:, None] * v, q], axis=-3)
     right = np.stack([v, xi], axis=-3)
     both = alg.mul(left, right, EVEN, None).sum(axis=-2)
-    vv = both[..., 0, :]
-    a_con = both[..., 1, :]
+    vv, a_con = both[..., 0, :], both[..., 1, :]
     if np.any(np.abs(vv[..., 0]) == 0.0):
         raise LightlikeVelocityError("v.v has zero body")
     inv_vv = alg.invert_even(vv)
@@ -263,54 +267,45 @@ def _rhs(alg, fld, par, x, v, xi):
     Independent products are stacked into shared kernel calls; the comments
     name the slices.
     """
-    m = par.mass
-    e = par.charge
-    mup = par.mu_prime
+    m, e, mup = par.mass, par.charge, par.mu_prime
     c_lam = (mup - e) / (2.0 * m)
     lower = SIGNS[:, None]
 
     f, df = _field(alg, fld, x, grad=True)
     vv, inv_vv, q, lam = _multiplier(alg, f, v, xi, par)
 
-    # gradient (Stern-Gerlach) piece; vanishes for homogeneous fields
-    grad = 0.0
+    # gradient (Stern-Gerlach) piece and F-dot term of R0; both vanish for
+    # homogeneous fields
+    grad = a_dot_field = 0.0
     if df is not None:
         pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :], ODD, ODD)
         grad = 0.5 * lower * _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
-
-    # dxi (depends on lam only); F^{mu nu} w_nu = -SIGNS[mu] Q_mu(w)
-    dxi = (mup / m) * (-lower * _f_left(alg, f, xi, ODD)) - 2.0 * alg.mul(lam[..., None, :], v, ODD, EVEN)
-    dv_base = (e / m) * (-lower * q) + (mup / (2.0 * m * m)) * grad
-
-    # d lam/ds by differentiating the multiplier equation along the flow and
-    # substituting the equations of motion.  The dependence on dv enters dv
-    # again only multiplied by xi, raising the Grassmann degree by two per
-    # pass, so the fixed point is exact after ceil(n/2) passes for the n
-    # generators of alg: the active ones, when called from integrate_super.
-    a_dot_field = 0.0
-    if df is not None:
         f_dot = _emul(alg, v[..., :, None, None, :], df, EVEN).sum(axis=-4)
         r_dot = alg.mul(f_dot, v[..., :, None, :], EVEN, EVEN).sum(axis=-3)
         a_dot_field = _odd_contract(alg, r_dot, xi)
-    a_dot_xi = _odd_contract(alg, q, dxi)    # F^{mu nu} v_mu dxi_nu
 
-    lam_dot = np.zeros_like(lam)
-    dv = dv_base
-    for _ in range((alg.n + 1) // 2):
-        q_dv = _f_left(alg, f, dv, EVEN)
-        # [0]: F^{mu nu} dv_mu xi_nu ; [1]: v.dv
-        left = np.stack([q_dv, lower * v], axis=-3)
-        right = np.stack([xi, dv], axis=-3)
-        both = alg.mul(left, right, EVEN, None).sum(axis=-2)
-        a_dot_v = both[..., 0, :]
-        vv_dot = 2.0 * both[..., 1, :]
-        lam_dot = alg.mul(
-            inv_vv,
-            c_lam * (a_dot_field + a_dot_v + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN),
-            EVEN,
-            ODD,
-        )
-        dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi, ODD, ODD)
+    # dxi (depends on lam only); F^{mu nu} w_nu = -SIGNS[mu] Q_mu(w)
+    q_xi = _f_left(alg, f, xi, ODD)
+    lam_v = alg.mul(lam[..., None, :], v, ODD, EVEN)
+    dxi = (mup / m) * (-lower * q_xi) - 2.0 * lam_v
+    dv_base = (e / m) * (-lower * q) + (mup / (2.0 * m * m)) * grad
+
+    # R0 at dv_base; [0]: F^{mu nu} dv_mu xi_nu, [1]: v.dv
+    a_dot_xi = _odd_contract(alg, q, dxi)    # F^{mu nu} v_mu dxi_nu
+    left = np.stack([_f_left(alg, f, dv_base, EVEN), lower * v], axis=-3)
+    right = np.stack([xi, dv_base], axis=-3)
+    both = alg.mul(left, right, EVEN, None).sum(axis=-2)
+    vv_dot = 2.0 * both[..., 1, :]
+    r0 = c_lam * (a_dot_field + both[..., 0, :] + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN)
+
+    # E = v.v + sum_nu W_nu xi^nu, W_nu = (c/m) Q_nu(xi) + (2/m) lam v_nu;
+    # at n <= 2 generators E^-1 R0 = R0/(v.v) (module docstring)
+    inv_e = inv_vv
+    if alg.n > 2:
+        w = (c_lam / m) * q_xi + (2.0 / m) * lower * lam_v
+        inv_e = alg.invert_even(vv + alg.mul(w, xi, ODD, ODD).sum(axis=-2))
+    lam_dot = alg.mul(inv_e, r0, EVEN, ODD)
+    dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi, ODD, ODD)
     return dv, dxi, lam, lam_dot
 
 
@@ -340,7 +335,7 @@ def constraint_value(state: SuperState) -> GrassmannNumber:
 
 
 def multiplier_rate(state: SuperState, fld, par: ModelParams):
-    """(lam, dlam/ds) at a state, the rate from the exact fixed point."""
+    """(lam, dlam/ds) at a state, the rate solved in closed form, E^{-1} R0."""
     _, _, lam, lam_dot = _rhs(state.alg, fld, par, state.x, state.v, state.xi)
     return GrassmannNumber(state.alg, lam), GrassmannNumber(state.alg, lam_dot)
 

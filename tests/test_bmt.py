@@ -183,6 +183,14 @@ class TestOracle:
         assert np.allclose(out.u, fine.u[-1], atol=1e-9)
         assert np.allclose(out.x, fine.x[-1], atol=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, params, bad):
+        f = constant_f_lower([0, 0, 0], [0, 0, 1.0])
+        oracle = ConstantFieldOracle(planar_state(), f, params)
+        with pytest.raises(ValueError, match="times"):
+            oracle.sample(np.array([0.5, bad]))
+        with pytest.raises(ValueError, match="times"):
+            oracle.state_at(bad)
 
     @pytest.mark.parametrize("e3, b3, s_end", [
         pytest.param([0, 0, 0], [0, 0, 1.0], 2 * np.pi, id="magnetic"),

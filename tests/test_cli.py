@@ -366,7 +366,7 @@ class TestVerify:
         """The run and its probes use the generators that initial.spin.xi
         loads; algebra.n_generators sets only the Maxwell points' algebra."""
         lines, csvs = [], []
-        for n in (4, 16):
+        for n in (2, 4, 16):
             cfg = write_cfg(tmp_path, {
                 "integrator": {"h": 2 * np.pi / 1000, "steps": 150, "record_every": 1},
                 "verify": {"points": 8, "variations": 2},
@@ -380,8 +380,8 @@ class TestVerify:
                           if line.startswith(("constraint:", "stationarity:"))])
             csvs.append(out.read_bytes())
         assert len(lines[0]) == 2
-        assert lines[0] == lines[1]
-        assert csvs[0] == csvs[1]
+        assert lines[0] == lines[1] == lines[2]
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_nonclosed_expected_fail(self, capsys):
         code = main(["verify", "--config", str(ROOT / "configs" / "nonclosed_f.yaml")])

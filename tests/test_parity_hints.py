@@ -42,7 +42,7 @@ def audited(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("name,fld", field_corpus(), ids=[name for name, _ in field_corpus()])
 def test_hints_match_operand_parities(audited, name, fld, n):
     par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)

@@ -19,9 +19,12 @@ from grasspin import (
     lambda_solve,
     leading_order,
 )
-from grasspin.grassmann import GrassmannNumber, Parity, algebra
+from grasspin.grassmann import EVEN, ODD, GrassmannNumber, Parity, algebra
 from grasspin.minkowski import SIGNS
-from grasspin.super_dynamics import LightlikeVelocityError, _cut, _emul, multiplier_rate, rk4
+from grasspin.super_dynamics import (
+    LightlikeVelocityError, _cut, _emul, _f_left, _field, _gdot, _multiplier, _odd_contract, _rhs,
+    multiplier_rate, rk4,
+)
 
 from conftest import boosted_velocity, field_corpus, gradient_b_field, loaded_state, standard_state
 
@@ -44,6 +47,44 @@ def full_algebra_rk4(st, fld, par, h, steps):
         y = tuple(a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
                   for a, p, q, r, w in zip(y, k1, k2, k3, k4))
     return y
+
+
+def fixed_point_rhs(alg, fld, par, x, v, xi):
+    """(dv, dlam/ds) by fixed-point iteration from dlam/ds = 0.
+
+    dlam/ds enters dv only multiplied by xi, which raises the Grassmann
+    degree by two per pass, so ceil(n/2) passes reach the exact fixed point
+    in an algebra of n generators.
+    """
+    m, e, mup = par.mass, par.charge, par.mu_prime
+    c_lam = (mup - e) / (2.0 * m)
+    lower = SIGNS[:, None]
+    f, df = _field(alg, fld, x, grad=True)
+    _, inv_vv, q, lam = _multiplier(alg, f, v, xi, par)
+    grad = 0.0
+    a_dot_field = 0.0
+    if df is not None:
+        pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :], ODD, ODD)
+        grad = 0.5 * lower * _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
+        f_dot = _emul(alg, v[..., :, None, None, :], df, EVEN).sum(axis=-4)
+        r_dot = alg.mul(f_dot, v[..., :, None, :], EVEN, EVEN).sum(axis=-3)
+        a_dot_field = _odd_contract(alg, r_dot, xi)
+    dxi = (mup / m) * (-lower * _f_left(alg, f, xi, ODD)) - 2.0 * alg.mul(lam[..., None, :], v, ODD, EVEN)
+    dv_base = (e / m) * (-lower * q) + (mup / (2.0 * m * m)) * grad
+    a_dot_xi = _odd_contract(alg, q, dxi)
+    lam_dot = np.zeros_like(lam)
+    dv = dv_base
+    for _ in range((alg.n + 1) // 2):
+        a_dot_v = _odd_contract(alg, _f_left(alg, f, dv, EVEN), xi)
+        vv_dot = 2.0 * _gdot(alg, v, dv, EVEN, EVEN)
+        lam_dot = alg.mul(
+            inv_vv,
+            c_lam * (a_dot_field + a_dot_v + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN),
+            EVEN,
+            ODD,
+        )
+        dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi, ODD, ODD)
+    return dv, lam_dot
 
 
 def contraction_oracle(f_real, v_real, xi_coeffs, alg):
@@ -150,6 +191,48 @@ class TestEomRhs:
         assert errs[0] < 5e-5
         assert 3.4 < errs[0] / errs[1] < 4.6
         assert 3.4 < errs[1] / errs[2] < 4.6
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_multiplier_rate_soul_of_e_matches_finite_difference(self, n):
+        """The same check on the degree >= 3 grade of dlam/ds, where the soul
+        of E in E dlam/ds = R0 acts; at n <= 2 that grade is empty.  Constant
+        fields and gradient_b leave it at roundoff, so random_cubic is used."""
+        fld = dict(field_corpus())["random_cubic"]
+        par = ModelParams(mass=1.0, charge=1.0, mu_prime=2.0)
+        h = 5e-4
+        mid = 8
+        traj = integrate_super(loaded_state(n), fld, par, h=h, steps=16, record_every=1)
+        high = traj.alg.degree >= 3
+        _, lam_dot = multiplier_rate(traj.state(mid), fld, par)
+        assert np.max(np.abs(lam_dot.coeffs[high])) > 1e-2
+        errs = []
+        for stride in (4, 2, 1):
+            lam_prev = lambda_solve(traj.state(mid - stride), fld, par)
+            lam_next = lambda_solve(traj.state(mid + stride), fld, par)
+            fd = (lam_next - lam_prev) / (2.0 * stride * h)
+            errs.append(np.max(np.abs((fd - lam_dot).coeffs[high])))
+        assert errs[0] < 1e-6
+        assert 3.4 < errs[0] / errs[1] < 4.6
+        assert 3.4 < errs[1] / errs[2] < 4.6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name, fld", field_corpus(), ids=[n for n, _ in field_corpus()])
+def test_rhs_matches_fixed_point_reference(name, fld, n):
+    """dv and dlam/ds from E^-1 R0 equal the fixed-point iteration, on the
+    constraint surface and off it (v.xi != 0, as at an RK4 stage)."""
+    for mu_prime in (0.0, 1.2, 2.0):
+        par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
+        traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=4)
+        st = traj.state(len(traj) - 1)
+        alg = st.alg
+        off = st.xi + 0.1 * st.xi[::-1]
+        assert np.max(np.abs(_gdot(alg, st.v, off, EVEN, ODD))) > 0.1
+        for xi in (st.xi, off):
+            dv, _, _, lam_dot = _rhs(alg, fld, par, st.x, st.v, xi)
+            want_dv, want_lam_dot = fixed_point_rhs(alg, fld, par, st.x, st.v, xi)
+            for got, want in ((dv, want_dv), (lam_dot, want_lam_dot)):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name, fld", field_corpus(), ids=[n for n, _ in field_corpus()])
