@@ -17,6 +17,10 @@ quadrature of u, and a spin tensor that, seen in the co-rotating frame,
 follows a linear flow with a constant generator.  :class:`ConstantFieldOracle`
 evaluates it with one matrix exponential per sample time and serves as the
 reference for the fixed-step integrator.
+
+The integrator evaluates F at every RK4 stage only for a field that varies;
+a constant field's F_{mu nu} is computed once, when the field is built, and
+read at every stage.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
@@ -101,13 +104,12 @@ def _du(f_lo: np.ndarray, u: np.ndarray, par: ModelParams) -> np.ndarray:
 
 def _dspin(f_lo: np.ndarray, u: np.ndarray, spin: np.ndarray, par: ModelParams) -> np.ndarray:
     """Covariant-component spin transport; f_lo and the state at one point."""
-    fmix = f_lo * SIGNS[None, :]          # F_mu^{ rho}
+    fmix = f_lo * SIGNS                   # F_mu^{ rho}
     t1 = fmix @ spin
     t1 = par.mu_prime * (t1 - t1.T)
-    q = SIGNS * (u @ f_lo)                # q^sigma = F^{rho sigma} u_rho
-    p = q @ spin                          # p_mu = q^sigma S_{sigma mu}
-    u_lo = SIGNS * u
-    t2 = par.anomaly * (np.outer(p, u_lo) - np.outer(u_lo, p))
+    p = (u @ fmix) @ spin                 # p_mu = q^sigma S_{sigma mu}, q^sigma = F^{rho sigma} u_rho
+    w = p[:, None] * (SIGNS * u)          # p_mu u_nu
+    t2 = par.anomaly * (w - w.T)
     return (t1 + t2) / par.mass
 
 
@@ -124,7 +126,7 @@ def _split(y: np.ndarray):
 def _rates(y: np.ndarray, fld, par: ModelParams) -> np.ndarray:
     """Rate of one packed state (x, u, spin), packed the same way."""
     x, u, spin = _split(y)
-    f_lo = fld.f_lower_real(x)
+    f_lo = fld._f_const if fld.constant else fld.f_lower_real(x)
     return np.concatenate([u, _du(f_lo, u, par), _dspin(f_lo, u, spin, par).ravel()])
 
 
@@ -201,7 +203,13 @@ class ConstantFieldOracle:
         ``h_ref`` is accepted for call compatibility and unused: the closed
         form has no step size.
         """
+        # Imported here, its only use: scipy.linalg takes longer to import
+        # than the rest of the package.
+        import scipy.linalg
+
         times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("sample times must be a non-empty 1-D array")
         if not np.all(np.isfinite(times)):
             raise ValueError("sample times must be finite")
         if np.any(np.diff(times) <= 0):

@@ -349,9 +349,17 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """Read and validate one YAML config.
+
+    The document is parsed with libyaml's ``yaml.CSafeLoader``, or with the
+    pure-Python ``yaml.SafeLoader`` where PyYAML was built without libyaml.
+    Both share the safe resolver and constructor, so they return equal
+    documents; only the wording of a parse error differs.
+    """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except yaml.YAMLError as err:

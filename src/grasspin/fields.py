@@ -91,13 +91,18 @@ class _FieldBase:
             for k in range(4)
             for m, n in PAIRS
         )
+        # F_{mu nu} = monomials @ _f_real: the value columns of the program,
+        # laid out as a flattened antisymmetric 4x4 tensor.  Every monomial
+        # row is kept, so each entry is the dot product eval_real computes.
+        self._f_real = unpack_pairs(self._f_eval.gather[:, : len(PAIRS)]).reshape(-1, 16)
         self._f_const = self.f_lower_real(np.zeros(4)) if self.constant else None
 
     # -- real-point evaluation (reduced dynamics path) -------------------
 
     def f_lower_real(self, points: np.ndarray) -> np.ndarray:
         """F_{mu nu} at real points (..., 4) -> (..., 4, 4)."""
-        return unpack_pairs(self._f_eval.eval_real(points))
+        vals = self._f_eval.monomials(points) @ self._f_real
+        return vals.reshape(vals.shape[:-1] + (4, 4))
 
     def df_lower_real(self, points: np.ndarray) -> np.ndarray:
         """d_kappa F_{mu nu} at real points -> (..., 4, 4, 4)."""

@@ -195,15 +195,21 @@ class PolyVectorEvaluator:
         gather = np.zeros((len(weights), self.n_slots))
         for row, (slot, c) in enumerate(weights):
             gather[row, slot] = c
-        self._gather = gather
+        self.gather = gather
+
+    def monomials(self, points: np.ndarray) -> np.ndarray:
+        """The program's monomials at real points (..., 4) -> (..., n_monomials).
+
+        Slot values are ``monomials(points) @ gather``, where ``gather``
+        (n_monomials, n_slots) holds each monomial's weight in each slot; its
+        first ``n_polys`` columns give the component values.
+        """
+        points = np.asarray(points, dtype=float)
+        return np.prod(points[..., None, :] ** self._exps, axis=-1)
 
     def _eval_slots(self, points: np.ndarray) -> np.ndarray:
         """All slot values at real points (..., 4) -> (..., n_slots)."""
-        points = np.asarray(points, dtype=float)
-        if self._exps.shape[0] == 0:
-            return np.zeros(points.shape[:-1] + (self.n_slots,))
-        mono = np.prod(points[..., None, :] ** self._exps, axis=-1)
-        return mono @ self._gather
+        return self.monomials(points) @ self.gather
 
     def eval_real(self, points: np.ndarray) -> np.ndarray:
         """Component values at real points (..., 4) -> (..., n_polys)."""

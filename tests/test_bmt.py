@@ -23,7 +23,8 @@ from grasspin import (
     spin_velocity_angle,
 )
 from grasspin.bmt import PAIRS, _dspin, _du
-from grasspin.minkowski import SIGNS, minkowski_dot
+from grasspin.fields import _FieldBase
+from grasspin.minkowski import SIGNS, minkowski_dot, unpack_pairs
 
 from conftest import boosted_velocity, gradient_b_field
 
@@ -40,6 +41,19 @@ def planar_state(gamma=2.0):
     c1 = np.array([0.0, 0.0, 1.0, 0.0])
     c2 = np.array([0.0, 0.0, 0.0, 1.0])
     return BMTState(np.zeros(4), boosted_velocity(gamma), spin_from_generators(c1, c2))
+
+
+def dspin_outer(f_lo, u, spin, par):
+    """Spin transport written with two np.outer calls: the reference that
+    ``_dspin``'s broadcast form must reproduce bit for bit."""
+    fmix = f_lo * SIGNS[None, :]
+    t1 = fmix @ spin
+    t1 = par.mu_prime * (t1 - t1.T)
+    q = SIGNS * (u @ f_lo)
+    p = q @ spin
+    u_lo = SIGNS * u
+    t2 = par.anomaly * (np.outer(p, u_lo) - np.outer(u_lo, p))
+    return (t1 + t2) / par.mass
 
 
 class TestBmtRhs:
@@ -78,6 +92,16 @@ class TestBmtRhs:
         # proper-time gyration: du1 = (e B/m) u2, du2 = -(e B/m) u1
         assert du[1] == pytest.approx(params.charge * b * st.u[2] / params.mass)
         assert du[2] == pytest.approx(-params.charge * b * st.u[1] / params.mass)
+
+    def test_dspin_matches_outer_product_form(self):
+        rng = np.random.default_rng(12)
+        fields = [constant_f_lower([0, 0, 0], [0, 0, 1.0])]
+        fields += [unpack_pairs(rng.normal(size=6)) for _ in range(50)]
+        for f in fields:
+            u, spin = rng.normal(size=4), unpack_pairs(rng.normal(size=6))
+            par = ModelParams(mass=rng.uniform(0.5, 2.0), charge=rng.normal(),
+                              mu_prime=rng.normal())
+            assert np.array_equal(_dspin(f, u, spin, par), dspin_outer(f, u, spin, par))
 
 
 class TestIntegrateBmt:
@@ -130,6 +154,21 @@ class TestIntegrateBmt:
         assert np.max(np.abs(traj.uu - traj.uu[0])) < 1e-8
         assert np.max(np.abs(traj.us_max - traj.us_max[0])) < 1e-8
         assert np.max(np.abs(traj.ss - traj.ss[0])) < 1e-8
+
+    def test_constant_field_skips_field_evaluation(self, params, b_field, monkeypatch):
+        calls = []
+        evaluate = _FieldBase.f_lower_real
+
+        def counted(fld, points):
+            calls.append(np.shape(points))
+            return evaluate(fld, points)
+
+        varying = gradient_b_field()
+        monkeypatch.setattr(_FieldBase, "f_lower_real", counted)
+        integrate_bmt(planar_state(), b_field, params, h=0.01, steps=10)
+        assert calls == []
+        integrate_bmt(planar_state(), varying, params, h=0.01, steps=10)
+        assert len(calls) == 4 * 10
 
     @pytest.mark.parametrize("steps, record_every, name", [
         (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),
@@ -191,6 +230,14 @@ class TestOracle:
             oracle.sample(np.array([0.5, bad]))
         with pytest.raises(ValueError, match="times"):
             oracle.state_at(bad)
+
+    @pytest.mark.parametrize("times", [np.array([]), np.array([[0.5, 1.0]]), np.array(0.5)],
+                             ids=["empty", "2d", "scalar"])
+    def test_rejects_bad_shape(self, params, times):
+        f = constant_f_lower([0, 0, 0], [0, 0, 1.0])
+        oracle = ConstantFieldOracle(planar_state(), f, params)
+        with pytest.raises(ValueError, match="sample times must be a non-empty 1-D array"):
+            oracle.sample(times)
 
     @pytest.mark.parametrize("e3, b3, s_end", [
         pytest.param([0, 0, 0], [0, 0, 1.0], 2 * np.pi, id="magnetic"),

@@ -2,6 +2,8 @@
 
 import copy
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,37 @@ class TestExitCodes:
             "thresholds": {"uu_drift": 1e-30},
         })
         assert main(["simulate-bmt", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+
+
+class TestLoading:
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    @pytest.mark.parametrize("text", [
+        "params: {mass: 1.0, charge: 1.0, mu_prime: 1.2}\ninitial:\n  x0: [0.0, 0.0, 0.0\n",
+        "params:\n\tmass: 1.0\n",
+    ], ids=["unclosed-bracket", "tab-indent"])
+    def test_unparseable_config(self, tmp_path, capsys, monkeypatch, text, libyaml):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        assert main(["simulate-bmt", "--config", str(p)]) == 2
+        assert "cannot parse config" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_shipped_config_parses_alike_under_both_loaders(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_import_leaves_scipy_unloaded(self):
+        # only the constant-field oracle needs scipy, and importing it costs
+        # more than the rest of the package
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import grasspin, grasspin.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSimulateBmt:

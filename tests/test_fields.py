@@ -105,6 +105,17 @@ class TestFieldTensor:
             )
             assert np.allclose(fld.f_lower_real(pts), via_poly, atol=1e-13), name
 
+    def test_real_point_layout_equals_value_slots(self):
+        # f_lower_real reads the value slots straight into the 4x4 layout;
+        # each entry must be the same dot product as eval_real's
+        rng = np.random.default_rng(8)
+        direct = DirectField({(0, 1): Polynomial({(1, 0, 0, 0): 0.3, (0, 2, 0, 1): -1.1}),
+                              (2, 3): Polynomial.constant(0.7)})
+        for name, fld in field_corpus() + [("direct", direct)]:
+            for pts in (rng.normal(size=4), rng.normal(size=(50, 4))):
+                want = unpack_pairs(fld._f_eval.eval_real(pts))
+                assert np.array_equal(fld.f_lower_real(pts), want), name
+
     def test_antisymmetry(self, alg4):
         rng = np.random.default_rng(5)
         for name, fld in field_corpus():
