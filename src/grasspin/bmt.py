@@ -107,7 +107,8 @@ def _dspin(f_lo: np.ndarray, u: np.ndarray, spin: np.ndarray, par: ModelParams) 
     fmix = f_lo * SIGNS                   # F_mu^{ rho}
     t1 = fmix @ spin
     t1 = par.mu_prime * (t1 - t1.T)
-    p = (u @ fmix) @ spin                 # p_mu = q^sigma S_{sigma mu}, q^sigma = F^{rho sigma} u_rho
+    q = u @ fmix                          # q^sigma = F^{rho sigma} u_rho
+    p = q @ spin                          # p_mu = q^sigma S_{sigma mu}
     w = p[:, None] * (SIGNS * u)          # p_mu u_nu
     t2 = par.anomaly * (w - w.T)
     return (t1 + t2) / par.mass
