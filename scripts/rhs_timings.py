@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Per-call timings of ``super_dynamics._rhs`` and of the products and even
+inverses it makes, in this checkout against another one.
+
+    python scripts/rhs_timings.py OTHER_CHECKOUT
+
+Cases: N in {2, 4, 6} x the fields ``constant_eb`` and ``gradient_b`` of
+``tests/conftest.py``, with mu' = 1.2.  The state is the last record of four
+RK4 steps (h = 0.05) from ``loaded_state(N)``, so x and v carry souls.  Each
+case times one ``_rhs`` call, then replays the ``mul`` calls and the
+``invert_even`` calls that one ``_rhs`` makes, with the operands it passed,
+and times each replay.  Products made inside ``invert_even`` count under
+``invert_even`` only.  A figure is the median over five repeats of the mean
+time per call, in microseconds, with each repeat about 50 ms long.
+
+Every case runs in a fresh interpreter that imports the package and
+``tests/conftest.py`` from its checkout's ``src/`` and ``tests/``, with BLAS
+pinned to one thread.  The two checkouts alternate case by case, which side
+goes first alternating too, for ``ROUNDS`` rounds, because a shared host's
+speed drifts over seconds.  The script prints, per case and layer, the
+median over rounds on both sides and the ratio this/other.  A run takes
+about two and a half minutes on a 2-core host.
+"""
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 11
+CASES = [(n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
+
+CHILD = """
+import json, statistics, sys, time
+root, n, name = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+sys.path[:0] = [root + "/src", root + "/tests"]
+from conftest import field_corpus, loaded_state
+from grasspin import ModelParams, integrate_super
+from grasspin.grassmann import GrassmannAlgebra
+from grasspin.super_dynamics import _rhs
+
+def median_us(call, target_s=0.05, repeat=5):
+    t0 = time.perf_counter()
+    call()
+    number = max(1, int(target_s / max(time.perf_counter() - t0, 1e-9)))
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            call()
+        times.append((time.perf_counter() - t0) / number)
+    return 1e6 * statistics.median(times)
+
+fld = dict(field_corpus())[name]
+par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=4)
+args = (traj.alg, fld, par, traj.x[-1], traj.v[-1], traj.xi[-1])
+
+# record the calls of one _rhs; products inside invert_even are its own
+mul, inv = GrassmannAlgebra.mul, GrassmannAlgebra.invert_even
+muls, invs, depth = [], [], [0]
+def rec_mul(alg, *a):
+    if not depth[0]:
+        muls.append((alg, a))
+    return mul(alg, *a)
+def rec_inv(alg, *a):
+    invs.append((alg, a))
+    depth[0] += 1
+    try:
+        return inv(alg, *a)
+    finally:
+        depth[0] -= 1
+GrassmannAlgebra.mul, GrassmannAlgebra.invert_even = rec_mul, rec_inv
+_rhs(*args)
+GrassmannAlgebra.mul, GrassmannAlgebra.invert_even = mul, inv
+
+def run_muls():
+    for alg, a in muls:
+        mul(alg, *a)
+def run_invs():
+    for alg, a in invs:
+        inv(alg, *a)
+print(json.dumps({
+    "_rhs": median_us(lambda: _rhs(*args)),
+    f"mul x{len(muls)}": median_us(run_muls),
+    f"invert_even x{len(invs)}": median_us(run_invs),
+}))
+"""
+
+
+def timings(root: Path, n: int, name: str) -> dict:
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", CHILD, str(root.resolve()), str(n), name],
+                         check=True, stdout=subprocess.PIPE, env=env).stdout
+    return json.loads(out)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python scripts/rhs_timings.py OTHER_CHECKOUT", file=sys.stderr)
+        return 2
+    sides = {"this": ROOT, "other": Path(argv[0])}
+    runs = {(side, case): [] for side in sides for case in CASES}
+    for r in range(ROUNDS):
+        for c, case in enumerate(CASES):
+            for side in (("this", "other") if (r + c) % 2 == 0 else ("other", "this")):
+                runs[side, case].append(timings(sides[side], *case))
+    print(f"{'case':<16} {'layer':<16} {'this_us':>9} {'other_us':>9} {'ratio':>6}")
+    for n, name in CASES:
+        mine, theirs = runs["this", (n, name)], runs["other", (n, name)]
+        # a layer's label holds its call count, which the two sides may differ in
+        for layer, other_layer in zip(mine[0], theirs[0]):
+            a = statistics.median(run[layer] for run in mine)
+            b = statistics.median(run[other_layer] for run in theirs)
+            label = layer if layer == other_layer else f"{layer} ({other_layer})"
+            print(f"n={n} {name:<12} {label:<16} {a:>9.1f} {b:>9.1f} {a / b:>6.2f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
-from .super_dynamics import ModelParams, rk4
+from .super_dynamics import ModelParams, _require_finite, rk4
 
 __all__ = [
     "BMTState",
@@ -59,6 +59,7 @@ class BMTState:
         self.x = np.asarray(self.x, dtype=float).reshape(4)
         self.u = np.asarray(self.u, dtype=float).reshape(4)
         self.spin = np.asarray(self.spin, dtype=float).reshape(4, 4)
+        _require_finite(x=self.x, u=self.u, spin=self.spin, s=self.s)
         if np.max(np.abs(self.spin + self.spin.T)) > 1e-12:
             raise ValueError("spin tensor must be antisymmetric")
 
@@ -183,6 +184,7 @@ class ConstantFieldOracle:
                  refine: int = 100):
         self.state0 = state0
         self.f_lo = np.asarray(f_lower, dtype=float).reshape(4, 4)
+        _require_finite(f_lower=self.f_lo)
         if np.max(np.abs(self.f_lo + self.f_lo.T)) > 1e-12:
             raise ValueError("constant field tensor must be antisymmetric")
         self.par = par

@@ -206,6 +206,9 @@ def constant_f_lower(e_field: Sequence[float], b_field: Sequence[float]) -> np.n
     """
     e1, e2, e3 = (float(v) for v in e_field)
     b1, b2, b3 = (float(v) for v in b_field)
+    for name, vec in (("e_field", (e1, e2, e3)), ("b_field", (b1, b2, b3))):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} must be finite")
     f = np.zeros((4, 4))
     f[0, 1], f[0, 2], f[0, 3] = e1, e2, e3
     f[1, 2], f[1, 3], f[2, 3] = -b3, b2, -b1

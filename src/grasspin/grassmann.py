@@ -13,11 +13,16 @@ where sign(S, T) is the parity of the permutation that merges the two
 ascending index lists.
 
 There is one product kernel.  For N <= 6 a table lists the 3**N disjoint
-pairs (S, T), and the product is one gather and one signed scatter.  Above
-six, it splits off the top generator, a = a0 + a1 theta_N, and reduces to
-three products in the algebra with N - 1 generators, so every N ends in the
-table.  A caller whose data loads few generators restricts to them once, with
-``subalgebra``, and multiplies there.
+pairs (S, T), and the product is one gather and one signed scatter.  The
+gather is ``take`` along the last axis: at these sizes it costs a third
+to a half of what ``a[..., rows]`` costs per call, and it returns C order
+whatever the operand's layout, so the scatter's matmul sums in the same
+order for every caller.  (The rounding still depends on the batch: BLAS
+multiplies one row by a matrix-vector product and several by a matrix
+product.)  Above six, it splits off the top generator, a = a0 + a1 theta_N,
+and reduces to three products in the algebra with N - 1 generators, so
+every N ends in the table.  A caller whose data loads few generators
+restricts to them once, with ``subalgebra``, and multiplies there.
 
 A product may name the parity of each operand: ``EVEN``, ``ODD``, or None
 for either (the default).  For N <= 6 a hinted product uses a typed table,
@@ -128,6 +133,7 @@ class GrassmannAlgebra:
         self.degree = _popcount(masks).astype(np.int64)  # monomial degree per mask
         self.even_mask = self.degree % 2 == 0
         self.odd_mask = ~self.even_mask
+        self._odd_slots = np.flatnonzero(self.odd_mask)
 
         if self.n <= _MAX_TABLE_N:
             self._build_table(masks)
@@ -179,7 +185,7 @@ class GrassmannAlgebra:
                 ia, ib, sc = self._tables[pa, pb]
             except KeyError:
                 ia, ib, sc = self._typed_table(pa, pb)
-            return a[..., ia] * b[..., ib] @ sc
+            return a.take(ia, axis=-1) * b.take(ib, axis=-1) @ sc
         # the halves are stacked on a new leading axis, so line the batch up first
         a, b = np.broadcast_arrays(a, b)
         # With a = a0 + a1 theta_N and b = b0 + b1 theta_N,
@@ -190,7 +196,7 @@ class GrassmannAlgebra:
         a0, a1 = a[..., :half], a[..., half:]
         b0, b1 = b[..., :half], b[..., half:]
         b0_tilde = np.where(sub.odd_mask, -b0, b0)
-        p = sub.mul(np.stack([a0, a0, a1]), np.stack([b0, b1, b0_tilde]))
+        p = sub.mul(np.array((a0, a0, a1)), np.array((b0, b1, b0_tilde)))
         return np.concatenate([p[0], p[1] + p[2]], axis=-1)
 
     def power(self, a: np.ndarray, k: int) -> np.ndarray:
@@ -218,22 +224,22 @@ class GrassmannAlgebra:
         multiplies as even x even.
         """
         a = np.asarray(a, dtype=float)
-        bad = ~self.even_mask & (np.abs(a) > PRUNE_TOL)
-        if np.any(bad):
+        if (np.abs(a.take(self._odd_slots, axis=-1)) > PRUNE_TOL).any():
             raise NotInvertibleError("element is not Grassmann-even")
-        b = a[..., 0]
-        if np.any(np.abs(b) == 0.0):
+        b = a[..., :1]
+        if (b == 0.0).any():
             raise NotInvertibleError("zero body, element not invertible")
-        t = -a / b[..., None]
+        t = -a / b
         t[..., 0] = 0.0  # t = -soul/body
-        out = self.scalar_coeffs(1.0) + t
+        out = 0.0 + t    # out = 1 + t; its soul slots 0.0 + t map -0.0 to +0.0
+        out[..., 0] = 1.0
         acc = t
         for _ in range(self.n // 2 - 1):
             acc = self.mul(acc, t, EVEN, EVEN)
-            if not np.any(acc):
+            if not acc.any():
                 break
-            out = out + acc
-        return out / b[..., None]
+            out += acc
+        return out / b
 
     def parity_of(self, a: np.ndarray, tol: float = PRUNE_TOL) -> Parity:
         a = np.asarray(a)

@@ -205,7 +205,7 @@ class PolyVectorEvaluator:
         first ``n_polys`` columns give the component values.
         """
         points = np.asarray(points, dtype=float)
-        return np.prod(points[..., None, :] ** self._exps, axis=-1)
+        return (points[..., None, :] ** self._exps).prod(axis=-1)
 
     def _eval_slots(self, points: np.ndarray) -> np.ndarray:
         """All slot values at real points (..., 4) -> (..., n_slots)."""
@@ -232,7 +232,7 @@ class PolyVectorEvaluator:
         out = np.zeros(batch + (self.n_polys, alg.dim))
         slots = self._eval_slots(bodies)
         out[..., 0] = slots[..., : self.n_polys]
-        if souls is None or not np.any(souls):
+        if souls is None or not souls.any():
             return out
 
         max_order = min(self.n_orders - 1, alg.n // 2)
@@ -248,9 +248,9 @@ class PolyVectorEvaluator:
                 mon = souls
             else:
                 mon = alg.mul(
-                    mon_prev[..., g["parent"], :], souls[..., g["axis"], :], EVEN, EVEN
+                    mon_prev.take(g["parent"], axis=-2), souls.take(g["axis"], axis=-2), EVEN, EVEN
                 )
-            if np.any(vals):
+            if vals.any():
                 out += np.einsum("...ap,...ad->...pd", vals, mon)
             mon_prev = mon
         return out

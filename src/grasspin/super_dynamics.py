@@ -93,9 +93,19 @@ class ModelParams:
         return self.mu_prime - self.charge
 
 
+def _require_finite(**values) -> None:
+    """Raise a ValueError naming the first of ``values`` with a non-finite entry."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 # ----------------------------------------------------------------------
 # Batched Grassmann 4-vector helpers (raw coefficient arrays)
 # ----------------------------------------------------------------------
+
+# Metric signs against the component axis of (..., 4, dim): lowers an index.
+_LOWER = SIGNS[:, None]
 
 
 def _gdot(alg: GrassmannAlgebra, a: np.ndarray, b: np.ndarray, pa, pb) -> np.ndarray:
@@ -108,7 +118,7 @@ def _gdot(alg: GrassmannAlgebra, a: np.ndarray, b: np.ndarray, pa, pb) -> np.nda
 def _split_even(x: np.ndarray):
     bodies = x[..., 0]
     souls = None
-    if np.any(x[..., 1:]):
+    if x[..., 1:].any():
         souls = x.copy()
         souls[..., 0] = 0.0
     return bodies, souls
@@ -116,7 +126,7 @@ def _split_even(x: np.ndarray):
 
 def _cut(t: np.ndarray) -> np.ndarray:
     """An even tensor with body only is cut to it: last axis of length 1."""
-    return t if np.any(t[..., 1:]) else t[..., :1]
+    return t if t[..., 1:].any() else t[..., :1]
 
 
 def _emul(alg, a, b, pb=None):
@@ -162,11 +172,9 @@ def _multiplier(alg, f, v, xi, par):
     a = F^{mu nu} v_mu xi_nu (metric signs cancel pairwise there).
     """
     q = _f_left(alg, f, v, EVEN)
-    left = np.stack([SIGNS[:, None] * v, q], axis=-3)
-    right = np.stack([v, xi], axis=-3)
-    both = alg.mul(left, right, EVEN, None).sum(axis=-2)
-    vv, a_con = both[..., 0, :], both[..., 1, :]
-    if np.any(np.abs(vv[..., 0]) == 0.0):
+    left, right = np.array((_LOWER * v, q)), np.array((v, xi))
+    vv, a_con = alg.mul(left, right, EVEN, None).sum(axis=-2)
+    if (vv[..., 0] == 0.0).any():
         raise LightlikeVelocityError("v.v has zero body")
     inv_vv = alg.invert_even(vv)
     c_lam = (par.mu_prime - par.charge) / (2.0 * par.mass)
@@ -199,12 +207,14 @@ class SuperState:
         s: float = 0.0,
     ) -> "SuperState":
         """Real initial data; xi_coeffs[a, mu] loads generator a+1 with c_a^mu."""
+        x0, u0 = np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)
+        c = np.atleast_2d(np.asarray(xi_coeffs, dtype=float))
+        _require_finite(x0=x0, u0=u0, xi_coeffs=c, s=s)
         x = np.zeros((4, alg.dim))
         v = np.zeros((4, alg.dim))
-        x[:, 0] = np.asarray(x0, dtype=float)
-        v[:, 0] = np.asarray(u0, dtype=float)
+        x[:, 0] = x0
+        v[:, 0] = u0
         xi = np.zeros((4, alg.dim))
-        c = np.atleast_2d(np.asarray(xi_coeffs, dtype=float))
         if c.shape[1] != 4 or c.shape[0] > alg.n:
             raise ValueError(
                 f"xi coefficients must be (k, 4) with k <= {alg.n}, got {c.shape}"
@@ -214,6 +224,7 @@ class SuperState:
         return cls(alg, x, v, xi, s)
 
     def validate(self) -> None:
+        _require_finite(x=self.x, v=self.v, xi=self.xi, s=self.s)
         for mu in range(4):
             if self.alg.parity_of(self.x[mu]) not in (Parity.EVEN, Parity.ZERO):
                 raise ValueError(f"x^{mu} is not Grassmann-even")
@@ -264,12 +275,11 @@ def _rhs(alg, fld, par, x, v, xi):
     """Batched right-hand side; returns (dv, dxi, lam, lam_dot).
 
     Inputs are coefficient arrays (..., 4, dim).  dx/ds = v is implicit.
-    Independent products are stacked into shared kernel calls; the comments
-    name the slices.
+    Independent products are stacked on a new leading axis into shared
+    kernel calls; the comments name the slices.
     """
     m, e, mup = par.mass, par.charge, par.mu_prime
     c_lam = (mup - e) / (2.0 * m)
-    lower = SIGNS[:, None]
 
     f, df = _field(alg, fld, x, grad=True)
     vv, inv_vv, q, lam = _multiplier(alg, f, v, xi, par)
@@ -279,7 +289,7 @@ def _rhs(alg, fld, par, x, v, xi):
     grad = a_dot_field = 0.0
     if df is not None:
         pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :], ODD, ODD)
-        grad = 0.5 * lower * _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
+        grad = 0.5 * _LOWER * _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
         f_dot = _emul(alg, v[..., :, None, None, :], df, EVEN).sum(axis=-4)
         r_dot = alg.mul(f_dot, v[..., :, None, :], EVEN, EVEN).sum(axis=-3)
         a_dot_field = _odd_contract(alg, r_dot, xi)
@@ -287,22 +297,22 @@ def _rhs(alg, fld, par, x, v, xi):
     # dxi (depends on lam only); F^{mu nu} w_nu = -SIGNS[mu] Q_mu(w)
     q_xi = _f_left(alg, f, xi, ODD)
     lam_v = alg.mul(lam[..., None, :], v, ODD, EVEN)
-    dxi = (mup / m) * (-lower * q_xi) - 2.0 * lam_v
-    dv_base = (e / m) * (-lower * q) + (mup / (2.0 * m * m)) * grad
+    dxi = (mup / m) * (-_LOWER * q_xi) - 2.0 * lam_v
+    dv_base = (e / m) * (-_LOWER * q) + (mup / (2.0 * m * m)) * grad
 
     # R0 at dv_base; [0]: F^{mu nu} dv_mu xi_nu, [1]: v.dv
     a_dot_xi = _odd_contract(alg, q, dxi)    # F^{mu nu} v_mu dxi_nu
-    left = np.stack([_f_left(alg, f, dv_base, EVEN), lower * v], axis=-3)
-    right = np.stack([xi, dv_base], axis=-3)
-    both = alg.mul(left, right, EVEN, None).sum(axis=-2)
-    vv_dot = 2.0 * both[..., 1, :]
-    r0 = c_lam * (a_dot_field + both[..., 0, :] + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN)
+    left = np.array((_f_left(alg, f, dv_base, EVEN), _LOWER * v))
+    right = np.array((xi, dv_base))
+    a_dot_dv, v_dv = alg.mul(left, right, EVEN, None).sum(axis=-2)
+    vv_dot = 2.0 * v_dv
+    r0 = c_lam * (a_dot_field + a_dot_dv + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN)
 
     # E = v.v + sum_nu W_nu xi^nu, W_nu = (c/m) Q_nu(xi) + (2/m) lam v_nu;
     # at n <= 2 generators E^-1 R0 = R0/(v.v) (module docstring)
     inv_e = inv_vv
     if alg.n > 2:
-        w = (c_lam / m) * q_xi + (2.0 / m) * lower * lam_v
+        w = (c_lam / m) * q_xi + (2.0 / m) * _LOWER * lam_v
         inv_e = alg.invert_even(vv + alg.mul(w, xi, ODD, ODD).sum(axis=-2))
     lam_dot = alg.mul(inv_e, r0, EVEN, ODD)
     dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi, ODD, ODD)
@@ -353,6 +363,9 @@ def rk4(rates, y, h: float, steps: int, record_every: int):
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size h must be finite and positive, got {h!r}")
+    for name, count in (("steps", steps), ("record_every", record_every)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if record_every < 1:
@@ -403,8 +416,8 @@ def integrate_super(
             raise LightlikeVelocityError(f"{err} at step {i}") from err
 
     def monitor(v, xi, lam):
-        constraint_max.append(np.max(np.abs(_gdot(alg, xi, v, ODD, EVEN))))
-        lambda_max.append(np.max(np.abs(lam)))
+        constraint_max.append(np.abs(_gdot(alg, xi, v, ODD, EVEN)).max())
+        lambda_max.append(np.abs(lam).max())
         vv_body.append(_gdot(alg, v, v, EVEN, EVEN)[0])
 
     def rates(y, i):
@@ -414,7 +427,7 @@ def integrate_super(
         else:
             dv, dxi, lam, _ = at_step(i, _rhs, alg, fld, par, x, v, xi)
             monitor(v, xi, lam)
-        return np.stack([v, dv, dxi])
+        return np.array((v, dv, dxi))
 
     rec_steps, rec = rk4(rates, np.stack(y0), h, steps, record_every)
     x, v, xi = rec[-1]   # monitors of the last state

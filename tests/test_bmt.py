@@ -56,6 +56,21 @@ def dspin_outer(f_lo, u, spin, par):
     return (t1 + t2) / par.mass
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["x", "u", "spin", "s"])
+def test_state_rejects_non_finite(name, bad):
+    args = {"x": np.zeros(4), "u": boosted_velocity(2.0),
+            "spin": unpack_pairs([0.0, 0.0, 0.0, 0.0, 0.0, 0.5]), "s": 0.0}
+    if name == "s":
+        args["s"] = bad
+    elif name == "spin":
+        args["spin"][2, 3], args["spin"][3, 2] = bad, -bad   # antisymmetric
+    else:
+        args[name][3] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        BMTState(**args)
+
+
 class TestBmtRhs:
     def test_zero_field(self, params):
         fld = FieldConfig([Polynomial.zero()] * 4)
@@ -230,6 +245,13 @@ class TestOracle:
             oracle.sample(np.array([0.5, bad]))
         with pytest.raises(ValueError, match="times"):
             oracle.state_at(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_field(self, params, bad):
+        f = constant_f_lower([0, 0, 0], [0, 0, 1.0])
+        f[1, 2], f[2, 1] = bad, -bad
+        with pytest.raises(ValueError, match="f_lower must be finite"):
+            ConstantFieldOracle(planar_state(), f, params)
 
     @pytest.mark.parametrize("times", [np.array([]), np.array([[0.5, 1.0]]), np.array(0.5)],
                              ids=["empty", "2d", "scalar"])

@@ -58,6 +58,16 @@ def test_pair_packing_matches_index_loop(shape, axis):
     assert np.array_equal(pack_pairs(want), moved)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["e_field", "b_field"])
+@pytest.mark.parametrize("build", [constant_f_lower, constant_field])
+def test_constant_field_rejects_non_finite(build, name, bad):
+    vectors = {"e_field": [0.1, 0.0, 0.2], "b_field": [0.0, 0.0, 1.0]}
+    vectors[name] = [0.0, bad, 0.0]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(**vectors)
+
+
 class TestFieldTensor:
     def test_zero_potential(self, alg4):
         fld = FieldConfig([Polynomial.zero()] * 4)

@@ -289,6 +289,70 @@ def test_emul_on_cut_tensor_equals_mul(n):
     assert _cut(full) is full
 
 
+@pytest.mark.parametrize("name", ["constant_eb", "gradient_b"])
+def test_rhs_leading_axis_rides_along(name):
+    """Three states stacked as (3, 4, dim) give each member the ``_rhs`` and
+    ``_multiplier`` outputs of a batch of three copies of it, bitwise, and
+    of the member alone to roundoff.  Not bitwise alone: a lone state's
+    scalars multiply through a BLAS matrix-vector product and a batch's
+    through a matrix product, which round differently."""
+    fld = dict(field_corpus())[name]
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+    traj = integrate_super(loaded_state(4), fld, par, h=0.05, steps=6, record_every=2)
+    alg, x, v, xi = traj.alg, traj.x[1:], traj.v[1:], traj.xi[1:]
+    assert x.shape == (3, 4, alg.dim) and all(member[:, 1:].any() for member in x)
+
+    def outputs(x, v, xi):
+        f, _ = _field(alg, fld, x)
+        return _rhs(alg, fld, par, x, v, xi) + _multiplier(alg, f, v, xi, par)
+
+    batched = outputs(x, v, xi)
+    for j in range(3):
+        copies = outputs(*(np.repeat(a[j][None], 3, axis=0) for a in (x, v, xi)))
+        alone = outputs(x[j], v[j], xi[j])
+        for got, same, want in zip(batched, copies, alone, strict=True):
+            assert np.array_equal(got[j], same[0])
+            assert np.max(np.abs(got[j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["x0", "u0", "xi_coeffs", "s"])
+def test_from_real_rejects_non_finite(name, bad, alg4):
+    args = {"x0": np.zeros(4), "u0": boosted_velocity(2.0),
+            "xi_coeffs": np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]), "s": 0.0}
+    if name == "s":
+        args["s"] = bad
+    else:
+        args[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SuperState.from_real(alg=alg4, **args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, slot", [("x", 0), ("v", 0), ("xi", 1), ("s", None)])
+def test_integrate_super_rejects_non_finite_state(name, slot, bad, alg4, b_field, params):
+    st = standard_state(alg4)
+    if name == "s":
+        st.s = bad
+    else:
+        getattr(st, name)[3, slot] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_super(st, b_field, params, h=1e-3, steps=3)
+
+
+@pytest.mark.parametrize("steps, record_every, name", [
+    (2.5, 1, "steps"), ("4", 1, "steps"), (True, 1, "steps"), (4, 1.0, "record_every"),
+])
+def test_rk4_rejects_non_integer_counts(steps, record_every, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        rk4(lambda y, i: -y, np.ones(2), 0.1, steps, record_every)
+
+
+def test_rk4_takes_numpy_integer_counts():
+    steps, rec = rk4(lambda y, i: -y, np.ones(2), 0.1, np.int64(3), np.int64(2))
+    assert steps.tolist() == [0, 2, 3] and rec.shape == (3, 2)
+
+
 class TestConstraint:
     def test_orthogonal_initial_data(self, alg4):
         st = standard_state(alg4)
