@@ -76,7 +76,7 @@ class BMTState:
 def _invariants(u: np.ndarray, spin: np.ndarray):
     """u.u, max_nu |u^mu S_{mu nu}| and S_{mu nu} S^{mu nu} of states
     (..., 4) and (..., 4, 4)."""
-    uu = minkowski_dot(u, u, axis=-1)
+    uu = minkowski_dot(u, u)
     us_max = np.max(np.abs((u[..., None, :] @ spin)[..., 0, :]), axis=-1)
     ss = np.sum(spin**2 * np.outer(SIGNS, SIGNS), axis=(-2, -1))
     return uu, us_max, ss
@@ -234,17 +234,9 @@ class ConstantFieldOracle:
 
 
 def analytic_constant_field(
-    state0: BMTState,
-    f_lower: np.ndarray,
-    par: ModelParams,
-    s: float,
-    h_ref: float | None = None,
-    refine: int = 100,
+    state0: BMTState, f_lower: np.ndarray, par: ModelParams, s: float
 ) -> BMTState:
-    """Exact reference state for a constant field at time s.
-
-    ``h_ref`` and ``refine`` are accepted for call compatibility and unused.
-    """
+    """Exact reference state for a constant field at time s."""
     return ConstantFieldOracle(state0, f_lower, par).state_at(s)
 
 
@@ -281,20 +273,10 @@ def spin_velocity_angle(traj: BMTTrajectory, axis: int = 3) -> tuple[np.ndarray,
     return traj.s.copy(), phi_s - phi_v
 
 
-def anomalous_precession(traj: BMTTrajectory, axis: int = 3, full: bool = False):
-    """Mean proper-time rate of the spin-vs-velocity in-plane angle.
-
-    Linear fit of the unwrapped relative angle against proper time; with
-    ``full=True`` also returns the fit R^2 and the angle series.
-    """
+def anomalous_precession(traj: BMTTrajectory, axis: int = 3) -> float:
+    """Mean proper-time rate of the spin-vs-velocity in-plane angle: the slope
+    of a linear fit of the unwrapped relative angle against proper time."""
     s, rel = spin_velocity_angle(traj, axis)
     design = np.stack([s - s[0], np.ones_like(s)], axis=1)
     coef, *_ = np.linalg.lstsq(design, rel, rcond=None)
-    rate = float(coef[0])
-    if not full:
-        return rate
-    fit = design @ coef
-    ss_res = float(np.sum((rel - fit) ** 2))
-    ss_tot = float(np.sum((rel - np.mean(rel)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return rate, r2, s, rel
+    return float(coef[0])

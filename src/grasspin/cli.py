@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: simulate-bmt, simulate-super, compare, verify.  All take
---config PATH (YAML, see configs/), optional --out PATH for the CSV
-payload, --threshold for the compare tolerance, and --seed to override the
-configured seed.
+--config PATH (YAML, see configs/) and optional --out PATH for the CSV
+payload.  compare also takes --threshold to override the configured compare
+tolerance, and verify takes --seed to override the configured seed; any
+other subcommand given either flag exits 2.
 
 Exit codes: 0 pass, 1 threshold fail, 2 configuration error, 3 numerical
 abort.  CSV goes to --out when given, else to stdout (the human summary
@@ -330,14 +331,15 @@ def main(argv=None) -> int:
         description="Spinning-particle dynamics with anticommuting spin variables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate-bmt", "simulate-super", "compare", "verify"):
-        sp = sub.add_parser(name)
+    subs = {name: sub.add_parser(name)
+            for name in ("simulate-bmt", "simulate-super", "compare", "verify")}
+    for sp in subs.values():
         sp.add_argument("--config", required=True, help="YAML run configuration")
         sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        sp.add_argument("--threshold", type=_positive_float, default=None,
-                        help="override the compare threshold")
-        sp.add_argument("--seed", type=_seed, default=None,
-                        help="override the configured random seed")
+    subs["compare"].add_argument("--threshold", type=_positive_float, default=None,
+                                 help="override the compare threshold")
+    subs["verify"].add_argument("--seed", type=_seed, default=None,
+                                help="override the configured random seed")
     args = parser.parse_args(argv)
 
     try:

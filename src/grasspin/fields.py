@@ -35,11 +35,12 @@ class NonEvenPointError(ValueError):
     """An evaluation point component is not Grassmann-even."""
 
 
-def _parse_even_point(x, alg: GrassmannAlgebra | None):
+def _parse_even_point(x):
     """Split an even 4-vector into (bodies, souls, algebra).
 
-    Accepts a sequence of 4 GrassmannNumber or a real 4-sequence; souls is
-    None for purely real input.
+    Accepts a sequence of 4 GrassmannNumber, whose algebra is taken, or a
+    real 4-sequence, taken in algebra(2); souls is None for purely real
+    input.
     """
     if len(x) != 4:
         raise ValueError("evaluation point must have 4 components")
@@ -64,7 +65,7 @@ def _parse_even_point(x, alg: GrassmannAlgebra | None):
             souls = None
         return bodies, souls, alg
     bodies = np.asarray([float(c) for c in x])
-    return bodies, None, alg
+    return bodies, None, algebra(2)
 
 
 def _wrap_tensor(coeffs: np.ndarray, alg: GrassmannAlgebra) -> np.ndarray:
@@ -86,11 +87,7 @@ class _FieldBase:
         self._df_eval = PolyVectorEvaluator(
             [self._f_polys[m][n].diff(k) for k in range(4) for m, n in PAIRS]
         )
-        self.constant = all(
-            self._f_polys[m][n].diff(k).is_zero()
-            for k in range(4)
-            for m, n in PAIRS
-        )
+        self.constant = all(p.is_zero() for p in self._df_eval.polys)
         # F_{mu nu} = monomials @ _f_real: the value columns of the program,
         # laid out as a flattened antisymmetric 4x4 tensor.  Every monomial
         # row is kept, so each entry is the dot product eval_real computes.
@@ -126,22 +123,20 @@ class _FieldBase:
 
     # -- public tensor API -------------------------------------------------
 
-    def field_tensor(self, x, alg: GrassmannAlgebra | None = None) -> np.ndarray:
+    def field_tensor(self, x) -> np.ndarray:
         """F_{mu nu}(x) as a 4x4 object array of GrassmannNumber.
 
-        x may be four GrassmannNumber (all even) or four reals; the series
+        x may be four GrassmannNumber (all even), giving values in their
+        algebra, or four reals, giving values in algebra(2); the series
         about the body terminates by nilpotency, so the value is exact.
         """
-        bodies, souls, alg = _parse_even_point(x, alg)
-        if alg is None:
-            alg = algebra(2)
+        bodies, souls, alg = _parse_even_point(x)
         return _wrap_tensor(self.f_lower_coeffs(bodies, souls, alg), alg)
 
-    def field_derivative(self, x, alg: GrassmannAlgebra | None = None) -> np.ndarray:
-        """d_kappa F^{rho sigma}(x) (rho, sigma raised) as object array (4,4,4)."""
-        bodies, souls, alg = _parse_even_point(x, alg)
-        if alg is None:
-            alg = algebra(2)
+    def field_derivative(self, x) -> np.ndarray:
+        """d_kappa F^{rho sigma}(x) (rho, sigma raised) as object array (4,4,4),
+        at x as in :meth:`field_tensor`."""
+        bodies, souls, alg = _parse_even_point(x)
         df = self.df_lower_coeffs(bodies, souls, alg)
         up = df * SIGNS[None, :, None, None] * SIGNS[None, None, :, None]
         return _wrap_tensor(up, alg)
@@ -230,15 +225,14 @@ def constant_field(e_field: Sequence[float], b_field: Sequence[float]) -> FieldC
     return FieldConfig(potential)
 
 
-def maxwell_residual(field: _FieldBase, x, alg: GrassmannAlgebra | None = None):
-    """The four components of eps^{mu nu rho sigma} d_nu F_{rho sigma} at x.
+def maxwell_residual(field: _FieldBase, x):
+    """The four components of eps^{mu nu rho sigma} d_nu F_{rho sigma} at x,
+    taken as in :meth:`_FieldBase.field_tensor`.
 
     Zero (to roundoff) for any potential-derived field; nonzero input marks a
     tensor that cannot come from a potential.
     """
-    bodies, souls, alg = _parse_even_point(x, alg)
-    if alg is None:
-        alg = algebra(2)
+    bodies, souls, alg = _parse_even_point(x)
     df = field.df_lower_coeffs(bodies, souls, alg)
     res = np.einsum("mnrs,...nrsd->...md", EPS_UPPER, df)
     return [GrassmannNumber(alg, res[mu]) for mu in range(4)]

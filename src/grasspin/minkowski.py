@@ -46,12 +46,9 @@ def _levi_civita() -> np.ndarray:
 EPS_UPPER = _levi_civita()
 
 
-def minkowski_dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """a^mu b_mu for real 4-vectors."""
-    a = np.asarray(a)
-    shape = [1] * a.ndim
-    shape[axis] = 4
-    return np.sum(a * np.asarray(b) * SIGNS.reshape(shape), axis=axis)
+def minkowski_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^mu b_mu for real 4-vectors on the last axis."""
+    return np.sum(np.asarray(a) * np.asarray(b) * SIGNS, axis=-1)
 
 
 def pack_pairs(mat: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ Exponents = tuple[int, int, int, int]
 
 
 class Polynomial:
-    """Polynomial in (x0, x1, x2, x3) as {exponent 4-tuple: coefficient}."""
+    """Polynomial in (x0, x1, x2, x3) as {exponent 4-tuple: finite coefficient}."""
 
     __slots__ = ("terms",)
 
@@ -33,8 +33,11 @@ class Polynomial:
             exps = tuple(int(e) for e in exps)
             if len(exps) != 4 or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps}")
+            coef = float(coef)
+            if not math.isfinite(coef):
+                raise ValueError(f"coefficient of {exps} must be finite, got {coef}")
             if coef != 0.0:
-                clean[exps] = clean.get(exps, 0.0) + float(coef)
+                clean[exps] = clean.get(exps, 0.0) + coef
         self.terms = {e: c for e, c in clean.items() if c != 0.0}
 
     @classmethod
@@ -144,8 +147,9 @@ class PolyVectorEvaluator:
         self.n_polys = len(self.polys)
         self.max_degree = max((p.degree for p in self.polys), default=0)
 
-        # Derivative closure grouped by order; trailing all-zero orders are
-        # dropped (derivatives of zero stay zero, so the cut is monotone).
+        # Derivative closure grouped by order.  Every order up to max_degree
+        # has a nonzero slot: a top-degree term x^e keeps d^alpha x^e != 0
+        # for each alpha <= e.
         self._orders: list[dict] = []
         per_alpha_polys: dict[Exponents, list[Polynomial]] = {}
         slot_polys: list[Polynomial] = []
@@ -165,7 +169,6 @@ class PolyVectorEvaluator:
                 "axis": np.array([ax for _, _, ax in infos], dtype=np.int64),
                 "slot0": len(slot_polys),
             }
-            any_nonzero = False
             for alpha, parent, ax in infos:
                 if order == 0:
                     derivs = list(self.polys)
@@ -174,12 +177,7 @@ class PolyVectorEvaluator:
                 per_alpha_polys[alpha] = derivs
                 weight = 1.0 / math.prod(math.factorial(a) for a in alpha)
                 slot_polys.extend(p.scale(weight) for p in derivs)
-                any_nonzero = any_nonzero or any(not p.is_zero() for p in derivs)
-            if order > 0 and not any_nonzero:
-                break
             self._orders.append(group)
-        slot_count = self._orders[-1]["slot0"] + len(self._orders[-1]["alphas"]) * self.n_polys
-        slot_polys = slot_polys[:slot_count]
 
         self.n_orders = len(self._orders)
         self._build_program(slot_polys)

@@ -459,6 +459,8 @@ def leading_order(traj: SuperTrajectory, on_zero: str = "warn") -> ReducedTrajec
     degree-1 part are reported according to ``on_zero`` ("warn", "raise",
     or "ignore").
     """
+    if on_zero not in ("warn", "raise", "ignore"):
+        raise ValueError(f"on_zero must be 'warn', 'raise' or 'ignore', got {on_zero!r}")
     alg = traj.alg
     if alg.n < 2:
         raise ValueError("projection needs an algebra with at least 2 generators")

@@ -24,13 +24,16 @@ probe's fresh generator goes next to them, as theta_{k+1} of algebra(k + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, algebra
-from .minkowski import SIGNS
-from .super_dynamics import ModelParams, SuperTrajectory, _emul, _field, _multiplier, _rhs, _split_even
+from .super_dynamics import (
+    ModelParams, SuperTrajectory, _emul, _field, _gdot, _multiplier, _require_finite, _rhs,
+    _split_even,
+)
 
 __all__ = [
     "DiscretePath",
@@ -44,11 +47,16 @@ __all__ = [
 
 _CHUNK = 256
 MIN_INTERVALS = 4   # the action's difference stencils need this many grid intervals
+H_DIR = 1e-4        # amplitude step of the even stationarity probe
 
 
 @dataclass
 class DiscretePath:
-    """Uniform-grid path: even x and odd xi at nodes s_i (endpoints fixed)."""
+    """Uniform-grid path: even x and odd xi at nodes s_i (endpoints fixed).
+
+    Raises ValueError naming s, x or xi when one is not finite, or when x or
+    xi is not one (4, dim) row per node.
+    """
 
     alg: GrassmannAlgebra
     s: np.ndarray    # (M+1,)
@@ -57,6 +65,13 @@ class DiscretePath:
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
+        self.x = np.asarray(self.x, dtype=float)
+        self.xi = np.asarray(self.xi, dtype=float)
+        _require_finite(s=self.s, x=self.x, xi=self.xi)
+        shape = (self.s.size, 4, self.alg.dim)
+        for name, arr in (("x", self.x), ("xi", self.xi)):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         hs = np.diff(self.s)
         if self.s.size < 2 or np.any(hs <= 0):
             raise ValueError("path grid must be strictly increasing")
@@ -77,10 +92,11 @@ class DiscretePath:
 
 @dataclass
 class PathVariation:
-    """Real node profiles; endpoints must vanish.
+    """Real node profiles, one row per path node; endpoints must vanish.
 
     ``dx`` perturbs the even coordinates directly; ``dxi`` multiplies a
-    fresh odd generator.  Exactly one of the two is set.
+    fresh odd generator.  Exactly one of the two is set, and it must be
+    finite.
     """
 
     dx: np.ndarray | None = None
@@ -89,16 +105,23 @@ class PathVariation:
     def __post_init__(self):
         if (self.dx is None) == (self.dxi is None):
             raise ValueError("set exactly one of dx, dxi")
-        arr = self.dx if self.dx is not None else self.dxi
-        arr = np.asarray(arr, dtype=float)
+        name = "dx" if self.dx is not None else "dxi"
+        arr = np.asarray(getattr(self, name), dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ValueError("variation profile must have shape (M+1, 4)")
+            raise ValueError(f"variation profile {name} must have shape (M+1, 4)")
+        _require_finite(**{name: arr})
         if np.any(arr[0] != 0.0) or np.any(arr[-1] != 0.0):
             raise ValueError("variation must vanish at the path endpoints")
-        if self.dx is not None:
-            self.dx = arr
-        else:
-            self.dxi = arr
+        setattr(self, name, arr)
+
+
+def _profile(path: DiscretePath, variation: PathVariation) -> np.ndarray:
+    """The variation's profile, checked to have one row per node of the path."""
+    name = "dx" if variation.dx is not None else "dxi"
+    prof = getattr(variation, name)
+    if prof.shape[0] != path.s.size:
+        raise ValueError(f"{name} has {prof.shape[0]} rows, the path has {path.s.size} nodes")
+    return prof
 
 
 @dataclass
@@ -131,13 +154,11 @@ def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
 
         vv, _, _, lam = _multiplier(alg, f, vm, xim, par)
         kin = 0.5 * m * vv
-        spin_kin = -0.25 * np.einsum(
-            "m,...md->...d", SIGNS, alg.mul(xim, xidot, ODD, ODD)
-        )
+        spin_kin = -0.25 * _gdot(alg, xim, xidot, ODD, ODD)
         coupling = par.charge * alg.mul(pot, vm, EVEN, EVEN).sum(axis=-2)
         pair = alg.mul(xim[..., :, None, :], xim[..., None, :, :], ODD, ODD)
         mag = (par.mu_prime / (4.0 * m)) * _emul(alg, f, pair, EVEN).sum(axis=(-3, -2))
-        con = np.einsum("m,...md->...d", SIGNS, alg.mul(xim, vm, ODD, EVEN))
+        con = _gdot(alg, xim, vm, ODD, EVEN)
         l_mid = kin + spin_kin + coupling + mag + alg.mul(lam, con, ODD, ODD)
         total += h * l_mid.sum(axis=0)
     return total
@@ -167,35 +188,36 @@ def action(path: DiscretePath, fld, par: ModelParams) -> GrassmannNumber:
 def even_directional_quotient(
     path: DiscretePath, fld, par: ModelParams, variation: PathVariation, h_dir: float
 ) -> GrassmannNumber:
-    """Two-sided difference quotient of the action along an even direction."""
+    """Two-sided difference quotient of the action along an even direction,
+    at amplitude step ``h_dir`` > 0."""
     if variation.dx is None:
         raise ValueError("even quotient needs an x-variation")
+    dx = _profile(path, variation)
+    if not (math.isfinite(h_dir) and h_dir > 0):
+        raise ValueError(f"h_dir must be a positive finite number, got {h_dir!r}")
     sub, masks, (x, xi) = path.alg.subalgebra(path.x, path.xi)
-    return _lift(path.alg, masks, _quotient(sub, fld, par, path.s, x, xi, variation.dx, h_dir))
+    return _lift(path.alg, masks, _quotient(sub, fld, par, path.s, x, xi, dx, h_dir))
 
 
 def stationarity_residual(
-    path: DiscretePath,
-    fld,
-    par: ModelParams,
-    variation: PathVariation,
-    h_dir: float = 1e-4,
+    path: DiscretePath, fld, par: ModelParams, variation: PathVariation
 ) -> float:
     """Magnitude of the first directional derivative of the action.
 
-    Even directions: two-sided quotients at h_dir and h_dir/2, Richardson
-    extrapolated.  Odd directions: exact coefficient of the fresh generator
-    (h_dir is not used).
+    Even directions: two-sided quotients at amplitude steps ``H_DIR`` and
+    ``H_DIR``/2, Richardson extrapolated.  Odd directions: exact coefficient
+    of the fresh generator.
     """
+    prof = _profile(path, variation)
     sub, _, (x, xi) = path.alg.subalgebra(path.x, path.xi)
     if variation.dx is not None:
-        q1 = _quotient(sub, fld, par, path.s, x, xi, variation.dx, h_dir)
-        q2 = _quotient(sub, fld, par, path.s, x, xi, variation.dx, 0.5 * h_dir)
+        q1 = _quotient(sub, fld, par, path.s, x, xi, prof, H_DIR)
+        q2 = _quotient(sub, fld, par, path.s, x, xi, prof, 0.5 * H_DIR)
         return float(np.max(np.abs((4.0 * q2 - q1) / 3.0)))
 
     ext = algebra(sub.n + 1)
     xi = sub.embed(xi, ext)
-    xi[..., sub.dim] += variation.dxi
+    xi[..., sub.dim] += prof
     act = _action_coeffs(ext, fld, par, path.s, sub.embed(x, ext), xi)
     # monomials containing the fresh (highest) generator sit in the upper half
     return float(np.max(np.abs(act[sub.dim :])))

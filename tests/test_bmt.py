@@ -206,7 +206,7 @@ class TestOracle:
         par = ModelParams(mass=1.0, charge=0.0, mu_prime=0.8)
         st = planar_state()
         f = constant_f_lower([0.3, 0.0, 0.0], [0.0, 0.0, 1.0])
-        out = analytic_constant_field(st, f, par, s=3.7, h_ref=0.1)
+        out = analytic_constant_field(st, f, par, s=3.7)
         assert np.allclose(out.u, st.u, atol=1e-13)
         assert np.allclose(out.x, st.x + 3.7 * st.u, atol=1e-12)
 

@@ -195,10 +195,24 @@ class TestExitCodes:
     ])
     def test_bad_option_number_rejected(self, tmp_path, capsys, option, value):
         cfg = write_cfg(tmp_path)
+        command = "verify" if option == "--seed" else "compare"
         with pytest.raises(SystemExit) as info:
-            main(["compare", "--config", cfg, option, value])
+            main([command, "--config", cfg, option, value])
         assert info.value.code == 2
         assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("simulate-bmt", "--threshold", "0.1"), ("simulate-bmt", "--seed", "3"),
+        ("simulate-super", "--threshold", "0.1"), ("simulate-super", "--seed", "3"),
+        ("compare", "--seed", "3"), ("verify", "--threshold", "0.1"),
+    ])
+    def test_option_of_another_subcommand_rejected(self, tmp_path, capsys, command, option,
+                                                   value):
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, option, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compare", "simulate-bmt"])
     @pytest.mark.parametrize("path", ["params", "field", "initial", "initial.spin", "integrator"])

@@ -68,6 +68,14 @@ def test_constant_field_rejects_non_finite(build, name, bad):
         build(**vectors)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polynomial_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"coefficient of \(1, 0, 0, 0\) must be finite"):
+        Polynomial({(1, 0, 0, 0): bad})
+    with pytest.raises(ValueError, match=r"coefficient of \(0, 2, 0, 0\) must be finite"):
+        FieldConfig.from_entries([(1, (0, 0, 1, 0), 0.5), (1, (0, 2, 0, 0), bad)])
+
+
 class TestFieldTensor:
     def test_zero_potential(self, alg4):
         fld = FieldConfig([Polynomial.zero()] * 4)

@@ -571,3 +571,9 @@ class TestLeadingOrder:
             leading_order(traj)
         with pytest.raises(ValueError):
             leading_order(traj, on_zero="raise")
+
+    @pytest.mark.parametrize("on_zero", ["bogus", "Warn", None])
+    def test_unknown_on_zero_rejected(self, alg4, b_field, params, on_zero):
+        traj = integrate_super(standard_state(alg4), b_field, params, h=1e-3, steps=2)
+        with pytest.raises(ValueError, match="on_zero must be 'warn', 'raise' or 'ignore'"):
+            leading_order(traj, on_zero=on_zero)

@@ -156,13 +156,68 @@ class TestStationarity:
         with pytest.raises(ValueError, match="endpoint"):
             PathVariation(dx=prof)
 
-    def test_odd_direction_uses_fresh_generator(self, alg4, b_field, params):
-        # the residual must not depend on h_dir for odd directions
-        path = solution_path(alg4, b_field, params, steps=120)
+    def test_odd_direction_uses_fresh_generator(self, b_field, params):
+        # the path loads theta1 and theta2 (k = 2); adding theta3 * profile
+        # to xi, the odd residual is the theta3 block of the public action
+        alg2, ext = algebra(2), algebra(3)
+        path = solution_path(alg2, b_field, params, steps=120)
         var = bump(path, 1, [1.0, 0.5, -0.2, 0.8], "xi")
-        r_a = stationarity_residual(path, b_field, params, var, h_dir=1e-3)
-        r_b = stationarity_residual(path, b_field, params, var, h_dir=1e-6)
-        assert r_a == r_b
+        xi = alg2.embed(path.xi, ext)
+        xi[..., alg2.dim] += var.dxi
+        varied = DiscretePath(ext, path.s, alg2.embed(path.x, ext), xi)
+        upper = action(varied, b_field, params).coeffs[alg2.dim:]
+        assert upper.any()
+        assert stationarity_residual(path, b_field, params, var) == np.max(np.abs(upper))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["x", "xi"])
+    def test_path_rejects_non_finite(self, alg4, name, bad):
+        path = straight_line_path(alg4, n_nodes=9)
+        arrays = {"x": path.x.copy(), "xi": path.xi.copy()}
+        arrays[name][4, 1, 3] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            DiscretePath(alg4, path.s, **arrays)
+
+    @pytest.mark.parametrize("nodes", [8, 10])
+    @pytest.mark.parametrize("name", ["x", "xi"])
+    def test_path_rejects_wrong_node_count(self, alg4, name, nodes):
+        path = straight_line_path(alg4, n_nodes=9)
+        arrays = {"x": path.x, "xi": path.xi}
+        arrays[name] = np.zeros((nodes, 4, alg4.dim))
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            DiscretePath(alg4, path.s, **arrays)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", ["dx", "dxi"])
+    def test_variation_rejects_non_finite(self, name, bad):
+        prof = np.zeros((9, 4))
+        prof[4, 2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PathVariation(**{name: prof})
+
+    @pytest.mark.parametrize("rows", [5, 8, 10])
+    @pytest.mark.parametrize("name", ["dx", "dxi"])
+    def test_profile_rows_must_match_path(self, alg4, b_field, params, name, rows):
+        path = straight_line_path(alg4, n_nodes=9)
+        var = PathVariation(**{name: np.zeros((rows, 4))})
+        want = f"^{name} has {rows} rows, the path has 9 nodes"
+        with pytest.raises(ValueError, match=want):
+            stationarity_residual(path, b_field, params, var)
+        if name == "dx":
+            with pytest.raises(ValueError, match=want):
+                even_directional_quotient(path, b_field, params, var, 1e-3)
+
+    @pytest.mark.parametrize("h_dir", [0.0] + NON_FINITE)
+    def test_quotient_rejects_bad_step(self, alg4, b_field, params, h_dir):
+        path = straight_line_path(alg4, n_nodes=9)
+        var = bump(path, 1, [0.0, 1.0, 0.0, 0.0], "x")
+        with pytest.raises(ValueError, match="^h_dir must be a positive finite number"):
+            even_directional_quotient(path, b_field, params, var, h_dir)
 
 
 class TestEulerLagrangeResidual:
