@@ -1,17 +1,28 @@
 #!/usr/bin/env python3
 """Per-call timings of ``super_dynamics._rhs`` and of the products and even
-inverses it makes, in this checkout against another one.
+inverses it makes, and of the BMT rate and RK4 step, in this checkout
+against another one.
 
     python scripts/rhs_timings.py OTHER_CHECKOUT
 
-Cases: N in {2, 4, 6} x the fields ``constant_eb`` and ``gradient_b`` of
-``tests/conftest.py``, with mu' = 1.2.  The state is the last record of four
-RK4 steps (h = 0.05) from ``loaded_state(N)``, so x and v carry souls.  Each
-case times one ``_rhs`` call, then replays the ``mul`` calls and the
-``invert_even`` calls that one ``_rhs`` makes, with the operands it passed,
-and times each replay.  Products made inside ``invert_even`` count under
-``invert_even`` only.  A figure is the median over five repeats of the mean
-time per call, in microseconds, with each repeat about 50 ms long.
+``_rhs`` cases: N in {2, 4, 6} x the fields ``constant_eb`` and
+``gradient_b`` of ``tests/conftest.py``, with mu' = 1.2.  The state is the
+last record of four RK4 steps (h = 0.05) from ``loaded_state(N)``, so x and
+v carry souls.  Each case times one ``_rhs`` call, then replays the ``mul``
+calls and the ``invert_even`` calls that one ``_rhs`` makes, with the
+operands it passed, and times each replay.  Products made inside
+``invert_even`` count under ``invert_even`` only.
+
+BMT cases: the same two fields, mu' = 1.2, in the job shape of the
+``bmt_sweep`` benchmark workload (100 steps, h = 0.005, every 10th state
+recorded).  Each case records the rate function and initial state that
+``integrate_bmt`` hands to ``rk4``, times one call of that rate, and times
+the whole run divided by its 100 steps ("rk4 step", which includes the
+run's set-up and records).  Recording at ``rk4`` keeps the cases the same
+on checkouts whose rate functions differ.
+
+A figure is the median over five repeats of the mean time per call, in
+microseconds, with each repeat about 50 ms long.
 
 Every case runs in a fresh interpreter that imports the package and
 ``tests/conftest.py`` from its checkout's ``src/`` and ``tests/``, with BLAS
@@ -19,7 +30,7 @@ pinned to one thread.  The two checkouts alternate case by case, which side
 goes first alternating too, for ``ROUNDS`` rounds, because a shared host's
 speed drifts over seconds.  The script prints, per case and layer, the
 median over rounds on both sides and the ratio this/other.  A run takes
-about two and a half minutes on a 2-core host.
+about three and a half minutes on a 2-core host.
 """
 
 import json
@@ -32,15 +43,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 11
 CASES = [(n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
+CASES += [("bmt", name) for name in ("constant_eb", "gradient_b")]
 
-CHILD = """
+PRELUDE = """
 import json, statistics, sys, time
-root, n, name = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+root, n, name = sys.argv[1], sys.argv[2], sys.argv[3]
 sys.path[:0] = [root + "/src", root + "/tests"]
-from conftest import field_corpus, loaded_state
-from grasspin import ModelParams, integrate_super
-from grasspin.grassmann import GrassmannAlgebra
-from grasspin.super_dynamics import _rhs
 
 def median_us(call, target_s=0.05, repeat=5):
     t0 = time.perf_counter()
@@ -53,10 +61,17 @@ def median_us(call, target_s=0.05, repeat=5):
             call()
         times.append((time.perf_counter() - t0) / number)
     return 1e6 * statistics.median(times)
+"""
+
+CHILD_RHS = PRELUDE + """
+from conftest import field_corpus, loaded_state
+from grasspin import ModelParams, integrate_super
+from grasspin.grassmann import GrassmannAlgebra
+from grasspin.super_dynamics import _rhs
 
 fld = dict(field_corpus())[name]
 par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
-traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=4)
+traj = integrate_super(loaded_state(int(n)), fld, par, h=0.05, steps=4)
 args = (traj.alg, fld, par, traj.x[-1], traj.v[-1], traj.xi[-1])
 
 # record the calls of one _rhs; products inside invert_even are its own
@@ -90,10 +105,37 @@ print(json.dumps({
 }))
 """
 
+CHILD_BMT = PRELUDE + """
+from conftest import boosted_velocity, field_corpus
+from grasspin import BMTState, ModelParams, integrate_bmt
+import grasspin.bmt as bmt
 
-def timings(root: Path, n: int, name: str) -> dict:
+fld = dict(field_corpus())[name]
+par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+state = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                            [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+steps, h, record_every = 100, 0.005, 10
+
+# the rate and initial state integrate_bmt hands to rk4
+rk4, seen = bmt.rk4, []
+def rec_rk4(rates, y, *a):
+    seen.append((rates, y))
+    return rk4(rates, y, *a)
+bmt.rk4 = rec_rk4
+integrate_bmt(state, fld, par, h, steps, record_every)
+bmt.rk4 = rk4
+rates, y0 = seen[0]
+print(json.dumps({
+    "rate": median_us(lambda: rates(y0, None)),
+    "rk4 step": median_us(lambda: integrate_bmt(state, fld, par, h, steps, record_every)) / steps,
+}))
+"""
+
+
+def timings(root: Path, n, name: str) -> dict:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", CHILD, str(root.resolve()), str(n), name],
+    child = CHILD_BMT if n == "bmt" else CHILD_RHS
+    out = subprocess.run([sys.executable, "-c", child, str(root.resolve()), str(n), name],
                          check=True, stdout=subprocess.PIPE, env=env).stdout
     return json.loads(out)
 
@@ -116,7 +158,8 @@ def main(argv: list[str]) -> int:
             a = statistics.median(run[layer] for run in mine)
             b = statistics.median(run[other_layer] for run in theirs)
             label = layer if layer == other_layer else f"{layer} ({other_layer})"
-            print(f"n={n} {name:<12} {label:<16} {a:>9.1f} {b:>9.1f} {a / b:>6.2f}", flush=True)
+            case = f"{n} " if n == "bmt" else f"n={n} "
+            print(f"{case}{name:<12} {label:<16} {a:>9.1f} {b:>9.1f} {a / b:>6.2f}", flush=True)
     return 0
 
 

@@ -18,9 +18,18 @@ follows a linear flow with a constant generator.  :class:`ConstantFieldOracle`
 evaluates it with one matrix exponential per sample time and serves as the
 reference for the fixed-step integrator.
 
-The integrator evaluates F at every RK4 stage only for a field that varies;
-a constant field's F_{mu nu} is computed once, when the field is built, and
-read at every stage.
+The integrator steps the 14-vector (x, u, s), with s the six covariant
+pairs S_{mu nu} in ``PAIRS`` order, the same pair layout as the oracle's
+generator.  With q^sigma = F^{rho sigma} u_rho its rate is
+
+    dx = u,   du = -(e/m) q,   ds = [(mu'/m) K(F) + ((mu' - e)/m) W(q, u)] s,
+
+where du = -(e/m) q is the force law above, because F is antisymmetric, and
+K (linear in the six F pairs) and W (bilinear in q and u) are 6 x 6 maps
+read off fixed coefficient tensors.  ``_du`` and ``_dspin`` keep the
+transport in 4 x 4 form as the readable reference.  F is evaluated at every
+RK4 stage only for a field that varies; a constant field's coefficients are
+formed once per run.
 """
 
 from __future__ import annotations
@@ -116,25 +125,78 @@ def _dspin(f_lo: np.ndarray, u: np.ndarray, spin: np.ndarray, par: ModelParams) 
 
 
 def _pack(state: BMTState) -> np.ndarray:
-    """One state as the 24-vector (x, u, spin.ravel())."""
-    return np.concatenate([state.x, state.u, state.spin.ravel()])
+    """One state as the 14-vector (x, u, s), s the six ``PAIRS`` of S_{mu nu}."""
+    return np.concatenate([state.x, state.u, pack_pairs(state.spin)])
 
 
-def _split(y: np.ndarray):
-    """Views x, u and spin of packed states (..., 24)."""
-    return y[..., :4], y[..., 4:8], y[..., 8:].reshape(y.shape[:-1] + (4, 4))
+def _rate_maps():
+    """The fixed linear maps of the pair-space rate, as (_F_ETA, _K, _T).
+
+    With f the six pairs of F_{mu nu}, s those of S_{mu nu} and
+    q = u @ (F eta):
+
+        (F eta).ravel() = f @ _F_ETA                                   (6, 16)
+        pack(t - t^T) = K s,  t = F eta S,          K.ravel() = f @ _K    (6, 36)
+        pack(w - w^T) = W s,  w_{mu nu} = (q S)_mu u_nu,
+                              W.ravel() = (q outer u).ravel() @ _T       (16, 36)
+
+    Each is read off the unit antisymmetric tensors E_p = unpack_pairs(e_p).
+    """
+    unit = unpack_pairs(np.eye(6))
+    f_eta = unit * SIGNS
+    t = f_eta[:, None] @ unit                                   # [p, j] = E_p eta E_j
+    k = np.moveaxis(pack_pairs(t - np.swapaxes(t, -1, -2)), -1, 1)
+    w = unit[:, :, None, :, None] * np.diag(SIGNS)[:, None, :]   # [j, a, b, mu, nu]
+    w = np.moveaxis(pack_pairs(w - np.swapaxes(w, -1, -2)), 0, -1)
+    return f_eta.reshape(6, 16), k.reshape(6, 36), w.reshape(16, 36)
 
 
-def _rates(y: np.ndarray, fld, par: ModelParams) -> np.ndarray:
-    """Rate of one packed state (x, u, spin), packed the same way."""
-    x, u, spin = _split(y)
-    f_lo = fld._f_const if fld.constant else fld.f_lower_real(x)
-    return np.concatenate([u, _du(f_lo, u, par), _dspin(f_lo, u, spin, par).ravel()])
+_F_ETA, _K, _T = _rate_maps()
+
+
+def _pair_rate(fld, par: ModelParams):
+    """The rate ``rate(y, i)`` of the 14-vector y = (x, u, s), for :func:`rk4`.
+
+    The three rates of :func:`integrate_bmt` are one product dy = G @ (u, s)
+    with the 14 x 10 matrix
+
+        G = [[1, 0], [-(e/m) (F eta)^T, 0], [0, (mu'/m) K + ((mu' - e)/m) W]].
+
+    F eta and the F-linear blocks of G come from the six F pairs through
+    fixed maps: a constant field forms them once per run, a polynomial field
+    with one product ``monomials(x) @ program`` per stage.  W is bilinear in
+    q and u, so G's last block is u @ (q @ g_qu) with g_qu fixed for the run.
+    """
+    g_f = np.zeros((6, 14, 10))
+    g_f[:, 4:8, :4] = -(par.charge / par.mass) * np.swapaxes(_F_ETA.reshape(6, 4, 4), 1, 2)
+    g_f[:, 8:, 4:] = (par.mu_prime / par.mass) * _K.reshape(6, 6, 6)
+    maps = np.hstack([_F_ETA, g_f.reshape(6, 140)])
+    base = np.zeros(156)
+    base[16:].reshape(14, 10)[:4, :4] = np.eye(4)
+    g_qu = np.zeros((16, 14, 10))
+    g_qu[:, 8:, 4:] = (par.anomaly / par.mass) * _T.reshape(16, 6, 6)
+    g_qu = g_qu.reshape(4, 560)
+    if fld.constant:
+        fixed = pack_pairs(fld._f_const) @ maps + base
+    else:
+        fixed, monomials = None, fld._f_eval.monomials
+        program = fld._f_eval.gather[:, : len(PAIRS)] @ maps
+    dot = np.dot   # less call overhead than @ on operands this small
+
+    def rate(y, i):
+        c = fixed if fixed is not None else dot(monomials(y[:4]), program) + base
+        u = y[4:8]
+        q = dot(u, c[:16].reshape(4, 4))
+        g = c[16:] + dot(u, dot(q, g_qu).reshape(4, 140))
+        return dot(g.reshape(14, 10), y[4:])
+
+    return rate
 
 
 def bmt_rhs(state: BMTState, fld, par: ModelParams):
     """(dx, du, dspin) of the reduced system at a state."""
-    return _split(_rates(_pack(state), fld, par))
+    dy = _pair_rate(fld, par)(_pack(state), 0)
+    return dy[:4], dy[4:8], unpack_pairs(dy[8:])
 
 
 def integrate_bmt(
@@ -147,13 +209,22 @@ def integrate_bmt(
 ) -> BMTTrajectory:
     """Classical fixed-step RK4 (:func:`~grasspin.super_dynamics.rk4`).
 
-    The state (x, u, S) is packed into one 24-vector.  The records are
-    returned as views into one (R, 24) array, together with the invariants
-    u.u, max |u.S| and S.S of each recorded state.
+    The state is the 14-vector (x, u, s), s the covariant pairs S_{mu nu} in
+    ``PAIRS`` order.  With q = u @ (F eta), that is q^sigma = F^{rho sigma} u_rho,
+    and K, W the 6 x 6 pair maps of :func:`_rate_maps`, the rate is
+
+        dx = u,   du = -(e/m) q,   ds = [(mu'/m) K(F) + ((mu' - e)/m) W(q, u)] s.
+
+    du is the Lorentz force (e/m) F^{mu nu} u_nu, which equals -(e/m) q^mu
+    because F is antisymmetric.  A constant field's coefficients are formed
+    once per run; a polynomial field is evaluated once per stage.  The
+    recorded spin pairs are unpacked once, into exactly antisymmetric
+    tensors, and returned with the invariants u.u, max |u.S| and S.S of each
+    recorded state.
     """
-    rec_steps, rec = rk4(lambda y, i: _rates(y, fld, par), _pack(state0), h, steps, record_every)
-    x, u, spin = _split(rec)
-    return BMTTrajectory(state0.s + h * rec_steps, x, u, spin, *_invariants(u, spin))
+    rec_steps, rec = rk4(_pair_rate(fld, par), _pack(state0), h, steps, record_every)
+    u, spin = rec[:, 4:8], unpack_pairs(rec[:, 8:])
+    return BMTTrajectory(state0.s + h * rec_steps, rec[:, :4], u, spin, *_invariants(u, spin))
 
 
 # ----------------------------------------------------------------------

@@ -154,6 +154,13 @@ class FieldSpec:
     f_terms: list | None = None
 
     def build(self):
+        """The field; a term whose derivatives overflow is a ConfigError."""
+        try:
+            return self._build()
+        except ValueError as err:
+            raise ConfigError(f"field: {err}") from err
+
+    def _build(self):
         if self.kind == "constant":
             return constant_field(self.e_field, self.b_field)
         if self.kind == "polynomial":

@@ -14,6 +14,7 @@ the Maxwell residual check and has no action/potential support.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +67,26 @@ def _parse_even_point(x):
         return bodies, souls, alg
     bodies = np.asarray([float(c) for c in x])
     return bodies, None, algebra(2)
+
+
+def _overflow_error(err: ValueError, components) -> ValueError:
+    """The error for a field whose derived coefficient overflowed (``err``),
+    naming the first term the caller wrote that causes it.
+
+    ``components`` lists (label, Polynomial) as the caller gave them.  The
+    largest coefficient that a term c x^e derives is its full derivative,
+    |c| prod(e_i!).
+    """
+    for label, poly in components:
+        for exps, coef in poly.terms.items():
+            top = abs(coef)
+            for e in exps:
+                for k in range(2, e + 1):
+                    top *= k
+            if not math.isfinite(top):
+                return ValueError(f"{label}, term {exps}: coefficient {coef!r} "
+                                  f"overflows in its derivatives")
+    return ValueError(f"field terms combine past the float range: {err}")
 
 
 def _wrap_tensor(coeffs: np.ndarray, alg: GrassmannAlgebra) -> np.ndarray:
@@ -149,15 +170,20 @@ class FieldConfig(_FieldBase):
         if len(potential) != 4:
             raise ValueError("potential needs 4 components")
         self.potential = [p if isinstance(p, Polynomial) else Polynomial(p) for p in potential]
-        self._f_polys = [
-            [
-                self.potential[n].diff(m) - self.potential[m].diff(n)
-                for n in range(4)
+        try:
+            self._f_polys = [
+                [
+                    self.potential[n].diff(m) - self.potential[m].diff(n)
+                    for n in range(4)
+                ]
+                for m in range(4)
             ]
-            for m in range(4)
-        ]
-        self._init_evaluators()
-        self._a_eval = PolyVectorEvaluator(self.potential)
+            self._init_evaluators()
+            self._a_eval = PolyVectorEvaluator(self.potential)
+        except ValueError as err:
+            raise _overflow_error(
+                err, [(f"potential component {mu}", p) for mu, p in enumerate(self.potential)]
+            ) from err
 
     def potential_coeffs(
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
@@ -190,7 +216,12 @@ class DirectField(_FieldBase):
             polys[m][n] = poly if isinstance(poly, Polynomial) else Polynomial(poly)
             polys[n][m] = -polys[m][n]
         self._f_polys = polys
-        self._init_evaluators()
+        try:
+            self._init_evaluators()
+        except ValueError as err:
+            raise _overflow_error(
+                err, [(f"F component {mn}", polys[mn[0]][mn[1]]) for mn in components]
+            ) from err
 
 
 def constant_f_lower(e_field: Sequence[float], b_field: Sequence[float]) -> np.ndarray:

@@ -23,10 +23,13 @@ from grasspin import (
     spin_velocity_angle,
 )
 from grasspin.bmt import PAIRS, _dspin, _du
-from grasspin.fields import _FieldBase
 from grasspin.minkowski import SIGNS, minkowski_dot, unpack_pairs
+from grasspin.polynomials import PolyVectorEvaluator
+from grasspin.super_dynamics import rk4
 
-from conftest import boosted_velocity, gradient_b_field
+from conftest import boosted_velocity, field_corpus, gradient_b_field
+
+CORPUS = dict(field_corpus())
 
 
 def spin_from_generators(c1, c2):
@@ -54,6 +57,16 @@ def dspin_outer(f_lo, u, spin, par):
     u_lo = SIGNS * u
     t2 = par.anomaly * (np.outer(p, u_lo) - np.outer(u_lo, p))
     return (t1 + t2) / par.mass
+
+
+def rates_24(fld, par):
+    """Rate of the 24-vector (x, u, spin.ravel()) from ``_du`` and ``_dspin``:
+    the reference that steps the whole 4 x 4 spin tensor."""
+    def rates(y, i):
+        x, u, spin = y[:4], y[4:8], y[8:].reshape(4, 4)
+        f_lo = fld._f_const if fld.constant else fld.f_lower_real(x)
+        return np.concatenate([u, _du(f_lo, u, par), _dspin(f_lo, u, spin, par).ravel()])
+    return rates
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -119,6 +132,65 @@ class TestBmtRhs:
             assert np.array_equal(_dspin(f, u, spin, par), dspin_outer(f, u, spin, par))
 
 
+class TestPairRate:
+    """``integrate_bmt``'s rate on the six spin pairs against the 4 x 4
+    reference transport ``_du`` and ``_dspin``."""
+
+    @staticmethod
+    def assert_matches_reference(fld, f_lo, x, u, spin, par):
+        # relative to the size of the terms each rate sums
+        f, u_max, s = np.max(np.abs(f_lo)), np.max(np.abs(u)), np.max(np.abs(spin))
+        dx, du, dspin = bmt_rhs(BMTState(x, u, spin), fld, par)
+        assert np.array_equal(dx, u)
+        du_scale = abs(par.charge) * f * u_max / par.mass
+        assert np.max(np.abs(du - _du(f_lo, u, par))) <= 1e-15 * du_scale
+        ds_scale = (abs(par.mu_prime) + abs(par.anomaly) * u_max**2) * f * s / par.mass
+        assert np.max(np.abs(dspin - _dspin(f_lo, u, spin, par))) <= 1e-15 * ds_scale
+
+    @staticmethod
+    def random_params(rng):
+        return ModelParams(mass=rng.uniform(0.5, 2.0), charge=rng.normal(),
+                           mu_prime=rng.normal())
+
+    def test_random_constant_fields(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            fld = constant_field(rng.normal(size=3), rng.normal(size=3))
+            u, spin = rng.normal(size=4), unpack_pairs(rng.normal(size=6))
+            self.assert_matches_reference(fld, fld._f_const, np.zeros(4), u, spin,
+                                          self.random_params(rng))
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_corpus_fields_at_random_points(self, name):
+        fld = CORPUS[name]
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            x = rng.uniform(-1.0, 1.0, size=4)
+            u, spin = rng.normal(size=4), unpack_pairs(rng.normal(size=6))
+            self.assert_matches_reference(fld, fld.f_lower_real(x), x, u, spin,
+                                          self.random_params(rng))
+
+    @pytest.mark.parametrize("mu_prime", [0.0, 1.2, 2.0])
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_trajectory_matches_24_vector_reference(self, name, mu_prime):
+        fld = CORPUS[name]
+        par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
+        st = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+        traj = integrate_bmt(st, fld, par, h=0.05, steps=16, record_every=1)
+        _, rec = rk4(rates_24(fld, par), np.concatenate([st.x, st.u, st.spin.ravel()]),
+                     0.05, 16, 1)
+        for got, want in ((traj.x, rec[:, :4]), (traj.u, rec[:, 4:8]),
+                          (traj.spin, rec[:, 8:].reshape(-1, 4, 4))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_recorded_spin_exactly_antisymmetric(self, params):
+        st = BMTState.from_pairs(np.zeros(4), boosted_velocity(1.5),
+                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+        traj = integrate_bmt(st, CORPUS["random_cubic"], params, h=0.05, steps=16)
+        assert np.array_equal(traj.spin, -np.swapaxes(traj.spin, 1, 2))
+
+
 class TestIntegrateBmt:
     def test_free_particle_straight_line(self, params):
         fld = FieldConfig([Polynomial.zero()] * 4)
@@ -171,15 +243,16 @@ class TestIntegrateBmt:
         assert np.max(np.abs(traj.ss - traj.ss[0])) < 1e-8
 
     def test_constant_field_skips_field_evaluation(self, params, b_field, monkeypatch):
+        # every real-point field evaluation computes the program's monomials
         calls = []
-        evaluate = _FieldBase.f_lower_real
+        evaluate = PolyVectorEvaluator.monomials
 
-        def counted(fld, points):
+        def counted(ev, points):
             calls.append(np.shape(points))
-            return evaluate(fld, points)
+            return evaluate(ev, points)
 
         varying = gradient_b_field()
-        monkeypatch.setattr(_FieldBase, "f_lower_real", counted)
+        monkeypatch.setattr(PolyVectorEvaluator, "monomials", counted)
         integrate_bmt(planar_state(), b_field, params, h=0.01, steps=10)
         assert calls == []
         integrate_bmt(planar_state(), varying, params, h=0.01, steps=10)

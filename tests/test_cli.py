@@ -88,6 +88,15 @@ class TestExitCodes:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compare", "simulate-super", "verify"])
+    def test_overflowing_potential_term_is_config_error(self, tmp_path, capsys, command):
+        # finite coefficient whose derivative 3e308 x1^2 overflows
+        cfg = write_cfg(tmp_path, {"field": {"kind": "polynomial", "terms": [
+            {"component": 1, "exponents": [0, 3, 0, 0], "coefficient": 1e308}]}})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: field: potential component 1, term (0, 3, 0, 0)" in err
+
     @pytest.mark.parametrize("path", [
         "thresholds.uu_drfit", "compare.treshold", "verify.point",
         "output.coefficient_mask", "algebra.n_generator",

@@ -76,6 +76,28 @@ def test_polynomial_rejects_non_finite(bad):
         FieldConfig.from_entries([(1, (0, 0, 1, 0), 0.5), (1, (0, 2, 0, 0), bad)])
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: FieldConfig.from_entries([(1, (0, 3, 0, 0), 1e308)]),
+                 r"^potential component 1, term \(0, 3, 0, 0\): coefficient 1e\+308 overflows",
+                 id="potential"),
+    pytest.param(lambda: FieldConfig.from_entries([(0, (0, 1, 0, 0), 0.5), (2, (2, 0, 1, 0), 1e308)]),
+                 r"^potential component 2, term \(2, 0, 1, 0\): coefficient 1e\+308 overflows",
+                 id="second-term"),
+    pytest.param(lambda: DirectField({(0, 1): Polynomial({(1, 0, 0, 0): 1.0}),
+                                      (1, 2): Polynomial({(0, 0, 0, 3): 1e308})}),
+                 r"^F component \(1, 2\), term \(0, 0, 0, 3\): coefficient 1e\+308 overflows",
+                 id="direct"),
+    pytest.param(lambda: FieldConfig.from_entries([(0, (0, 1, 0, 0), -1.5e308),
+                                                   (1, (1, 0, 0, 0), 1.5e308)]),
+                 r"^field terms combine past the float range", id="sum"),
+])
+def test_overflowing_derivative_names_written_term(build, message):
+    # the derived coefficient that overflows (here 3e308 x1^2, or F_01 = 3e308)
+    # is not a term the caller wrote
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestFieldTensor:
     def test_zero_potential(self, alg4):
         fld = FieldConfig([Polynomial.zero()] * 4)
