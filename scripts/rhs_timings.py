@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-call timings of ``super_dynamics._rhs`` and of the products and even
-inverses it makes, and of the BMT rate and RK4 step, in this checkout
-against another one.
+inverses it makes, of the rate that ``integrate_super`` steps, and of the
+BMT rate and RK4 step, in this checkout against another one.
 
     python scripts/rhs_timings.py OTHER_CHECKOUT
 
@@ -12,6 +12,13 @@ v carry souls.  Each case times one ``_rhs`` call, then replays the ``mul``
 calls and the ``invert_even`` calls that one ``_rhs`` makes, with the
 operands it passed, and times each replay.  Products made inside
 ``invert_even`` count under ``invert_even`` only.
+
+Rate cases: ``constant_eb`` at N = 2 and ``gradient_b`` at N = 4, mu' =
+1.2, from ``loaded_state(N)``.  Each case records the rate function and
+initial state that ``integrate_super`` hands to ``rk4`` and times one call
+of that rate.  At N = 2 on a constant field that is the rate program, on
+checkouts that have one; the N = 4 ``gradient_b`` case steps ``_rhs`` on
+every checkout.
 
 BMT cases: the same two fields, mu' = 1.2, in the job shape of the
 ``bmt_sweep`` benchmark workload (100 steps, h = 0.005, every 10th state
@@ -30,7 +37,7 @@ pinned to one thread.  The two checkouts alternate case by case, which side
 goes first alternating too, for ``ROUNDS`` rounds, because a shared host's
 speed drifts over seconds.  The script prints, per case and layer, the
 median over rounds on both sides and the ratio this/other.  A run takes
-about three and a half minutes on a 2-core host.
+about four minutes on a 2-core host.
 """
 
 import json
@@ -42,8 +49,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 11
-CASES = [(n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
-CASES += [("bmt", name) for name in ("constant_eb", "gradient_b")]
+CASES = [("rhs", n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
+CASES += [("rate", 2, "constant_eb"), ("rate", 4, "gradient_b")]
+CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b")]
 
 PRELUDE = """
 import json, statistics, sys, time
@@ -105,6 +113,26 @@ print(json.dumps({
 }))
 """
 
+CHILD_RATE = PRELUDE + """
+from conftest import field_corpus, loaded_state
+from grasspin import ModelParams, integrate_super
+import grasspin.super_dynamics as sd
+
+fld = dict(field_corpus())[name]
+par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+
+# the rate and initial state integrate_super hands to rk4
+rk4, seen = sd.rk4, []
+def rec_rk4(rates, y, *a):
+    seen.append((rates, y))
+    return rk4(rates, y, *a)
+sd.rk4 = rec_rk4
+integrate_super(loaded_state(int(n)), fld, par, h=0.05, steps=4)
+sd.rk4 = rk4
+rates, y0 = seen[0]
+print(json.dumps({"rate": median_us(lambda: rates(y0, None))}))
+"""
+
 CHILD_BMT = PRELUDE + """
 from conftest import boosted_velocity, field_corpus
 from grasspin import BMTState, ModelParams, integrate_bmt
@@ -132,10 +160,12 @@ print(json.dumps({
 """
 
 
-def timings(root: Path, n, name: str) -> dict:
+CHILDREN = {"rhs": CHILD_RHS, "rate": CHILD_RATE, "bmt": CHILD_BMT}
+
+
+def timings(root: Path, kind: str, n: int, name: str) -> dict:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    child = CHILD_BMT if n == "bmt" else CHILD_RHS
-    out = subprocess.run([sys.executable, "-c", child, str(root.resolve()), str(n), name],
+    out = subprocess.run([sys.executable, "-c", CHILDREN[kind], str(root.resolve()), str(n), name],
                          check=True, stdout=subprocess.PIPE, env=env).stdout
     return json.loads(out)
 
@@ -150,16 +180,17 @@ def main(argv: list[str]) -> int:
         for c, case in enumerate(CASES):
             for side in (("this", "other") if (r + c) % 2 == 0 else ("other", "this")):
                 runs[side, case].append(timings(sides[side], *case))
-    print(f"{'case':<16} {'layer':<16} {'this_us':>9} {'other_us':>9} {'ratio':>6}")
-    for n, name in CASES:
-        mine, theirs = runs["this", (n, name)], runs["other", (n, name)]
+    print(f"{'case':<21} {'layer':<16} {'this_us':>9} {'other_us':>9} {'ratio':>6}")
+    for case in CASES:
+        mine, theirs = runs["this", case], runs["other", case]
+        kind, n, name = case
+        label = {"rhs": f"n={n} ", "rate": f"rate n={n} ", "bmt": "bmt "}[kind] + name
         # a layer's label holds its call count, which the two sides may differ in
         for layer, other_layer in zip(mine[0], theirs[0]):
             a = statistics.median(run[layer] for run in mine)
             b = statistics.median(run[other_layer] for run in theirs)
-            label = layer if layer == other_layer else f"{layer} ({other_layer})"
-            case = f"{n} " if n == "bmt" else f"n={n} "
-            print(f"{case}{name:<12} {label:<16} {a:>9.1f} {b:>9.1f} {a / b:>6.2f}", flush=True)
+            layer_label = layer if layer == other_layer else f"{layer} ({other_layer})"
+            print(f"{label:<21} {layer_label:<16} {a:>9.1f} {b:>9.1f} {a / b:>6.2f}", flush=True)
     return 0
 
 

@@ -26,10 +26,9 @@ generator.  With q^sigma = F^{rho sigma} u_rho its rate is
 
 where du = -(e/m) q is the force law above, because F is antisymmetric, and
 K (linear in the six F pairs) and W (bilinear in q and u) are 6 x 6 maps
-read off fixed coefficient tensors.  ``_du`` and ``_dspin`` keep the
-transport in 4 x 4 form as the readable reference.  F is evaluated at every
-RK4 stage only for a field that varies; a constant field's coefficients are
-formed once per run.
+read off fixed coefficient tensors.  F is evaluated at every RK4 stage only
+for a field that varies; a constant field's coefficients are formed once per
+run.
 """
 
 from __future__ import annotations
@@ -106,22 +105,6 @@ class BMTTrajectory:
 
     def state(self, i: int) -> BMTState:
         return BMTState(self.x[i], self.u[i], self.spin[i], float(self.s[i]))
-
-
-def _du(f_lo: np.ndarray, u: np.ndarray, par: ModelParams) -> np.ndarray:
-    return (par.charge / par.mass) * SIGNS * (f_lo @ u)
-
-
-def _dspin(f_lo: np.ndarray, u: np.ndarray, spin: np.ndarray, par: ModelParams) -> np.ndarray:
-    """Covariant-component spin transport; f_lo and the state at one point."""
-    fmix = f_lo * SIGNS                   # F_mu^{ rho}
-    t1 = fmix @ spin
-    t1 = par.mu_prime * (t1 - t1.T)
-    q = u @ fmix                          # q^sigma = F^{rho sigma} u_rho
-    p = q @ spin                          # p_mu = q^sigma S_{sigma mu}
-    w = p[:, None] * (SIGNS * u)          # p_mu u_nu
-    t2 = par.anomaly * (w - w.T)
-    return (t1 + t2) / par.mass
 
 
 def _pack(state: BMTState) -> np.ndarray:
@@ -239,9 +222,10 @@ class ConstantFieldOracle:
     u(s) = Lambda u(0), and x(s) - x(0) = int_0^s Lambda u(0) is the top-right
     block of exp([[A, 1], [0, 0]] s) applied to u(0).  Lambda is a Lorentz
     map that commutes with A, so in the co-rotating frame
-    S~ = Lambda^T S Lambda the spin law has a constant generator G: the
-    transport ``_dspin`` at (F, u(0)) with the charge set to zero and mu'
-    replaced by mu' - e.  Hence
+    S~ = Lambda^T S Lambda the spin law has a constant generator G on the
+    six pairs: the pair-space transport at (F, u(0)) with the charge set to
+    zero and mu' replaced by mu' - e, G = ((mu' - e)/m) (K(F) + W(q0, u0)),
+    q0 = u(0) @ (F eta), with K and W the maps of :func:`_rate_maps`.  Hence
 
         S(s) = L unpack(exp(G s) pack(S(0))) L^T,   L = Lambda^{-T} = eta Lambda eta.
 
@@ -260,16 +244,13 @@ class ConstantFieldOracle:
             raise ValueError("constant field tensor must be antisymmetric")
         self.par = par
         self.refine = int(refine)
-        co_rotating = ModelParams(par.mass, 0.0, par.anomaly)
-        spin_gen = np.stack(
-            [pack_pairs(_dspin(self.f_lo, state0.u, unpack_pairs(e), co_rotating))
-             for e in np.eye(6)],
-            axis=1,
-        )
+        f = pack_pairs(self.f_lo)
+        q0 = state0.u @ (f @ _F_ETA).reshape(4, 4)
+        spin_gen = (par.anomaly / par.mass) * (f @ _K + np.outer(q0, state0.u).ravel() @ _T)
         self._gen = np.zeros((14, 14))
         self._gen[:4, :4] = (par.charge / par.mass) * (SIGNS[:, None] * self.f_lo)
         self._gen[:4, 4:8] = np.eye(4)
-        self._gen[8:, 8:] = spin_gen
+        self._gen[8:, 8:] = spin_gen.reshape(6, 6)
 
     def sample(self, times: np.ndarray, h_ref: float | None = None) -> BMTTrajectory:
         """Oracle states at increasing times >= state0.s.

@@ -212,9 +212,17 @@ class RunConfig:
         return spin_block(self.xi_coeffs[0], self.xi_coeffs[1])
 
 
+# Largest total degree of one written field term.  The field's evaluator
+# enumerates every monomial up to the field's degree, so its build time and
+# memory grow about as the fourth power of the degree: a degree-12 potential
+# term builds in about 0.2 s, and degree 200 runs out of memory.
+MAX_TERM_DEGREE = 12
+
+
 def _term_list(raw: dict, key: str, fields: tuple[str, ...]) -> list:
     """Check ``field.<key>``: mappings with ``fields``, whole non-negative
-    exponents and a finite coefficient."""
+    exponents of total degree at most ``MAX_TERM_DEGREE`` and a finite
+    coefficient."""
     terms = _need(raw, key, "field")
     if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
         raise ConfigError(f"field.{key} must be a list of mappings")
@@ -225,8 +233,13 @@ def _term_list(raw: dict, key: str, fields: tuple[str, ...]) -> list:
         exps = t["exponents"]
         if not isinstance(exps, list) or len(exps) != 4:
             raise ConfigError(f"{name}.exponents must have 4 entries")
-        if any(_count(e, f"{name}.exponents") < 0 for e in exps):
+        exps = [_count(e, f"{name}.exponents") for e in exps]
+        if any(e < 0 for e in exps):
             raise ConfigError(f"{name}.exponents must be >= 0")
+        if sum(exps) > MAX_TERM_DEGREE:
+            raise ConfigError(
+                f"{name} has total degree {sum(exps)}, above the maximum {MAX_TERM_DEGREE}"
+            )
         _number(t["coefficient"], f"{name}.coefficient")
     return terms
 

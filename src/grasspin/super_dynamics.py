@@ -32,7 +32,27 @@ in one call.  The field tensors F_{mu nu} (..., 4, 4, dim) and
 d_kappa F_{mu nu} (..., 4, 4, 4, dim) are cut to their body, a last axis of
 length 1, when they carry no soul: for a constant field, and at points
 without a soul.  ``_emul`` multiplies a cut tensor as the real it is and
-uses the Grassmann product otherwise.
+uses the Grassmann product otherwise.  ``_rhs`` is the general path for
+every field and algebra, and the reference for the program below.
+
+Constant field, at most 2 generators.  There v = v0 + v3 theta1 theta2
+(x alike), xi = xi1 theta1 + xi2 theta2 and lam = lam1 theta1 + lam2
+theta2, with real 4-vectors v0, v3, xi_i and reals lam_i, and a grade of
+degree >= 3 is zero.  So every product above is real 4-vector arithmetic,
+which ``_const_program`` evaluates with F fixed for the run.  Write f for
+the matrix F_{mu nu}, a f for the row vector a^mu F_{mu nu}, a.b for
+sum_mu a^mu b^mu (no metric), H = f eta f (symmetric), b = v0.(eta v0)
+and c = (mu'-e)/(2m).  Then
+
+    lam_i     = (c/b) xi_i.(v0 f)
+    dlam_i/ds = (2 c^2/b) xi_i.(v0 H)
+    dv        = -(e/m) eta (v0 f + v3 f theta1 theta2)
+                - (1/m)(dlam_1 xi_2 - dlam_2 xi_1) theta1 theta2
+    dxi_i     = -(mu'/m) eta (xi_i f) - 2 lam_i v0,
+
+and E^{-1} R0 = R0/b.  R0 reduces to c ((mu'-e)/m) xi_i.(v0 H) because
+v0.(v0 f) = 0 for an antisymmetric f: the lam-terms of R0 drop out, and the
+two F-terms combine.
 """
 
 from __future__ import annotations
@@ -320,6 +340,70 @@ def _rhs(alg, fld, par, x, v, xi):
 
 
 # ----------------------------------------------------------------------
+# Rate program: constant field, at most 2 generators
+# ----------------------------------------------------------------------
+
+# (array, coefficient) of each row of the packed state (6, 4): the rows are
+# x0, x3, v0, v3, xi1, xi2, of x, v = body + theta1 theta2 coefficients and
+# xi = theta1 + theta2 coefficients.
+_PACKED = ((0, 0), (0, 3), (1, 0), (1, 3), (2, 1), (2, 2))
+
+
+def _pack(alg, y):
+    """The packed state of y = (x, v, xi) (3, 4, dim) in ``alg``, n <= 2, or
+    None when a coefficient of the wrong parity is nonzero."""
+    if y[:2][..., alg.odd_mask].any() or y[2][..., alg.even_mask].any():
+        return None
+    packed = np.zeros((len(_PACKED), 4))
+    for row, (a, c) in enumerate(_PACKED):
+        if c < alg.dim:
+            packed[row] = y[a][:, c]
+    return packed
+
+
+def _unpack(alg, packed):
+    """Packed states (..., 6, 4) as (x, v, xi) coefficient arrays (..., 3, 4, dim)."""
+    y = np.zeros(packed.shape[:-2] + (3, 4, alg.dim))
+    for row, (a, c) in enumerate(_PACKED):
+        if c < alg.dim:
+            y[..., a, :, c] = packed[..., row, :]
+    return y
+
+
+def _const_program(f, par):
+    """``terms(y)`` of a packed state y for the constant field F_{mu nu} = f.
+
+    ``terms`` returns dv (rows dv0, dv3), dxi (rows dxi1, dxi2), lam and
+    dlam/ds (theta1 and theta2 coefficients) and the body of v.v, by the
+    equations of the module docstring.  F and F eta F are stacked once, so
+    the rows (v0, v3, xi1, xi2) meet them in one product.  Raises
+    LightlikeVelocityError when v.v has zero body.
+    """
+    m, e, mup = par.mass, par.charge, par.mu_prime
+    c_lam = (mup - e) / (2.0 * m)
+    k_dot = 2.0 * c_lam * c_lam
+    fh = np.hstack((f, (f * SIGNS) @ f))       # [F | F eta F], (4, 8)
+    k_v, k_xi = -(e / m) * SIGNS, -(mup / m) * SIGNS
+    cross = np.array((1.0, -1.0)) / m          # -(1/m)(a1 xi2 - a2 xi1) = (a2, a1) . cross . xi
+    dot = np.dot   # less call overhead than @ on operands this small
+
+    def terms(y):
+        v0, xi = y[2], y[4:]
+        vv = dot(SIGNS * v0, v0)
+        if vv == 0.0:
+            raise LightlikeVelocityError("v.v has zero body")
+        p = dot(y[2:], fh)                     # rows (v0 F | v0 H), v3 F, xi1 F, xi2 F
+        lam = (c_lam / vv) * dot(xi, p[0, :4])
+        lam_dot = (k_dot / vv) * dot(xi, p[0, 4:])
+        dv = k_v * p[:2, :4]
+        dv[1] += dot(lam_dot[::-1] * cross, xi)
+        dxi = k_xi * p[2:, :4] - (2.0 * lam)[:, None] * v0
+        return dv, dxi, lam, lam_dot, vv
+
+    return terms
+
+
+# ----------------------------------------------------------------------
 # Public operations
 # ----------------------------------------------------------------------
 
@@ -402,40 +486,57 @@ def integrate_super(
     in it, and so does every product in ``_rhs``; keeping the order keeps
     the merge signs.  Recorded states are mapped back into ``state0.alg``.
 
+    The rate is ``_rhs``, the general path, except for a constant field at
+    k <= 2 whose x and v are even and whose xi is odd: there RK4 steps the
+    packed rows (x0, x3, v0, v3, xi1, xi2) with the rate of
+    ``_const_program``, the equations of the module docstring in real
+    4-vector arithmetic with F fixed for the run.  Both paths solve the same
+    equations; their results differ by roundoff.
+
     Monitors (constraint magnitude, multiplier magnitude, body of v.v) are
-    evaluated at every accepted step regardless of the recording stride.
+    evaluated at every accepted step regardless of the recording stride,
+    from the first stage of the step, and once more at the last state.
     """
     state0.validate()
     alg, masks, y0 = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
-    constraint_max, lambda_max, vv_body = [], [], []
+    y0 = np.stack(y0)
+    monitors = []   # (max |xi.v|, max |lam|, body of v.v) per step
 
     def at_step(i, kernel, *args):
         try:
             return kernel(*args)
         except LightlikeVelocityError as err:
+            if i is None:
+                raise
             raise LightlikeVelocityError(f"{err} at step {i}") from err
 
-    def monitor(v, xi, lam):
-        constraint_max.append(np.abs(_gdot(alg, xi, v, ODD, EVEN)).max())
-        lambda_max.append(np.abs(lam).max())
-        vv_body.append(_gdot(alg, v, v, EVEN, EVEN)[0])
-
-    def rates(y, i):
-        x, v, xi = y
-        if i is None:
-            dv, dxi, _, _ = _rhs(alg, fld, par, x, v, xi)
-        else:
+    packed = _pack(alg, y0) if fld.constant and alg.n <= 2 else None
+    if packed is None:
+        def rates(y, i):
+            x, v, xi = y
             dv, dxi, lam, _ = at_step(i, _rhs, alg, fld, par, x, v, xi)
-            monitor(v, xi, lam)
-        return np.array((v, dv, dxi))
+            if i is not None:
+                monitors.append((np.abs(_gdot(alg, xi, v, ODD, EVEN)).max(),
+                                 np.abs(lam).max(), _gdot(alg, v, v, EVEN, EVEN)[0]))
+            return np.array((v, dv, dxi))
+    else:
+        terms = _const_program(fld._f_const, par)
 
-    rec_steps, rec = rk4(rates, np.stack(y0), h, steps, record_every)
-    x, v, xi = rec[-1]   # monitors of the last state
-    f, _ = _field(alg, fld, x)
-    monitor(v, xi, at_step(steps, _multiplier, alg, f, v, xi, par)[3])
+        def rates(y, i):
+            dv, dxi, lam, _, vv = at_step(i, terms, y)
+            if i is not None:
+                monitors.append((np.abs(np.dot(y[4:], SIGNS * y[2])).max(),
+                                 np.abs(lam).max(), vv))
+            return np.concatenate((y[2:4], dv, dxi))
+
+    rec_steps, rec = rk4(rates, y0 if packed is None else packed, h, steps, record_every)
+    rates(rec[-1], steps)   # monitors of the last state
+    if packed is not None:
+        rec = _unpack(alg, rec)
 
     lifted = np.zeros(rec.shape[:-1] + (state0.alg.dim,))
     lifted[..., masks] = rec
+    constraint_max, lambda_max, vv_body = np.array(monitors).T.copy()
     return SuperTrajectory(
         alg=state0.alg,
         h=h,
@@ -444,9 +545,9 @@ def integrate_super(
         v=lifted[:, 1],
         xi=lifted[:, 2],
         steps_recorded=rec_steps,
-        constraint_max=np.asarray(constraint_max),
-        lambda_max=np.asarray(lambda_max),
-        vv_body=np.asarray(vv_body),
+        constraint_max=constraint_max,
+        lambda_max=lambda_max,
+        vv_body=vv_body,
     )
 
 

@@ -90,3 +90,22 @@ def loaded_state(n: int) -> SuperState:
     rows *= 0.05 / np.max(np.abs(rows), axis=1, keepdims=True)
     c = np.vstack([st2.xi[:, 1], st2.xi[:, 2], rows])
     return SuperState.from_real(np.zeros(4), u0, c, algebra(n))
+
+
+def _du(f_lo: np.ndarray, u: np.ndarray, par: ModelParams) -> np.ndarray:
+    """Lorentz force du^mu = (e/m) F^{mu nu} u_nu, the reference for the
+    BMT integrator's rate."""
+    return (par.charge / par.mass) * SIGNS * (f_lo @ u)
+
+
+def _dspin(f_lo: np.ndarray, u: np.ndarray, spin: np.ndarray, par: ModelParams) -> np.ndarray:
+    """Covariant-component spin transport in 4 x 4 form, the reference for
+    the BMT integrator's pair-space rate; f_lo and the state at one point."""
+    fmix = f_lo * SIGNS                   # F_mu^{ rho}
+    t1 = fmix @ spin
+    t1 = par.mu_prime * (t1 - t1.T)
+    q = u @ fmix                          # q^sigma = F^{rho sigma} u_rho
+    p = q @ spin                          # p_mu = q^sigma S_{sigma mu}
+    w = p[:, None] * (SIGNS * u)          # p_mu u_nu
+    t2 = par.anomaly * (w - w.T)
+    return (t1 + t2) / par.mass

@@ -27,13 +27,12 @@ from grasspin import (
     leading_order,
     spin_velocity_angle,
 )
-from grasspin.bmt import _dspin
 from grasspin.grassmann import GrassmannNumber
 from grasspin.minkowski import EPS_UPPER, SIGNS
 from grasspin.super_dynamics import eom_rhs
 from grasspin.variational import DiscretePath, stationarity_residual
 
-from conftest import boosted_velocity, field_corpus, gradient_b_field, standard_state
+from conftest import _dspin, boosted_velocity, field_corpus, gradient_b_field, standard_state
 
 PERIOD = 2 * np.pi
 XI_ROWS = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])

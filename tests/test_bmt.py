@@ -22,12 +22,12 @@ from grasspin import (
     spin_vector,
     spin_velocity_angle,
 )
-from grasspin.bmt import PAIRS, _dspin, _du
-from grasspin.minkowski import SIGNS, minkowski_dot, unpack_pairs
+from grasspin.bmt import PAIRS
+from grasspin.minkowski import SIGNS, minkowski_dot, pack_pairs, unpack_pairs
 from grasspin.polynomials import PolyVectorEvaluator
 from grasspin.super_dynamics import rk4
 
-from conftest import boosted_velocity, field_corpus, gradient_b_field
+from conftest import _dspin, _du, boosted_velocity, field_corpus, gradient_b_field
 
 CORPUS = dict(field_corpus())
 
@@ -268,6 +268,22 @@ class TestIntegrateBmt:
 
 
 class TestOracle:
+    def test_spin_generator_matches_4x4_transport(self):
+        """The generator read off the pair maps equals the one assembled, pair
+        by pair, from the 4 x 4 transport with the charge set to zero and mu'
+        replaced by mu' - e."""
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            f = unpack_pairs(rng.normal(size=6))
+            st = BMTState(np.zeros(4), rng.normal(size=4), unpack_pairs(rng.normal(size=6)))
+            par = ModelParams(mass=rng.uniform(0.5, 2.0), charge=rng.normal(),
+                              mu_prime=rng.normal())
+            co_rotating = ModelParams(par.mass, 0.0, par.anomaly)
+            want = np.stack([pack_pairs(_dspin(f, st.u, unpack_pairs(e), co_rotating))
+                             for e in np.eye(6)], axis=1)
+            got = ConstantFieldOracle(st, f, par)._gen[8:, 8:]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_time_zero_returns_initial(self, params):
         st = planar_state()
         f = constant_f_lower([0.1, 0.2, 0.0], [0.0, 0.0, 1.0])

@@ -11,6 +11,8 @@ import pytest
 import yaml
 
 from grasspin.cli import _check_finite, main
+from grasspin.config import parse_config
+from grasspin.polynomials import PolyVectorEvaluator
 from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +98,33 @@ class TestExitCodes:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error: field: potential component 1, term (0, 3, 0, 0)" in err
+
+    @pytest.mark.parametrize("command", ["simulate-bmt", "simulate-super", "compare", "verify"])
+    @pytest.mark.parametrize("key, term", [
+        ("terms", {"component": 1}), ("f_terms", {"pair": [1, 2]}),
+    ])
+    @pytest.mark.parametrize("degree", [13, 200])
+    def test_term_degree_above_maximum_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       command, key, term, degree):
+        """Rejected at parse time, before any field evaluator is built: the
+        evaluator's work grows about as the fourth power of the degree."""
+        built = []
+        init = PolyVectorEvaluator.__init__
+        monkeypatch.setattr(PolyVectorEvaluator, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        kind = "polynomial" if key == "terms" else "direct"
+        entry = {**term, "exponents": [0, 0, 0, degree], "coefficient": 1.0}
+        cfg = write_cfg(tmp_path, {"field": {"kind": kind, key: [entry]}})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"field.{key}[0] has total degree {degree}, above the maximum 12" in err
+        assert not built
+
+    def test_term_degree_at_maximum_is_accepted(self):
+        raw = copy.deepcopy(BASE)
+        raw["field"] = {"kind": "polynomial", "terms": [
+            {"component": 1, "exponents": [3, 3, 3, 3], "coefficient": 1.0}]}
+        assert parse_config(raw).field.terms[0]["exponents"] == [3, 3, 3, 3]
 
     @pytest.mark.parametrize("path", [
         "thresholds.uu_drfit", "compare.treshold", "verify.point",

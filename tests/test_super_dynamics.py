@@ -21,9 +21,10 @@ from grasspin import (
 )
 from grasspin.grassmann import EVEN, ODD, GrassmannNumber, Parity, algebra
 from grasspin.minkowski import SIGNS
+import grasspin.super_dynamics as sd
 from grasspin.super_dynamics import (
-    LightlikeVelocityError, _cut, _emul, _f_left, _field, _gdot, _multiplier, _odd_contract, _rhs,
-    multiplier_rate, rk4,
+    LightlikeVelocityError, _const_program, _cut, _emul, _f_left, _field, _gdot, _multiplier,
+    _odd_contract, _pack, _rhs, _unpack, multiplier_rate, rk4,
 )
 
 from conftest import boosted_velocity, field_corpus, gradient_b_field, loaded_state, standard_state
@@ -313,6 +314,101 @@ def test_rhs_leading_axis_rides_along(name):
         for got, same, want in zip(batched, copies, alone, strict=True):
             assert np.array_equal(got[j], same[0])
             assert np.max(np.abs(got[j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestConstProgram:
+    """The rate program of a constant field at k <= 2 against ``_rhs``."""
+
+    @staticmethod
+    def random_state(rng, alg):
+        """x and v with theta1 theta2 souls at k = 2, xi on every generator."""
+        y = np.zeros((3, 4, alg.dim))
+        y[:2, :, 0] = rng.normal(size=(2, 4))
+        y[1, 0, 0] += 3.0 * np.sign(y[1, 0, 0])      # v timelike
+        if alg.n == 2:
+            y[:2, :, 3] = rng.normal(size=(2, 4))
+        y[2][:, alg.odd_mask] = rng.normal(size=(4, alg.n))
+        return y
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_terms_match_rhs(self, n):
+        """(dv, dxi, lam, dlam/ds) over random constant E + B fields and random
+        mu', with mu' = e and mu' = 0 among them, relative to the size of the
+        terms that each sums."""
+        alg = algebra(n)
+        rng = np.random.default_rng(16 + n)
+        for case in range(60):
+            fld = constant_field(rng.normal(size=3), rng.normal(size=3))
+            m, e = rng.uniform(0.5, 2.0), rng.normal()
+            mup = (rng.normal(), e, 0.0)[case % 3]
+            par = ModelParams(mass=m, charge=e, mu_prime=mup)
+            y = self.random_state(rng, alg)
+            dv, dxi, lam, lam_dot = _rhs(alg, fld, par, *y)
+            packed = _pack(alg, y)
+            terms = _const_program(fld._f_const, par)(packed)
+            got = _unpack(alg, np.concatenate((packed[2:4], *terms[:2])))
+            assert np.array_equal(got[0], y[1])
+            got_lam, got_lam_dot = np.zeros((2, alg.dim))
+            got_lam[1:n + 1], got_lam_dot[1:n + 1] = terms[2][:n], terms[3][:n]
+            assert not np.any([t[n:] for t in terms[2:4]])
+
+            f, v, xi = np.max(np.abs(fld._f_const)), np.max(np.abs(y[1])), np.max(np.abs(y[2]))
+            vv = abs(terms[4])
+            lam_s = abs(mup - e) / (2.0 * m) * f * v * xi / vv
+            lam_dot_s = lam_s * ((abs(mup) + abs(e)) / m * f + abs(e) / m * f * v * v / vv)
+            scales = (abs(e) / m * f * v + lam_dot_s * xi / m, abs(mup) / m * f * xi + lam_s * v,
+                      lam_s, lam_dot_s)
+            for a, b, scale in zip((got[1], got[2], got_lam, got_lam_dot),
+                                   (dv, dxi, lam, lam_dot), scales, strict=True):
+                assert np.max(np.abs(a - b)) <= 1e-14 * scale
+            assert vv == pytest.approx(abs(_gdot(alg, y[1], y[1], EVEN, EVEN)[0]), rel=1e-15)
+            if mup == e:
+                assert not got_lam.any() and not got_lam_dot.any()
+
+    @pytest.mark.parametrize("mu_prime", [0.0, 1.0, 1.2, 2.0])
+    def test_run_matches_full_algebra_reference(self, mu_prime):
+        """A whole run on constant_eb at k = 2, monitors included, against RK4
+        through eom_rhs in the N = 4 algebra, step by step."""
+        fld = dict(field_corpus())["constant_eb"]
+        par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
+        c = np.array([[0.0, 0.3, 1.0, 0.0], [0.2, 0.0, -0.4, 1.0]])
+        st = SuperState.from_real(np.zeros(4), boosted_velocity(2.0), c, algebra(4))
+        h, steps = 0.05, 16
+        traj = integrate_super(st, fld, par, h=h, steps=steps)
+        assert np.any(traj.v[-1][:, 3] != 0.0) or mu_prime == 1.0
+        ref = [st]
+        for _ in range(steps):
+            y = full_algebra_rk4(ref[-1], fld, par, h, 1)
+            ref.append(SuperState(st.alg, *y))
+        for name in ("x", "v", "xi"):
+            want = np.array([getattr(r, name) for r in ref])
+            assert np.max(np.abs(getattr(traj, name) - want)) <= 1e-13
+        want_monitors = [
+            [constraint_value(r).max_abs() for r in ref],
+            [lambda_solve(r, fld, par).max_abs() for r in ref],
+            [_gdot(st.alg, r.v, r.v, EVEN, EVEN)[0] for r in ref],
+        ]
+        for got, want in zip((traj.constraint_max, traj.lambda_max, traj.vv_body),
+                             want_monitors, strict=True):
+            assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+    @pytest.mark.parametrize("n_loaded", [0, 1, 2])
+    def test_lightlike_abort_names_step(self, alg4, b_field, params, monkeypatch, n_loaded):
+        """The program raises it, as ``_rhs`` would, with the step named."""
+        monkeypatch.setattr(sd, "_rhs", None)      # the program path never calls it
+        c = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])[:n_loaded]
+        st = SuperState.from_real(np.zeros(4), [1.0, 1.0, 0.0, 0.0], c, alg4)
+        with pytest.raises(LightlikeVelocityError, match="at step 0"):
+            integrate_super(st, b_field, params, h=1e-3, steps=3)
+
+    def test_general_path_keeps_wrong_parity_soul(self, alg4, b_field, params):
+        """A tiny odd coefficient of v passes validation; the packed state
+        could not hold it, so the run takes ``_rhs``."""
+        st = standard_state(alg4)
+        st.v[0, 1] = 1e-16
+        assert _pack(algebra(2), np.stack((st.x, st.v, st.xi))[..., :4]) is None
+        traj = integrate_super(st, b_field, params, h=1e-3, steps=2)
+        assert traj.v[-1][0, 1] == 1e-16
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
