@@ -37,7 +37,6 @@ from .bmt import (
     BMTState,
     BMTTrajectory,
     ConstantFieldOracle,
-    analytic_constant_field,
     anomalous_precession,
     bmt_rhs,
     integrate_bmt,
@@ -76,7 +75,6 @@ __all__ = [
     "BMTState",
     "BMTTrajectory",
     "ConstantFieldOracle",
-    "analytic_constant_field",
     "anomalous_precession",
     "bmt_rhs",
     "integrate_bmt",

@@ -48,7 +48,6 @@ __all__ = [
     "bmt_rhs",
     "integrate_bmt",
     "ConstantFieldOracle",
-    "analytic_constant_field",
     "spin_vector",
     "spin_velocity_angle",
     "anomalous_precession",
@@ -283,13 +282,6 @@ class ConstantFieldOracle:
     def state_at(self, s: float, h_ref: float | None = None) -> BMTState:
         """Oracle state at time s; ``h_ref`` is unused, as in :meth:`sample`."""
         return self.sample(np.array([s])).state(0)
-
-
-def analytic_constant_field(
-    state0: BMTState, f_lower: np.ndarray, par: ModelParams, s: float
-) -> BMTState:
-    """Exact reference state for a constant field at time s."""
-    return ConstantFieldOracle(state0, f_lower, par).state_at(s)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ the Maxwell residual check and has no action/potential support.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -69,26 +68,6 @@ def _parse_even_point(x):
     return bodies, None, algebra(2)
 
 
-def _overflow_error(err: ValueError, components) -> ValueError:
-    """The error for a field whose derived coefficient overflowed (``err``),
-    naming the first term the caller wrote that causes it.
-
-    ``components`` lists (label, Polynomial) as the caller gave them.  The
-    largest coefficient that a term c x^e derives is its full derivative,
-    |c| prod(e_i!).
-    """
-    for label, poly in components:
-        for exps, coef in poly.terms.items():
-            top = abs(coef)
-            for e in exps:
-                for k in range(2, e + 1):
-                    top *= k
-            if not math.isfinite(top):
-                return ValueError(f"{label}, term {exps}: coefficient {coef!r} "
-                                  f"overflows in its derivatives")
-    return ValueError(f"field terms combine past the float range: {err}")
-
-
 def _wrap_tensor(coeffs: np.ndarray, alg: GrassmannAlgebra) -> np.ndarray:
     """Coefficient array (..., dim) -> object array of GrassmannNumber."""
     shape = coeffs.shape[:-1]
@@ -101,7 +80,25 @@ def _wrap_tensor(coeffs: np.ndarray, alg: GrassmannAlgebra) -> np.ndarray:
 class _FieldBase:
     """Shared evaluation machinery over the six independent F components."""
 
-    # subclasses set: _f_polys (4x4 list of Polynomial, antisymmetric)
+    # subclasses set: _f_polys (4x4 list of Polynomial, antisymmetric), from
+    # their written components in _build(components)
+
+    def _build_naming_overflow(self, label: str, components: dict) -> None:
+        """Run ``self._build(components)``.  If a derived coefficient
+        overflows, raise a ValueError naming the first written term whose own
+        derived coefficients overflow, found by building each term alone;
+        ``label`` names the kind of a component key."""
+        try:
+            self._build(components)
+        except ValueError as err:
+            for key, poly in components.items():
+                for exps, coef in poly.terms.items():
+                    try:
+                        self._build({key: Polynomial({exps: coef})})
+                    except ValueError:
+                        raise ValueError(f"{label} {key}, term {exps}: coefficient {coef!r} "
+                                         "overflows in its derivatives") from err
+            raise ValueError(f"field terms combine past the float range: {err}") from err
 
     def _init_evaluators(self) -> None:
         self._f_eval = PolyVectorEvaluator([self._f_polys[m][n] for m, n in PAIRS])
@@ -170,20 +167,15 @@ class FieldConfig(_FieldBase):
         if len(potential) != 4:
             raise ValueError("potential needs 4 components")
         self.potential = [p if isinstance(p, Polynomial) else Polynomial(p) for p in potential]
-        try:
-            self._f_polys = [
-                [
-                    self.potential[n].diff(m) - self.potential[m].diff(n)
-                    for n in range(4)
-                ]
-                for m in range(4)
-            ]
-            self._init_evaluators()
-            self._a_eval = PolyVectorEvaluator(self.potential)
-        except ValueError as err:
-            raise _overflow_error(
-                err, [(f"potential component {mu}", p) for mu, p in enumerate(self.potential)]
-            ) from err
+        self._build_naming_overflow("potential component", dict(enumerate(self.potential)))
+
+    def _build(self, components: dict[int, Polynomial]) -> None:
+        """Evaluators of the potential whose A_mu is ``components[mu]`` (zero
+        where absent)."""
+        a = [components.get(mu, Polynomial.zero()) for mu in range(4)]
+        self._f_polys = [[a[n].diff(m) - a[m].diff(n) for n in range(4)] for m in range(4)]
+        self._init_evaluators()
+        self._a_eval = PolyVectorEvaluator(a)
 
     def potential_coeffs(
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
@@ -196,7 +188,13 @@ class FieldConfig(_FieldBase):
         """Build from (component mu, exponent 4-tuple, coefficient) triples."""
         comps = [Polynomial.zero() for _ in range(4)]
         for mu, exps, coef in entries:
-            comps[int(mu)] = comps[int(mu)] + Polynomial.from_entries([(exps, coef)])
+            try:
+                if mu not in range(4):
+                    raise ValueError("component must be 0, 1, 2 or 3")
+                term = Polynomial.from_entries([(exps, coef)])
+            except ValueError as err:
+                raise ValueError(f"field entry {(mu, exps, coef)!r}: {err}") from err
+            comps[int(mu)] = comps[int(mu)] + term
         return cls(comps)
 
 
@@ -209,19 +207,21 @@ class DirectField(_FieldBase):
     """
 
     def __init__(self, components: dict[tuple[int, int], Polynomial]):
-        polys = [[Polynomial.zero() for _ in range(4)] for _ in range(4)]
+        comps = {}
         for (m, n), poly in components.items():
             if not (0 <= m < n <= 3):
                 raise ValueError(f"component pair {(m, n)} must have m < n")
-            polys[m][n] = poly if isinstance(poly, Polynomial) else Polynomial(poly)
-            polys[n][m] = -polys[m][n]
+            comps[(m, n)] = poly if isinstance(poly, Polynomial) else Polynomial(poly)
+        self._build_naming_overflow("F component", comps)
+
+    def _build(self, components: dict[tuple[int, int], Polynomial]) -> None:
+        """Evaluators of the tensor whose F_mn is ``components[(m, n)]``."""
+        polys = [[Polynomial.zero() for _ in range(4)] for _ in range(4)]
+        for (m, n), poly in components.items():
+            polys[m][n] = poly
+            polys[n][m] = -poly
         self._f_polys = polys
-        try:
-            self._init_evaluators()
-        except ValueError as err:
-            raise _overflow_error(
-                err, [(f"F component {mn}", polys[mn[0]][mn[1]]) for mn in components]
-            ) from err
+        self._init_evaluators()
 
 
 def constant_f_lower(e_field: Sequence[float], b_field: Sequence[float]) -> np.ndarray:

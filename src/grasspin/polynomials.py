@@ -15,11 +15,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grassmann import EVEN, GrassmannAlgebra
+from .grassmann import EVEN, MAX_GENERATORS, GrassmannAlgebra
 
 __all__ = ["Polynomial", "PolyVectorEvaluator"]
 
 Exponents = tuple[int, int, int, int]
+
+
+def _exponents(exps: Sequence[int]) -> Exponents:
+    """``exps`` as four whole non-negative ints; ValueError otherwise."""
+    try:
+        key = tuple(int(e) for e in exps)
+    except (TypeError, ValueError, OverflowError):
+        key = ()
+    if len(key) != 4 or any(k < 0 or k != e for k, e in zip(key, exps)):
+        raise ValueError(f"bad exponent tuple {exps!r}")
+    return key
 
 
 class Polynomial:
@@ -30,9 +41,7 @@ class Polynomial:
     def __init__(self, terms: dict[Exponents, float] | None = None):
         clean: dict[Exponents, float] = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 4 or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps}")
+            exps = _exponents(exps)
             coef = float(coef)
             if not math.isfinite(coef):
                 raise ValueError(f"coefficient of {exps} must be finite, got {coef}")
@@ -58,7 +67,7 @@ class Polynomial:
     def from_entries(cls, entries: Iterable[tuple[Sequence[int], float]]) -> "Polynomial":
         terms: dict[Exponents, float] = {}
         for exps, coef in entries:
-            key = tuple(int(e) for e in exps)
+            key = _exponents(exps)
             terms[key] = terms.get(key, 0.0) + float(coef)
         return cls(terms)
 
@@ -135,11 +144,13 @@ def _multi_indices(order: int) -> list[tuple[Exponents, Exponents | None, int]]:
 class PolyVectorEvaluator:
     """Batch evaluator for a fixed tuple of polynomials.
 
-    Precomputes the full derivative closure and flattens every
-    (derivative-order, component) slot into one vectorized monomial program,
-    so a single call yields all values needed for the Taylor expansion at a
-    Grassmann-even point.  The 1/alpha! Taylor weights are folded into the
-    program coefficients.
+    Flattens every (multi-index alpha, component) Taylor slot d^alpha p /
+    alpha! into one vectorized monomial program, so a single call yields all
+    values needed for the Taylor expansion at a Grassmann-even point.  Each
+    written term c x^e puts weight c prod C(e_i, alpha_i) on x^(e - alpha) in
+    slot (alpha, p) for every alpha <= e.  Orders stop at
+    ``MAX_GENERATORS // 2``: soul monomials of combined order above N/2
+    vanish, so no algebra reads a higher one.
     """
 
     def __init__(self, polys: Sequence[Polynomial]):
@@ -147,53 +158,38 @@ class PolyVectorEvaluator:
         self.n_polys = len(self.polys)
         self.max_degree = max((p.degree for p in self.polys), default=0)
 
-        # Derivative closure grouped by order.  Every order up to max_degree
-        # has a nonzero slot: a top-degree term x^e keeps d^alpha x^e != 0
-        # for each alpha <= e.
+        # Slots run over orders ascending, alpha in _multi_indices order,
+        # then component; rows over slots, then each component's term order.
         self._orders: list[dict] = []
-        per_alpha_polys: dict[Exponents, list[Polynomial]] = {}
-        slot_polys: list[Polynomial] = []
-        for order in range(self.max_degree + 1):
+        exps, cols, weights = [], [], []
+        slot, prev_pos = 0, {}
+        for order in range(min(self.max_degree, MAX_GENERATORS // 2) + 1):
             infos = _multi_indices(order)
-            prev_pos = (
-                {a: i for i, (a, _, _) in enumerate(_multi_indices(order - 1))}
-                if order > 0
-                else {}
-            )
-            group = {
+            self._orders.append({
                 "alphas": [a for a, _, _ in infos],
-                "parent": np.array(
-                    [0 if p is None else prev_pos[p] for _, p, _ in infos],
-                    dtype=np.int64,
-                ),
+                "parent": np.array([prev_pos.get(p, 0) for _, p, _ in infos], dtype=np.int64),
                 "axis": np.array([ax for _, _, ax in infos], dtype=np.int64),
-                "slot0": len(slot_polys),
-            }
-            for alpha, parent, ax in infos:
-                if order == 0:
-                    derivs = list(self.polys)
-                else:
-                    derivs = [p.diff(ax) for p in per_alpha_polys[parent]]
-                per_alpha_polys[alpha] = derivs
-                weight = 1.0 / math.prod(math.factorial(a) for a in alpha)
-                slot_polys.extend(p.scale(weight) for p in derivs)
-            self._orders.append(group)
+                "slot0": slot,
+            })
+            prev_pos = {a: i for i, (a, _, _) in enumerate(infos)}
+            for alpha, _, _ in infos:
+                for poly in self.polys:
+                    for e, c in poly.terms.items():
+                        if any(k < a for k, a in zip(e, alpha)):
+                            continue
+                        weight = c * math.prod(math.comb(k, a) for k, a in zip(e, alpha))
+                        if not math.isfinite(weight):
+                            raise ValueError(f"Taylor weight of {e} at {alpha} overflows")
+                        exps.append([k - a for k, a in zip(e, alpha)])
+                        cols.append(slot)
+                        weights.append(weight)
+                    slot += 1
 
         self.n_orders = len(self._orders)
-        self._build_program(slot_polys)
-
-    def _build_program(self, slot_polys: list[Polynomial]) -> None:
-        self.n_slots = len(slot_polys)
-        exps, weights = [], []
-        for slot, poly in enumerate(slot_polys):
-            for e, c in poly.terms.items():
-                exps.append(e)
-                weights.append((slot, c))
+        self.n_slots = slot
         self._exps = np.array(exps, dtype=np.int64).reshape(-1, 4)
-        gather = np.zeros((len(weights), self.n_slots))
-        for row, (slot, c) in enumerate(weights):
-            gather[row, slot] = c
-        self.gather = gather
+        self.gather = np.zeros((len(cols), self.n_slots))
+        self.gather[np.arange(len(cols)), cols] = weights
 
     def monomials(self, points: np.ndarray) -> np.ndarray:
         """The program's monomials at real points (..., 4) -> (..., n_monomials).

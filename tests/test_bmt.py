@@ -12,7 +12,6 @@ from grasspin import (
     Polynomial,
     SuperState,
     algebra,
-    analytic_constant_field,
     anomalous_precession,
     bmt_rhs,
     constant_f_lower,
@@ -287,7 +286,7 @@ class TestOracle:
     def test_time_zero_returns_initial(self, params):
         st = planar_state()
         f = constant_f_lower([0.1, 0.2, 0.0], [0.0, 0.0, 1.0])
-        out = analytic_constant_field(st, f, params, s=0.0)
+        out = ConstantFieldOracle(st, f, params).state_at(0.0)
         assert np.allclose(out.x, st.x) and np.allclose(out.u, st.u)
         assert np.allclose(out.spin, st.spin)
 
@@ -295,7 +294,7 @@ class TestOracle:
         par = ModelParams(mass=1.0, charge=0.0, mu_prime=0.8)
         st = planar_state()
         f = constant_f_lower([0.3, 0.0, 0.0], [0.0, 0.0, 1.0])
-        out = analytic_constant_field(st, f, par, s=3.7)
+        out = ConstantFieldOracle(st, f, par).state_at(3.7)
         assert np.allclose(out.u, st.u, atol=1e-13)
         assert np.allclose(out.x, st.x + 3.7 * st.u, atol=1e-12)
 

@@ -106,8 +106,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("degree", [13, 200])
     def test_term_degree_above_maximum_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                        command, key, term, degree):
-        """Rejected at parse time, before any field evaluator is built: the
-        evaluator's work grows about as the fourth power of the degree."""
+        """Rejected at parse time, before any field evaluator is built."""
         built = []
         init = PolyVectorEvaluator.__init__
         monkeypatch.setattr(PolyVectorEvaluator, "__init__",

@@ -8,13 +8,14 @@ from grasspin.fields import (
     DirectField,
     FieldConfig,
     NonEvenPointError,
+    _parse_even_point,
     constant_f_lower,
     constant_field,
     maxwell_residual,
 )
-from grasspin.grassmann import GrassmannNumber, algebra
-from grasspin.minkowski import PAIRS, pack_pairs, unpack_pairs
-from grasspin.polynomials import Polynomial
+from grasspin.grassmann import MAX_GENERATORS, GrassmannNumber, algebra
+from grasspin.minkowski import PAIRS, SIGNS, pack_pairs, unpack_pairs
+from grasspin.polynomials import Polynomial, PolyVectorEvaluator
 
 from conftest import field_corpus
 
@@ -32,13 +33,35 @@ def substitute(poly: Polynomial, point):
     return total
 
 
-def random_even_point(alg, rng):
+def assert_matches_substitution(fld: FieldConfig, point, name: str, relative: bool = False):
+    """F, its raised derivative and A at ``point`` against :func:`substitute`,
+    to 1e-12, or to 1e-12 of max(1, |value|) if ``relative``."""
+    f = fld.field_tensor(point)
+    df = fld.field_derivative(point)
+    bodies, souls, alg = _parse_even_point(point)
+    a = fld.potential_coeffs(bodies, souls, alg)
+    checks = [(f"F{m}{n}", f[m, n], fld._f_polys[m][n]) for m in range(4) for n in range(4)]
+    checks += [(f"dF{k}{m}{n}", df[k, m, n] * float(SIGNS[m] * SIGNS[n]), fld._f_polys[m][n].diff(k))
+               for k in range(4) for m in range(4) for n in range(4)]
+    checks += [(f"A{mu}", GrassmannNumber(alg, a[mu]), fld.potential[mu])
+               for mu in range(4)]
+    for label, got, poly in checks:
+        want = substitute(poly, point)
+        diff = (got - want).max_abs()
+        scale = max(1.0, want.max_abs()) if relative else 1.0
+        assert diff < 1e-12 * scale, f"{name} {label}: {diff}"
+
+
+def random_even_point(alg, rng, dense: bool = False):
+    """Even 4-vector with two soul monomials per component, or every even
+    one if ``dense``, so that products of N/2 souls survive."""
     comps = []
     even_masks = [m for m in range(1, alg.dim) if alg.degree[m] % 2 == 0]
     for _ in range(4):
         coeffs = np.zeros(alg.dim)
         coeffs[0] = rng.uniform(-2, 2)
-        for m in rng.choice(even_masks, size=2, replace=False):
+        size = len(even_masks) if dense else 2
+        for m in rng.choice(even_masks, size=size, replace=False):
             coeffs[m] = rng.uniform(-0.5, 0.5)
         comps.append(GrassmannNumber(alg, coeffs))
     return comps
@@ -87,6 +110,15 @@ def test_polynomial_rejects_non_finite(bad):
                                       (1, 2): Polynomial({(0, 0, 0, 3): 1e308})}),
                  r"^F component \(1, 2\), term \(0, 0, 0, 3\): coefficient 1e\+308 overflows",
                  id="direct"),
+    # its order-2 Taylor weight 66 * 1.2e307 x3^9 overflows
+    pytest.param(lambda: FieldConfig.from_entries([(1, (0, 0, 0, 12), 1e306)]),
+                 r"^potential component 1, term \(0, 0, 0, 12\): coefficient 1e\+306 overflows",
+                 id="taylor-weight"),
+    # 1e300 x3^12 alone builds: its 12! would overflow, but no order above 8 is formed
+    pytest.param(lambda: FieldConfig.from_entries([(1, (0, 0, 0, 12), 1e300),
+                                                   (2, (0, 3, 0, 0), 1e308)]),
+                 r"^potential component 2, term \(0, 3, 0, 0\): coefficient 1e\+308 overflows",
+                 id="high-degree-first"),
     pytest.param(lambda: FieldConfig.from_entries([(0, (0, 1, 0, 0), -1.5e308),
                                                    (1, (1, 0, 0, 0), 1.5e308)]),
                  r"^field terms combine past the float range", id="sum"),
@@ -96,6 +128,36 @@ def test_overflowing_derivative_names_written_term(build, message):
     # is not a term the caller wrote
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("exps", [(0, 1.5, 0, 0), (0, -1, 0, 0), (0, 1, 0), (0, np.nan, 0, 0)])
+def test_polynomial_rejects_bad_exponents(exps):
+    with pytest.raises(ValueError, match="^bad exponent tuple"):
+        Polynomial({exps: 1.0})
+    with pytest.raises(ValueError, match="^bad exponent tuple"):
+        Polynomial.from_entries([(exps, 1.0)])
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((-1, (0, 1, 0, 0), 1.0), r"^field entry \(-1, \(0, 1, 0, 0\), 1.0\): component must be"),
+    ((4, (0, 1, 0, 0), 1.0), r"^field entry \(4, \(0, 1, 0, 0\), 1.0\): component must be"),
+    ((1.7, (0, 1, 0, 0), 1.0), r"^field entry \(1.7, \(0, 1, 0, 0\), 1.0\): component must be"),
+    ((1, (0, 1.5, 0, 0), 1.0), r"^field entry \(1, \(0, 1.5, 0, 0\), 1.0\): bad exponent tuple"),
+], ids=["component-negative", "component-4", "component-fraction", "exponent-fraction"])
+def test_field_entries_reject_bad_input(entry, message):
+    with pytest.raises(ValueError, match=message):
+        FieldConfig.from_entries([(0, (0, 1, 0, 0), 0.5), entry])
+
+
+def test_taylor_orders_stop_at_half_the_generators(alg6):
+    # no algebra has more than MAX_GENERATORS // 2 = 8 soul factors, so
+    # degree 9 and degree 20 form the same Taylor slots
+    ev9, ev20 = (PolyVectorEvaluator([Polynomial({(0, 2, 0, d - 2): 1.0})]) for d in (9, 20))
+    assert ev9.n_orders == ev20.n_orders == MAX_GENERATORS // 2 + 1
+    assert ev9.n_slots == ev20.n_slots
+    fld = FieldConfig.from_entries([(1, (0, 0, 3, 17), 0.01), (2, (1, 0, 0, 1), 0.5)])
+    point = random_even_point(alg6, np.random.default_rng(11), dense=True)
+    assert_matches_substitution(fld, point, "degree 20", relative=True)
 
 
 class TestFieldTensor:
@@ -124,16 +186,16 @@ class TestFieldTensor:
         # agrees with the E/B constructor for B along axis 3
         assert np.allclose(f, constant_f_lower([0, 0, 0], [0, 0, b]))
 
-    def test_grassmann_point_matches_substitution(self, alg4):
+    @pytest.mark.parametrize("n_gen", [4, 6])
+    def test_grassmann_point_matches_substitution(self, n_gen):
+        # the quintic's x1^3 reaches Taylor order 3, which algebra(6) reads
+        alg = algebra(n_gen)
         rng = np.random.default_rng(3)
-        for name, fld in field_corpus():
-            point = random_even_point(alg4, rng)
-            f = fld.field_tensor(point)
-            for m in range(4):
-                for n in range(4):
-                    want = substitute(fld._f_polys[m][n], point)
-                    diff = (f[m, n] - want).max_abs()
-                    assert diff < 1e-12, f"{name}[{m}{n}]: {diff}"
+        quintic = FieldConfig.from_entries([(2, (1, 3, 0, 1), 0.37), (0, (0, 1, 1, 0), -0.8),
+                                            (3, (0, 0, 4, 1), 0.21)])
+        for name, fld in field_corpus() + [("quintic", quintic)]:
+            point = random_even_point(alg, rng, dense=True)
+            assert_matches_substitution(fld, point, name)
 
     def test_real_point_equals_real_evaluation(self):
         rng = np.random.default_rng(4)
