@@ -13,6 +13,11 @@ calls and the ``invert_even`` calls that one ``_rhs`` makes, with the
 operands it passed, and times each replay.  Products made inside
 ``invert_even`` count under ``invert_even`` only.
 
+Field cases: ``gradient_b`` at N in {4, 6}, from the same state as the
+``_rhs`` cases.  Each times ``super_dynamics._field(..., grad=True)`` at the
+state's x, whose souls carry every even degree the algebra has: F and dF
+at a soul-carrying point, as one ``_rhs`` call forms them.
+
 Rate cases: ``constant_eb`` at N = 2 and ``gradient_b`` at N = 4, mu' =
 1.2, from ``loaded_state(N)``.  Each case records the rate function and
 initial state that ``integrate_super`` hands to ``rk4`` and times one call
@@ -50,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 11
 CASES = [("rhs", n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
+CASES += [("field", n, "gradient_b") for n in (4, 6)]
 CASES += [("rate", 2, "constant_eb"), ("rate", 4, "gradient_b")]
 CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b")]
 
@@ -113,6 +119,17 @@ print(json.dumps({
 }))
 """
 
+CHILD_FIELD = PRELUDE + """
+from conftest import field_corpus, loaded_state
+from grasspin import ModelParams, integrate_super
+from grasspin.super_dynamics import _field
+
+fld = dict(field_corpus())[name]
+par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+traj = integrate_super(loaded_state(int(n)), fld, par, h=0.05, steps=4)
+print(json.dumps({"F and dF": median_us(lambda: _field(traj.alg, fld, traj.x[-1], grad=True))}))
+"""
+
 CHILD_RATE = PRELUDE + """
 from conftest import field_corpus, loaded_state
 from grasspin import ModelParams, integrate_super
@@ -160,7 +177,7 @@ print(json.dumps({
 """
 
 
-CHILDREN = {"rhs": CHILD_RHS, "rate": CHILD_RATE, "bmt": CHILD_BMT}
+CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "bmt": CHILD_BMT}
 
 
 def timings(root: Path, kind: str, n: int, name: str) -> dict:
@@ -184,7 +201,8 @@ def main(argv: list[str]) -> int:
     for case in CASES:
         mine, theirs = runs["this", case], runs["other", case]
         kind, n, name = case
-        label = {"rhs": f"n={n} ", "rate": f"rate n={n} ", "bmt": "bmt "}[kind] + name
+        label = {"rhs": f"n={n} ", "field": f"field n={n} ", "rate": f"rate n={n} ",
+                 "bmt": "bmt "}[kind] + name
         # a layer's label holds its call count, which the two sides may differ in
         for layer, other_layer in zip(mine[0], theirs[0]):
             a = statistics.median(run[layer] for run in mine)

@@ -161,8 +161,8 @@ def _pair_rate(fld, par: ModelParams):
     if fld.constant:
         fixed = pack_pairs(fld._f_const) @ maps + base
     else:
-        fixed, monomials = None, fld._f_eval.monomials
-        program = fld._f_eval.gather[:, : len(PAIRS)] @ maps
+        fixed, monomials = None, fld._f_values.monomials
+        program = fld._f_values.gather @ maps
     dot = np.dot   # less call overhead than @ on operands this small
 
     def rate(y, i):

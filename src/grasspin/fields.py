@@ -10,6 +10,16 @@ roundoff by construction.
 A second entry point (:class:`DirectField`) takes the F_{mu nu} components
 directly, bypassing any potential; it exists to feed non-closed tensors to
 the Maxwell residual check and has no action/potential support.
+
+Each field holds one Taylor program, a
+:class:`~grasspin.polynomials.PolyVectorEvaluator` over F's six ``PAIRS``
+polynomials (d_m A_n - d_n A_m of the written potential, or the written
+pairs of a DirectField) and, for a potential field, over A_mu.  Its
+components are the 24 pairs of d_kappa F, read off F's Taylor slots by a
+fixed integer map, then F, then A, so each caller reads a contiguous run of
+them from one pass: F and dF for a stage of the equations of motion, F and
+A for the discrete action.  The rows that F's values read come first, so
+the reduced (BMT) path evaluates F at real points over those rows alone.
 """
 
 from __future__ import annotations
@@ -77,11 +87,19 @@ def _wrap_tensor(coeffs: np.ndarray, alg: GrassmannAlgebra) -> np.ndarray:
     return out
 
 
-class _FieldBase:
-    """Shared evaluation machinery over the six independent F components."""
+# Components of a field's Taylor program: the 24 pairs of d_kappa F
+# (kappa-major), the six F pairs, then A_mu for a potential field.  Every
+# caller reads a contiguous run of them from one pass.
+_DF, _F, _A = slice(0, 24), slice(24, 30), slice(30, 34)
+_DF_F, _F_A = slice(0, 30), slice(24, 34)
 
-    # subclasses set: _f_polys (4x4 list of Polynomial, antisymmetric), from
-    # their written components in _build(components)
+
+class _FieldBase:
+    """Shared evaluation machinery over the six independent F components.
+
+    A subclass's ``_build(components)`` calls :meth:`_init_program` with F
+    and, for a potential field, A.
+    """
 
     def _build_naming_overflow(self, label: str, components: dict) -> None:
         """Run ``self._build(components)``.  If a derived coefficient
@@ -100,28 +118,27 @@ class _FieldBase:
                                          "overflows in its derivatives") from err
             raise ValueError(f"field terms combine past the float range: {err}") from err
 
-    def _init_evaluators(self) -> None:
-        self._f_eval = PolyVectorEvaluator([self._f_polys[m][n] for m, n in PAIRS])
-        self._df_eval = PolyVectorEvaluator(
-            [self._f_polys[m][n].diff(k) for k in range(4) for m, n in PAIRS]
-        )
-        self.constant = all(p.is_zero() for p in self._df_eval.polys)
-        # F_{mu nu} = monomials @ _f_real: the value columns of the program,
-        # laid out as a flattened antisymmetric 4x4 tensor.  Every monomial
-        # row is kept, so each entry is the dot product eval_real computes.
-        self._f_real = unpack_pairs(self._f_eval.gather[:, : len(PAIRS)]).reshape(-1, 16)
+    def _init_program(self, f_pairs: list[Polynomial], potential: list[Polynomial] = ()) -> None:
+        """The one Taylor program of F, given as its six ``PAIRS``
+        polynomials, of dF, read off F's slots, and of ``potential``."""
+        self._program = PolyVectorEvaluator(f_pairs, grad=True, extra=potential)
+        self.constant = all(p.degree == 0 for p in f_pairs)
+        # F_{mu nu} = monomials @ _f_real over the rows F's values read, its
+        # value columns laid out as a flattened antisymmetric 4x4 tensor
+        self._f_values = self._program.value_program()
+        self._f_real = unpack_pairs(self._f_values.gather).reshape(-1, 16)
         self._f_const = self.f_lower_real(np.zeros(4)) if self.constant else None
 
     # -- real-point evaluation (reduced dynamics path) -------------------
 
     def f_lower_real(self, points: np.ndarray) -> np.ndarray:
         """F_{mu nu} at real points (..., 4) -> (..., 4, 4)."""
-        vals = self._f_eval.monomials(points) @ self._f_real
+        vals = self._f_values.monomials(points) @ self._f_real
         return vals.reshape(vals.shape[:-1] + (4, 4))
 
     def df_lower_real(self, points: np.ndarray) -> np.ndarray:
         """d_kappa F_{mu nu} at real points -> (..., 4, 4, 4)."""
-        vals = self._df_eval.eval_real(points)
+        vals = self._program.eval_real(points)[..., _DF]
         return unpack_pairs(vals.reshape(vals.shape[:-1] + (4, 6)))
 
     # -- Grassmann-even evaluation (full dynamics path) -------------------
@@ -130,14 +147,23 @@ class _FieldBase:
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
     ) -> np.ndarray:
         """F_{mu nu} coefficient arrays, shape (..., 4, 4, dim)."""
-        return unpack_pairs(self._f_eval.eval_even(bodies, souls, alg), axis=-2)
+        return unpack_pairs(self._program.eval_even(bodies, souls, alg, _F), axis=-2)
 
     def df_lower_coeffs(
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
     ) -> np.ndarray:
         """d_kappa F_{mu nu} coefficient arrays, shape (..., 4, 4, 4, dim)."""
-        vals = self._df_eval.eval_even(bodies, souls, alg)
+        vals = self._program.eval_even(bodies, souls, alg, _DF)
         return unpack_pairs(vals.reshape(vals.shape[:-2] + (4, 6, alg.dim)), axis=-2)
+
+    def f_and_df_coeffs(
+        self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """F_{mu nu} and d_kappa F_{mu nu} from one pass of the program, as in
+        :meth:`f_lower_coeffs` and :meth:`df_lower_coeffs`."""
+        vals = self._program.eval_even(bodies, souls, alg, _DF_F)
+        t = unpack_pairs(vals.reshape(vals.shape[:-2] + (5, 6, alg.dim)), axis=-2)
+        return t[..., 4, :, :, :], t[..., :4, :, :, :]
 
     # -- public tensor API -------------------------------------------------
 
@@ -170,18 +196,24 @@ class FieldConfig(_FieldBase):
         self._build_naming_overflow("potential component", dict(enumerate(self.potential)))
 
     def _build(self, components: dict[int, Polynomial]) -> None:
-        """Evaluators of the potential whose A_mu is ``components[mu]`` (zero
-        where absent)."""
+        """The program of the potential whose A_mu is ``components[mu]`` (zero
+        where absent): F_mn = d_m A_n - d_n A_m, its derivatives and A."""
         a = [components.get(mu, Polynomial.zero()) for mu in range(4)]
-        self._f_polys = [[a[n].diff(m) - a[m].diff(n) for n in range(4)] for m in range(4)]
-        self._init_evaluators()
-        self._a_eval = PolyVectorEvaluator(a)
+        self._init_program([a[n].diff(m) - a[m].diff(n) for m, n in PAIRS], a)
 
     def potential_coeffs(
         self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
     ) -> np.ndarray:
         """A_mu at even points, coefficient arrays (..., 4, dim)."""
-        return self._a_eval.eval_even(bodies, souls, alg)
+        return self._program.eval_even(bodies, souls, alg, _A)
+
+    def f_and_potential_coeffs(
+        self, bodies: np.ndarray, souls: np.ndarray | None, alg: GrassmannAlgebra
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """F_{mu nu} and A_mu from one pass of the program, as in
+        :meth:`f_lower_coeffs` and :meth:`potential_coeffs`."""
+        vals = self._program.eval_even(bodies, souls, alg, _F_A)
+        return unpack_pairs(vals[..., :6, :], axis=-2), vals[..., 6:, :]
 
     @classmethod
     def from_entries(cls, entries) -> "FieldConfig":
@@ -208,20 +240,18 @@ class DirectField(_FieldBase):
 
     def __init__(self, components: dict[tuple[int, int], Polynomial]):
         comps = {}
-        for (m, n), poly in components.items():
-            if not (0 <= m < n <= 3):
-                raise ValueError(f"component pair {(m, n)} must have m < n")
-            comps[(m, n)] = poly if isinstance(poly, Polynomial) else Polynomial(poly)
+        for pair, poly in components.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(k, (int, np.integer)) for k in pair) and 0 <= pair[0] < pair[1] <= 3):
+                raise ValueError(f"component pair {pair!r} must be two integers 0 <= m < n <= 3")
+            comps[pair] = poly if isinstance(poly, Polynomial) else Polynomial(poly)
+        self.components = comps
         self._build_naming_overflow("F component", comps)
 
     def _build(self, components: dict[tuple[int, int], Polynomial]) -> None:
-        """Evaluators of the tensor whose F_mn is ``components[(m, n)]``."""
-        polys = [[Polynomial.zero() for _ in range(4)] for _ in range(4)]
-        for (m, n), poly in components.items():
-            polys[m][n] = poly
-            polys[n][m] = -poly
-        self._f_polys = polys
-        self._init_evaluators()
+        """The program of the tensor whose F_mn is ``components[(m, n)]`` and
+        its derivatives."""
+        self._init_program([components.get(pair, Polynomial.zero()) for pair in PAIRS])
 
 
 def constant_f_lower(e_field: Sequence[float], b_field: Sequence[float]) -> np.ndarray:

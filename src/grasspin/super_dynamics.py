@@ -159,16 +159,18 @@ def _emul(alg, a, b, pb=None):
 
 def _field(alg, fld, x, grad=False):
     """F_{mu nu} (..., 4, 4, dim) and d_kappa F_{mu nu} (..., 4, 4, 4, dim)
-    at even points x, each cut to its body when it has no soul.
+    at even points x, each cut to its body when it has no soul; with
+    ``grad``, both come from one pass of the field's program.
 
     dF is None for a constant field, or when ``grad`` is false.
     """
     if fld.constant:
         return fld._f_const[..., None], None
     bodies, souls = _split_even(x)
-    f = _cut(fld.f_lower_coeffs(bodies, souls, alg))
-    df = _cut(fld.df_lower_coeffs(bodies, souls, alg)) if grad else None
-    return f, df
+    if not grad:
+        return _cut(fld.f_lower_coeffs(bodies, souls, alg)), None
+    f, df = fld.f_and_df_coeffs(bodies, souls, alg)
+    return _cut(f), _cut(df)
 
 
 def _f_left(alg, f, w, pw):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, algebra
 from .super_dynamics import (
-    ModelParams, SuperTrajectory, _emul, _field, _gdot, _multiplier, _require_finite, _rhs,
+    ModelParams, SuperTrajectory, _cut, _emul, _gdot, _multiplier, _require_finite, _rhs,
     _split_even,
 )
 
@@ -149,8 +149,8 @@ def _action_coeffs(alg, fld, par, s, x, xi) -> np.ndarray:
         vm = (x[lo + 1 : hi + 1] - x[lo:hi]) / h
         xidot = (xi[lo + 1 : hi + 1] - xi[lo:hi]) / h
 
-        f, _ = _field(alg, fld, xm)
-        pot = fld.potential_coeffs(*_split_even(xm), alg)
+        f, pot = fld.f_and_potential_coeffs(*_split_even(xm), alg)
+        f = _cut(f)
 
         vv, _, _, lam = _multiplier(alg, f, vm, xim, par)
         kin = 0.5 * m * vv

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from grasspin import FieldConfig, ModelParams, Polynomial, SuperState, algebra, constant_field
-from grasspin.minkowski import SIGNS
+from grasspin.minkowski import PAIRS, SIGNS, unpack_pairs
+from grasspin.polynomials import PolyVectorEvaluator
 
 
 @pytest.fixture(scope="session")
@@ -68,6 +69,46 @@ def field_corpus() -> list[tuple[str, FieldConfig]]:
         ("gradient_b", gradient_b_field()),
         ("random_cubic", FieldConfig(cubic)),
     ]
+
+
+def reference_f_polys(fld) -> list[list[Polynomial]]:
+    """F_{mu nu} of a field as a 4 x 4 list of polynomials: d_m A_n - d_n A_m
+    by ``Polynomial.diff`` for a potential field, the written components
+    for a ``DirectField``."""
+    if hasattr(fld, "potential"):
+        a = fld.potential
+        return [[a[n].diff(m) - a[m].diff(n) for n in range(4)] for m in range(4)]
+    polys = [[Polynomial.zero() for _ in range(4)] for _ in range(4)]
+    for (m, n), poly in fld.components.items():
+        polys[m][n], polys[n][m] = poly, -poly
+    return polys
+
+
+class ReferenceField:
+    """A field evaluated by three separate programs, independent of its own
+    one program: F from ``Polynomial.diff`` of A (``reference_f_polys``),
+    dF from the 24 derivative polynomials of F, and A from its own
+    evaluator.  Each evaluator sees plain polynomials, so none of the
+    derivative weights of the field's program enter."""
+
+    def __init__(self, fld):
+        f_polys = reference_f_polys(fld)
+        self.f_eval = PolyVectorEvaluator([f_polys[m][n] for m, n in PAIRS])
+        self.df_eval = PolyVectorEvaluator([f_polys[m][n].diff(k) for k in range(4) for m, n in PAIRS])
+        self.a_eval = PolyVectorEvaluator(fld.potential) if hasattr(fld, "potential") else None
+
+    def f(self, bodies, souls, alg):
+        """F_{mu nu} coefficient arrays (..., 4, 4, dim)."""
+        return unpack_pairs(self.f_eval.eval_even(bodies, souls, alg), axis=-2)
+
+    def df(self, bodies, souls, alg):
+        """d_kappa F_{mu nu} coefficient arrays (..., 4, 4, 4, dim)."""
+        vals = self.df_eval.eval_even(bodies, souls, alg)
+        return unpack_pairs(vals.reshape(vals.shape[:-2] + (4, 6, alg.dim)), axis=-2)
+
+    def a(self, bodies, souls, alg):
+        """A_mu coefficient arrays (..., 4, dim)."""
+        return self.a_eval.eval_even(bodies, souls, alg)
 
 
 def boosted_velocity(gamma: float = 2.0) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Field tensor evaluation, exact derivatives, and the Maxwell identity."""
 
+import time
+
 import numpy as np
 import pytest
 import sympy
@@ -17,7 +19,7 @@ from grasspin.grassmann import MAX_GENERATORS, GrassmannNumber, algebra
 from grasspin.minkowski import PAIRS, SIGNS, pack_pairs, unpack_pairs
 from grasspin.polynomials import Polynomial, PolyVectorEvaluator
 
-from conftest import field_corpus
+from conftest import ReferenceField, field_corpus, gradient_b_field, reference_f_polys
 
 
 def substitute(poly: Polynomial, point):
@@ -40,8 +42,9 @@ def assert_matches_substitution(fld: FieldConfig, point, name: str, relative: bo
     df = fld.field_derivative(point)
     bodies, souls, alg = _parse_even_point(point)
     a = fld.potential_coeffs(bodies, souls, alg)
-    checks = [(f"F{m}{n}", f[m, n], fld._f_polys[m][n]) for m in range(4) for n in range(4)]
-    checks += [(f"dF{k}{m}{n}", df[k, m, n] * float(SIGNS[m] * SIGNS[n]), fld._f_polys[m][n].diff(k))
+    f_polys = reference_f_polys(fld)
+    checks = [(f"F{m}{n}", f[m, n], f_polys[m][n]) for m in range(4) for n in range(4)]
+    checks += [(f"dF{k}{m}{n}", df[k, m, n] * float(SIGNS[m] * SIGNS[n]), f_polys[m][n].diff(k))
                for k in range(4) for m in range(4) for n in range(4)]
     checks += [(f"A{mu}", GrassmannNumber(alg, a[mu]), fld.potential[mu])
                for mu in range(4)]
@@ -160,6 +163,79 @@ def test_taylor_orders_stop_at_half_the_generators(alg6):
     assert_matches_substitution(fld, point, "degree 20", relative=True)
 
 
+@pytest.mark.parametrize("pair", [(0.5, 2), (1.0, 2), ("a", 2)], ids=["half", "float", "str"])
+def test_direct_field_rejects_non_integer_pair(pair):
+    with pytest.raises(ValueError, match=r"^component pair \(.*\) must be two integers"):
+        DirectField({pair: Polynomial.constant(1.0)})
+
+
+def _direct_field() -> DirectField:
+    """A non-closed tensor with cubic and constant pairs."""
+    return DirectField({(0, 1): Polynomial({(1, 0, 0, 0): 0.3, (0, 2, 0, 1): -1.1}),
+                        (1, 3): Polynomial({(1, 1, 1, 0): 0.4, (0, 0, 2, 0): 0.25}),
+                        (2, 3): Polynomial.constant(0.7)})
+
+
+def _assert_close(got, want, label):
+    """``got`` equals ``want`` to 1e-13 of its largest |coefficient|."""
+    assert got.shape == want.shape, label
+    gap = np.max(np.abs(got - want), initial=0.0)
+    assert gap <= 1e-13 * np.max(np.abs(want), initial=0.0), f"{label}: {gap}"
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_program_matches_three_evaluator_reference(n):
+    """F, dF and A from the field's one program against three separate
+    evaluators over F = dA by ``Polynomial.diff``, its 24 derivative
+    polynomials, and A, at a batch of real points and at soul points."""
+    alg = algebra(n)
+    rng = np.random.default_rng(40 + n)
+    for name, fld in field_corpus() + [("direct", _direct_field())]:
+        ref = ReferenceField(fld)
+        points = [(rng.normal(size=(5, 4)), None)]
+        for dense in (True,) if n == 2 else (False, True):   # N = 2 has one even soul
+            _, souls, _ = _parse_even_point(random_even_point(alg, rng, dense=dense))
+            points.append((rng.normal(size=4), souls))
+        for bodies, souls in points:
+            label = f"{name} n={n} {'soul' if souls is not None else 'real'}"
+            f, df = fld.f_and_df_coeffs(bodies, souls, alg)
+            _assert_close(f, ref.f(bodies, souls, alg), f"{label} F")
+            _assert_close(df, ref.df(bodies, souls, alg), f"{label} dF")
+            _assert_close(fld.f_lower_coeffs(bodies, souls, alg), ref.f(bodies, souls, alg), label)
+            _assert_close(fld.df_lower_coeffs(bodies, souls, alg), ref.df(bodies, souls, alg), label)
+            if ref.a_eval is not None:
+                f, a = fld.f_and_potential_coeffs(bodies, souls, alg)
+                _assert_close(f, ref.f(bodies, souls, alg), f"{label} F with A")
+                _assert_close(a, ref.a(bodies, souls, alg), f"{label} A")
+                _assert_close(fld.potential_coeffs(bodies, souls, alg), ref.a(bodies, souls, alg), label)
+        pts = rng.normal(size=(7, 4))
+        _assert_close(fld.f_lower_real(pts), ref.f(pts, None, alg)[..., 0], f"{name} real F")
+        _assert_close(fld.df_lower_real(pts), ref.df(pts, None, alg)[..., 0], f"{name} real dF")
+
+
+def test_building_a_field_builds_one_program(monkeypatch):
+    built = []
+    init = PolyVectorEvaluator.__init__
+    monkeypatch.setattr(PolyVectorEvaluator, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for build in (gradient_b_field, _direct_field, lambda: constant_field([0.3, 0, 0], [0, 0, 1.0])):
+        built.clear()
+        build()
+        assert len(built) == 1
+
+
+def test_program_memory_is_bounded():
+    """A (3, 3, 3, 3) potential term, the largest the config accepts, builds
+    its program in under 0.2 s and holds under 40 MiB of arrays."""
+    start = time.perf_counter()
+    fld = FieldConfig.from_entries([(1, (3, 3, 3, 3), 1.0)])
+    seconds = time.perf_counter() - start
+    arrays = [v for obj in (fld, fld._program, fld._f_values) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 40 * 2**20
+    assert seconds < 0.2
+
+
 class TestFieldTensor:
     def test_zero_potential(self, alg4):
         fld = FieldConfig([Polynomial.zero()] * 4)
@@ -201,21 +277,23 @@ class TestFieldTensor:
         rng = np.random.default_rng(4)
         for name, fld in field_corpus():
             pts = rng.normal(size=(10, 4))
+            f_polys = reference_f_polys(fld)
             via_poly = np.array(
-                [[[fld._f_polys[m][n].eval(p) for n in range(4)] for m in range(4)]
+                [[[f_polys[m][n].eval(p) for n in range(4)] for m in range(4)]
                  for p in pts]
             )
             assert np.allclose(fld.f_lower_real(pts), via_poly, atol=1e-13), name
 
     def test_real_point_layout_equals_value_slots(self):
-        # f_lower_real reads the value slots straight into the 4x4 layout;
-        # each entry must be the same dot product as eval_real's
+        # f_lower_real reads the value slots of F's value program straight
+        # into the 4x4 layout; each entry must be the same dot product as
+        # eval_real's over that program
         rng = np.random.default_rng(8)
         direct = DirectField({(0, 1): Polynomial({(1, 0, 0, 0): 0.3, (0, 2, 0, 1): -1.1}),
                               (2, 3): Polynomial.constant(0.7)})
         for name, fld in field_corpus() + [("direct", direct)]:
             for pts in (rng.normal(size=4), rng.normal(size=(50, 4))):
-                want = unpack_pairs(fld._f_eval.eval_real(pts))
+                want = unpack_pairs(fld._f_values.eval_real(pts))
                 assert np.array_equal(fld.f_lower_real(pts), want), name
 
     def test_antisymmetry(self, alg4):

@@ -21,6 +21,7 @@ from grasspin import (
 )
 from grasspin.grassmann import EVEN, ODD, GrassmannNumber, Parity, algebra
 from grasspin.minkowski import SIGNS
+from grasspin.polynomials import PolyVectorEvaluator
 import grasspin.super_dynamics as sd
 from grasspin.super_dynamics import (
     LightlikeVelocityError, _const_program, _cut, _emul, _f_left, _field, _gdot, _multiplier,
@@ -314,6 +315,21 @@ def test_rhs_leading_axis_rides_along(name):
         for got, same, want in zip(batched, copies, alone, strict=True):
             assert np.array_equal(got[j], same[0])
             assert np.max(np.abs(got[j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_rhs_evaluates_the_field_once(monkeypatch):
+    """One ``_rhs`` call at a soul-carrying point takes F and dF from one
+    pass of the field's program."""
+    fld = gradient_b_field()
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+    traj = integrate_super(loaded_state(4), fld, par, h=0.05, steps=2)
+    assert traj.x[-1][:, 1:].any()
+    calls = []
+    evaluate = PolyVectorEvaluator.eval_even
+    monkeypatch.setattr(PolyVectorEvaluator, "eval_even",
+                        lambda self, *a, **k: calls.append(1) or evaluate(self, *a, **k))
+    _rhs(traj.alg, fld, par, traj.x[-1], traj.v[-1], traj.xi[-1])
+    assert len(calls) == 1
 
 
 class TestConstProgram:
