@@ -74,8 +74,10 @@ def library_arrays(fld, n: int, mu_prime: float) -> dict[str, np.ndarray]:
         prof = np.sin(np.pi * t)[:, None] * np.array([0.3, 1.0, -0.5, 0.7])
         prof[[0, -1]] = 0.0
         arrays["action"] = action(path, fld, par).coeffs
-        arrays["stationarity"] = np.array([
-            stationarity_residual(path, fld, par, PathVariation(dx=prof)),
+        # one array per probe; together they hash as the pair (even, odd)
+        arrays["stationarity_even"] = np.array([
+            stationarity_residual(path, fld, par, PathVariation(dx=prof))])
+        arrays["stationarity_odd"] = np.array([
             stationarity_residual(path, fld, par, PathVariation(dxi=prof))])
         el = euler_lagrange_residual(path, fld, par)
         arrays["el_x"] = el.x_residual

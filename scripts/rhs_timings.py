@@ -25,6 +25,11 @@ of that rate.  At N = 2 on a constant field that is the rate program, on
 checkouts that have one; the N = 4 ``gradient_b`` case steps ``_rhs`` on
 every checkout.
 
+Probe cases: ``gradient_b`` at N = 4, mu' = 1.2, in the job shape of the
+``full_load_poly_n4`` benchmark workload: the path of 16 RK4 steps (h =
+0.005, every state recorded) from ``loaded_state(4)``, and a sin profile.
+Each times one even and one odd ``stationarity_residual`` on that path.
+
 BMT cases: the same two fields, mu' = 1.2, in the job shape of the
 ``bmt_sweep`` benchmark workload (100 steps, h = 0.005, every 10th state
 recorded).  Each case records the rate function and initial state that
@@ -57,6 +62,7 @@ ROUNDS = 11
 CASES = [("rhs", n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
 CASES += [("field", n, "gradient_b") for n in (4, 6)]
 CASES += [("rate", 2, "constant_eb"), ("rate", 4, "gradient_b")]
+CASES += [("probe", 4, "gradient_b")]
 CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b")]
 
 PRELUDE = """
@@ -150,6 +156,26 @@ rates, y0 = seen[0]
 print(json.dumps({"rate": median_us(lambda: rates(y0, None))}))
 """
 
+CHILD_PROBE = PRELUDE + """
+import numpy as np
+from conftest import field_corpus, loaded_state
+from grasspin import DiscretePath, ModelParams, PathVariation, integrate_super
+from grasspin import stationarity_residual as probe
+
+fld = dict(field_corpus())[name]
+par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+path = DiscretePath.from_trajectory(
+    integrate_super(loaded_state(int(n)), fld, par, h=0.005, steps=16, record_every=1))
+t = (path.s - path.s[0]) / (path.s[-1] - path.s[0])
+prof = np.sin(np.pi * t)[:, None] * np.array([0.3, 1.0, -0.5, 0.7])
+prof[[0, -1]] = 0.0
+even, odd = PathVariation(dx=prof), PathVariation(dxi=prof)
+print(json.dumps({
+    "even probe": median_us(lambda: probe(path, fld, par, even)),
+    "odd probe": median_us(lambda: probe(path, fld, par, odd)),
+}))
+"""
+
 CHILD_BMT = PRELUDE + """
 from conftest import boosted_velocity, field_corpus
 from grasspin import BMTState, ModelParams, integrate_bmt
@@ -177,7 +203,8 @@ print(json.dumps({
 """
 
 
-CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "bmt": CHILD_BMT}
+CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "probe": CHILD_PROBE,
+            "bmt": CHILD_BMT}
 
 
 def timings(root: Path, kind: str, n: int, name: str) -> dict:
@@ -202,7 +229,7 @@ def main(argv: list[str]) -> int:
         mine, theirs = runs["this", case], runs["other", case]
         kind, n, name = case
         label = {"rhs": f"n={n} ", "field": f"field n={n} ", "rate": f"rate n={n} ",
-                 "bmt": "bmt "}[kind] + name
+                 "probe": f"probe n={n} ", "bmt": "bmt "}[kind] + name
         # a layer's label holds its call count, which the two sides may differ in
         for layer, other_layer in zip(mine[0], theirs[0]):
             a = statistics.median(run[layer] for run in mine)

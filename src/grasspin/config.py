@@ -296,8 +296,6 @@ def parse_config(raw: dict) -> RunConfig:
             f"initial.u0 is not normalized: u.u = {uu!r} (|u.u - 1| must be < 1e-6)"
         )
     if uu != 1.0:
-        if uu <= 0:
-            raise ConfigError(f"initial.u0 must be timelike, got u.u = {uu!r}")
         if abs(uu - 1.0) > 1e-13:  # silent below roundoff scale
             warnings.warn(f"initial.u0 rescaled: u.u = {uu!r}", stacklevel=2)
         u0 = u0 / np.sqrt(uu)

@@ -11,25 +11,25 @@ each interval, the Lagrangian at midpoint values, summed times the step.
 The multiplier lam is recomputed pointwise from the consistency condition
 (it is determined on-shell, not varied independently).
 
-Stationarity is probed directionally: even directions perturb x by a real
-profile and use a two-sided difference quotient in the perturbation
-amplitude; odd directions perturb xi by a real profile times a fresh
-generator, so the derivative is read off exactly as the coefficient block of
-that generator.
+Stationarity is probed directionally and exactly: an odd direction adds a
+real profile times a fresh generator theta_{k+1} to xi, an even one adds it
+times eps = theta_{k+1} theta_{k+2} (even, eps^2 = 0: a dual number) to x.
+The varied action is S + fresh * DS, so DS is read off as the coefficient
+block of the fresh monomial, with no step size.
 
 Each public function restricts its path once, to the k generators that x and
-xi load, and maps Grassmann-valued results back into ``path.alg``.  An odd
-probe's fresh generator goes next to them, as theta_{k+1} of algebra(k + 1).
+xi load, and maps Grassmann-valued results back into ``path.alg``.  The fresh
+generators go next to them, so an odd probe needs k + 1 and an even probe
+k + 2 generators, at most MAX_GENERATORS.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, algebra
+from .grassmann import EVEN, MAX_GENERATORS, ODD, GrassmannAlgebra, GrassmannNumber, algebra
 from .super_dynamics import (
     ModelParams, SuperTrajectory, _cut, _emul, _gdot, _multiplier, _require_finite, _rhs,
     _split_even,
@@ -47,7 +47,6 @@ __all__ = [
 
 _CHUNK = 256
 MIN_INTERVALS = 4   # the action's difference stencils need this many grid intervals
-H_DIR = 1e-4        # amplitude step of the even stationarity probe
 
 
 @dataclass
@@ -171,12 +170,23 @@ def _lift(alg: GrassmannAlgebra, masks: np.ndarray, coeffs: np.ndarray) -> Grass
     return GrassmannNumber(alg, out)
 
 
-def _quotient(alg, fld, par, s, x, xi, dx, h_dir) -> np.ndarray:
-    bump = np.zeros_like(x)
-    bump[..., 0] = dx
-    plus = _action_coeffs(alg, fld, par, s, x + h_dir * bump, xi)
-    minus = _action_coeffs(alg, fld, par, s, x - h_dir * bump, xi)
-    return (plus - minus) / (2.0 * h_dir)
+def _first_variation(path: DiscretePath, fld, par, variation: PathVariation):
+    """The masks of the restricted path in ``path.alg``, and DS along
+    ``variation`` over them: the block of the action on the fresh monomial,
+    whose mask is ext.dim - sub.dim and which every higher mask holds."""
+    prof = _profile(path, variation)
+    sub, masks, (x, xi) = path.alg.subalgebra(path.x, path.xi)
+    even = variation.dx is not None
+    n_fresh = 2 if even else 1
+    if sub.n + n_fresh > MAX_GENERATORS:
+        raise ValueError(
+            f"{'even' if even else 'odd'} stationarity probe needs at most "
+            f"{MAX_GENERATORS - n_fresh} loaded generators, the path loads {sub.n}"
+        )
+    ext = algebra(sub.n + n_fresh)
+    x, xi = sub.embed(x, ext), sub.embed(xi, ext)
+    (x if even else xi)[..., ext.dim - sub.dim] += prof
+    return masks, _action_coeffs(ext, fld, par, path.s, x, xi)[ext.dim - sub.dim :]
 
 
 def action(path: DiscretePath, fld, par: ModelParams) -> GrassmannNumber:
@@ -186,41 +196,29 @@ def action(path: DiscretePath, fld, par: ModelParams) -> GrassmannNumber:
 
 
 def even_directional_quotient(
-    path: DiscretePath, fld, par: ModelParams, variation: PathVariation, h_dir: float
+    path: DiscretePath, fld, par: ModelParams, variation: PathVariation
 ) -> GrassmannNumber:
-    """Two-sided difference quotient of the action along an even direction,
-    at amplitude step ``h_dir`` > 0."""
+    """Exact first variation of the action along an even direction, the
+    h -> 0 limit of the two-sided difference quotient, in ``path.alg``.
+
+    Needs k + 2 <= MAX_GENERATORS.  The name is kept as a span target of
+    ``bench/spans.py``."""
     if variation.dx is None:
         raise ValueError("even quotient needs an x-variation")
-    dx = _profile(path, variation)
-    if not (math.isfinite(h_dir) and h_dir > 0):
-        raise ValueError(f"h_dir must be a positive finite number, got {h_dir!r}")
-    sub, masks, (x, xi) = path.alg.subalgebra(path.x, path.xi)
-    return _lift(path.alg, masks, _quotient(sub, fld, par, path.s, x, xi, dx, h_dir))
+    masks, coeffs = _first_variation(path, fld, par, variation)
+    return _lift(path.alg, masks, coeffs)
 
 
 def stationarity_residual(
     path: DiscretePath, fld, par: ModelParams, variation: PathVariation
 ) -> float:
-    """Magnitude of the first directional derivative of the action.
-
-    Even directions: two-sided quotients at amplitude steps ``H_DIR`` and
-    ``H_DIR``/2, Richardson extrapolated.  Odd directions: exact coefficient
-    of the fresh generator.
-    """
-    prof = _profile(path, variation)
-    sub, _, (x, xi) = path.alg.subalgebra(path.x, path.xi)
-    if variation.dx is not None:
-        q1 = _quotient(sub, fld, par, path.s, x, xi, prof, H_DIR)
-        q2 = _quotient(sub, fld, par, path.s, x, xi, prof, 0.5 * H_DIR)
-        return float(np.max(np.abs((4.0 * q2 - q1) / 3.0)))
-
-    ext = algebra(sub.n + 1)
-    xi = sub.embed(xi, ext)
-    xi[..., sub.dim] += prof
-    act = _action_coeffs(ext, fld, par, path.s, sub.embed(x, ext), xi)
-    # monomials containing the fresh (highest) generator sit in the upper half
-    return float(np.max(np.abs(act[sub.dim :])))
+    """Largest |coeff| of the first variation DS along ``variation``, exact:
+    the theta_{k+1} block of the action for an odd direction, the
+    theta_{k+1} theta_{k+2} block for an even one.  Raises ValueError before
+    any action is formed when k + 1 (odd) or k + 2 (even) generators exceed
+    MAX_GENERATORS."""
+    _, coeffs = _first_variation(path, fld, par, variation)
+    return float(np.max(np.abs(coeffs)))
 
 
 def euler_lagrange_residual(path: DiscretePath, fld, par: ModelParams) -> ELResidual:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from grasspin import FieldConfig, ModelParams, Polynomial, SuperState, algebra, constant_field
+from grasspin import (
+    DiscretePath, FieldConfig, ModelParams, Polynomial, SuperState, action, algebra, constant_field,
+)
 from grasspin.minkowski import PAIRS, SIGNS, unpack_pairs
 from grasspin.polynomials import PolyVectorEvaluator
 
@@ -109,6 +111,24 @@ class ReferenceField:
     def a(self, bodies, souls, alg):
         """A_mu coefficient arrays (..., 4, dim)."""
         return self.a_eval.eval_even(bodies, souls, alg)
+
+
+def even_quotient(path, fld, par, dx: np.ndarray, h_dir: float) -> np.ndarray:
+    """Two-sided difference quotient of the public ``action`` along the real
+    x-profile ``dx`` (nodes x 4) at amplitude step ``h_dir``, as coefficients
+    of ``path.alg``: the reference for the exact even stationarity probe."""
+    def act(sign):
+        x = path.x.copy()
+        x[..., 0] += sign * h_dir * dx
+        return action(DiscretePath(path.alg, path.s, x, path.xi), fld, par).coeffs
+    return (act(1.0) - act(-1.0)) / (2.0 * h_dir)
+
+
+def richardson_quotient(path, fld, par, dx: np.ndarray, h_dir: float) -> np.ndarray:
+    """``even_quotient`` at steps h_dir and h_dir/2, Richardson extrapolated,
+    so its truncation error is O(h_dir^4)."""
+    coarse = even_quotient(path, fld, par, dx, h_dir)
+    return (4.0 * even_quotient(path, fld, par, dx, 0.5 * h_dir) - coarse) / 3.0
 
 
 def boosted_velocity(gamma: float = 2.0) -> np.ndarray:

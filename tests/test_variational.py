@@ -15,10 +15,14 @@ from grasspin import (
     integrate_super,
     stationarity_residual,
 )
-from grasspin.grassmann import Parity, algebra
+import grasspin.variational as variational
+from grasspin.grassmann import MAX_GENERATORS, Parity, algebra
 from grasspin.variational import even_directional_quotient
 
-from conftest import boosted_velocity, field_corpus, standard_state
+from conftest import (
+    boosted_velocity, even_quotient, field_corpus, loaded_state, richardson_quotient,
+    standard_state,
+)
 
 
 ZERO_FIELD = FieldConfig([Polynomial.zero()] * 4)
@@ -47,6 +51,22 @@ def bump(path, mode, direction, kind):
     prof[0] = 0.0
     prof[-1] = 0.0
     return PathVariation(dx=prof) if kind == "x" else PathVariation(dxi=prof)
+
+
+def assert_probe_reads_fresh_block(fld, par, kind):
+    """The path loads theta1 and theta2 (k = 2).  Adding the profile times
+    theta3 to xi (odd), or times theta3 theta4 to x (even), the residual is
+    the largest |coeff| of that fresh block of the public action."""
+    alg2, ext = algebra(2), algebra(3 if kind == "xi" else 4)
+    path = solution_path(alg2, fld, par, steps=120)
+    var = bump(path, 1, [1.0, 0.5, -0.2, 0.8], kind)
+    x, xi = alg2.embed(path.x, ext), alg2.embed(path.xi, ext)
+    fresh = ext.dim - alg2.dim   # theta3, or theta3 theta4
+    target, prof = (x, var.dx) if kind == "x" else (xi, var.dxi)
+    target[..., fresh] += prof
+    block = action(DiscretePath(ext, path.s, x, xi), fld, par).coeffs[fresh:]
+    assert block.any()
+    assert stationarity_residual(path, fld, par, var) == np.max(np.abs(block))
 
 
 class TestAction:
@@ -140,12 +160,12 @@ class TestStationarity:
             assert worse > 10.0 * good
 
     def test_quotient_convergence_in_h_dir(self, alg4, b_field, params):
-        # two-sided quotients at h_dir and h_dir/2 agree to O(h_dir^2)
+        # the reference's two-sided quotients at h_dir and h_dir/2 agree to O(h_dir^2)
         path = solution_path(alg4, b_field, params, steps=150)
         var = bump(path, 1, [0.3, -1.0, 0.4, 0.2], "x")
         q_vals = {}
         for h_dir in (2e-2, 1e-2, 5e-3):
-            q_vals[h_dir] = even_directional_quotient(path, b_field, params, var, h_dir).coeffs
+            q_vals[h_dir] = even_quotient(path, b_field, params, var.dx, h_dir)
         d1 = np.max(np.abs(q_vals[2e-2] - q_vals[1e-2]))
         d2 = np.max(np.abs(q_vals[1e-2] - q_vals[5e-3]))
         assert 3.0 < d1 / d2 < 5.5
@@ -157,17 +177,61 @@ class TestStationarity:
             PathVariation(dx=prof)
 
     def test_odd_direction_uses_fresh_generator(self, b_field, params):
-        # the path loads theta1 and theta2 (k = 2); adding theta3 * profile
-        # to xi, the odd residual is the theta3 block of the public action
-        alg2, ext = algebra(2), algebra(3)
-        path = solution_path(alg2, b_field, params, steps=120)
-        var = bump(path, 1, [1.0, 0.5, -0.2, 0.8], "xi")
-        xi = alg2.embed(path.xi, ext)
-        xi[..., alg2.dim] += var.dxi
-        varied = DiscretePath(ext, path.s, alg2.embed(path.x, ext), xi)
-        upper = action(varied, b_field, params).coeffs[alg2.dim:]
-        assert upper.any()
-        assert stationarity_residual(path, b_field, params, var) == np.max(np.abs(upper))
+        assert_probe_reads_fresh_block(b_field, params, "xi")
+
+    def test_even_direction_uses_fresh_monomial(self, b_field, params):
+        assert_probe_reads_fresh_block(b_field, params, "x")
+
+    def test_even_probe_has_no_roundoff_floor(self, params):
+        # 16 steps from loaded_state(4) on the zero field: the path solves
+        # the equations, so DS is the action's roundoff, with no step to divide by
+        traj = integrate_super(loaded_state(4), ZERO_FIELD, params, h=0.05, steps=16)
+        path = DiscretePath.from_trajectory(traj)
+        var = bump(path, 1, [0.3, 1.0, -0.5, 0.7], "x")
+        assert stationarity_residual(path, ZERO_FIELD, params, var) <= 1e-14
+
+    @pytest.mark.parametrize("mu_prime", [1.0, 1.2])
+    @pytest.mark.parametrize("field", ["constant_eb", "gradient_b"])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_exact_even_probe_within_richardson_error(self, n, field, mu_prime):
+        """The exact DS lies within the reference's own error estimate at
+        step h: the spread of its values at steps 2h and h, which bounds its
+        O(h^4) truncation, plus its roundoff floor of 3 M ulps of the largest
+        action coefficient over h (M midpoint terms per coefficient, and
+        Richardson weights 4/3 on the quotient at h/2 and 1/3 at h)."""
+        fld = dict(field_corpus())[field]
+        par = ModelParams(mass=1.0, charge=1.0, mu_prime=mu_prime)
+        state = standard_state(algebra(2)) if n == 2 else loaded_state(4)
+        traj = integrate_super(state, fld, par, h=2 * np.pi / 1000, steps=120, record_every=1)
+        path = DiscretePath.from_trajectory(traj)
+        var = bump(path, 1, [0.3, -1.0, 0.4, 0.2], "x")
+        h_dir = 5e-3
+        ref = richardson_quotient(path, fld, par, var.dx, h_dir)
+        spread = np.max(np.abs(richardson_quotient(path, fld, par, var.dx, 2 * h_dir) - ref))
+        scale = np.max(np.abs(action(path, fld, par).coeffs))
+        floor = 3 * (path.s.size - 1) * np.finfo(float).eps * scale / h_dir
+        exact = even_directional_quotient(path, fld, par, var).coeffs
+        assert np.max(np.abs(exact - ref)) <= spread + floor
+
+    @pytest.mark.parametrize("kind,n", [("x", MAX_GENERATORS - 1), ("xi", MAX_GENERATORS)])
+    def test_probe_rejects_path_past_generator_limit(self, monkeypatch, params, kind, n):
+        # a 5-node path loading all n generators; the check comes before any action
+        def no_action(*args):
+            raise AssertionError("action formed before the generator check")
+
+        monkeypatch.setattr(variational, "_action_coeffs", no_action)
+        alg = algebra(n)
+        xi = np.zeros((5, 4, alg.dim))
+        xi[:, 1, 1 << np.arange(n)] = 1.0
+        path = DiscretePath(alg, 0.1 * np.arange(5), np.zeros_like(xi), xi)
+        var = bump(path, 1, [0.3, 1.0, -0.5, 0.7], kind)
+        parity = "even" if kind == "x" else "odd"
+        want = f"^{parity} stationarity probe needs at most {n - 1} loaded generators, the path loads {n}$"
+        with pytest.raises(ValueError, match=want):
+            stationarity_residual(path, ZERO_FIELD, params, var)
+        if kind == "x":
+            with pytest.raises(ValueError, match=want):
+                even_directional_quotient(path, ZERO_FIELD, params, var)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -210,14 +274,7 @@ class TestInputChecks:
             stationarity_residual(path, b_field, params, var)
         if name == "dx":
             with pytest.raises(ValueError, match=want):
-                even_directional_quotient(path, b_field, params, var, 1e-3)
-
-    @pytest.mark.parametrize("h_dir", [0.0] + NON_FINITE)
-    def test_quotient_rejects_bad_step(self, alg4, b_field, params, h_dir):
-        path = straight_line_path(alg4, n_nodes=9)
-        var = bump(path, 1, [0.0, 1.0, 0.0, 0.0], "x")
-        with pytest.raises(ValueError, match="^h_dir must be a positive finite number"):
-            even_directional_quotient(path, b_field, params, var, h_dir)
+                even_directional_quotient(path, b_field, params, var)
 
 
 class TestEulerLagrangeResidual:
