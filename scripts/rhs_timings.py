@@ -3,7 +3,13 @@
 inverses it makes, of the rate that ``integrate_super`` steps, and of the
 BMT rate and RK4 step, in this checkout against another one.
 
-    python scripts/rhs_timings.py OTHER_CHECKOUT
+    python scripts/rhs_timings.py OTHER_CHECKOUT [KIND ...]
+
+KIND is one of ``rhs``, ``field``, ``rate``, ``probe`` and ``bmt``, the case
+kinds below; given one or more, only cases of those kinds run, and with
+none every case runs.  ``python scripts/rhs_timings.py OTHER probe`` runs
+its 11 rounds in about 15 s on a 2-core host, so a claim about one layer
+can be timed alone, or timed again, in little time.
 
 ``_rhs`` cases: N in {2, 4, 6} x the fields ``constant_eb`` and
 ``gradient_b`` of ``tests/conftest.py``, with mu' = 1.2.  The state is the
@@ -47,7 +53,7 @@ pinned to one thread.  The two checkouts alternate case by case, which side
 goes first alternating too, for ``ROUNDS`` rounds, because a shared host's
 speed drifts over seconds.  The script prints, per case and layer, the
 median over rounds on both sides and the ratio this/other.  A run takes
-about four minutes on a 2-core host.
+about four minutes on a 2-core host with every case.
 """
 
 import json
@@ -215,17 +221,20 @@ def timings(root: Path, kind: str, n: int, name: str) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python scripts/rhs_timings.py OTHER_CHECKOUT", file=sys.stderr)
+    kinds = argv[1:]
+    if not argv or any(kind not in CHILDREN for kind in kinds):
+        print(f"usage: python scripts/rhs_timings.py OTHER_CHECKOUT [KIND ...], "
+              f"KIND in {', '.join(CHILDREN)}", file=sys.stderr)
         return 2
+    cases = [case for case in CASES if not kinds or case[0] in kinds]
     sides = {"this": ROOT, "other": Path(argv[0])}
-    runs = {(side, case): [] for side in sides for case in CASES}
+    runs = {(side, case): [] for side in sides for case in cases}
     for r in range(ROUNDS):
-        for c, case in enumerate(CASES):
+        for c, case in enumerate(cases):
             for side in (("this", "other") if (r + c) % 2 == 0 else ("other", "this")):
                 runs[side, case].append(timings(sides[side], *case))
     print(f"{'case':<21} {'layer':<16} {'this_us':>9} {'other_us':>9} {'ratio':>6}")
-    for case in CASES:
+    for case in cases:
         mine, theirs = runs["this", case], runs["other", case]
         kind, n, name = case
         label = {"rhs": f"n={n} ", "field": f"field n={n} ", "rate": f"rate n={n} ",

@@ -19,13 +19,21 @@ to a half of what ``a[..., rows]`` costs per call, and it returns C order
 whatever the operand's layout, so the scatter's matmul sums in the same
 order for every caller.  (The rounding still depends on the batch: BLAS
 multiplies one row by a matrix-vector product and several by a matrix
-product.)  Above six, it splits off the top generator, a = a0 + a1 theta_N,
-and reduces to three products in the algebra with N - 1 generators, so
-every N ends in the table.  A caller whose data loads few generators
-restricts to them once, with ``subalgebra``, and multiplies there.
+product.)  Above the table, the product splits off the top factor t,
+a = a0 + a1 t, and reduces to three products of the halves, so every N
+ends in a table.  A caller whose data loads few generators restricts to
+them once, with ``subalgebra``, and multiplies there.
+
+``dual_algebra(k)`` is algebra(k)[eps]/(eps^2), with eps = theta_{k+1}
+theta_{k+2}: even, of degree 2, and squaring to zero.  An element
+a0 + eps a1 keeps its 2**(k+1) coefficients as [a0 | a1], and a product is
+(a0 b0, a0 b1 + a1 b0): the part of an algebra(k + 2) product that holds
+no generator above theta_k except through eps.  For k <= 6 its table is
+read off algebra(k)'s, 3**(k+1) rows in place of 3**(k+2); above, its top
+factor is eps and its halves multiply in algebra(k).
 
 A product may name the parity of each operand: ``EVEN``, ``ODD``, or None
-for either (the default).  For N <= 6 a hinted product uses a typed table,
+for either (the default).  With a table, a hinted product uses a typed table,
 the rows of the full table whose masks have the hinted parities, in the full
 table's order: for two known parities about a quarter of the pairs.  The
 rows dropped multiply coefficients that must be zero, so a true hint gives
@@ -59,6 +67,7 @@ __all__ = [
     "GrassmannAlgebra",
     "GrassmannNumber",
     "algebra",
+    "dual_algebra",
 ]
 
 # Per-coefficient absolute tolerance for equality tests.
@@ -67,9 +76,9 @@ COEFF_ATOL = 1e-12
 # lowest-degree term or classifying parity (roundoff residue, not content).
 PRUNE_TOL = 1e-14
 
-# Largest N with a multiplication table (3**N pairs); larger algebras reach it
-# by splitting off their top generator.  Every shipped config and benchmark
-# workload multiplies at N <= 6.
+# Largest N with a multiplication table (3**N pairs), and largest base of a
+# dual algebra with one; larger algebras reach it by splitting off their top
+# factor.  Every shipped config and benchmark workload multiplies at N <= 6.
 _MAX_TABLE_N = 6
 
 MAX_GENERATORS = 16
@@ -130,13 +139,22 @@ class GrassmannAlgebra:
         self.n = int(n_generators)
         self.dim = 1 << self.n
         masks = np.arange(self.dim, dtype=np.int64)
-        self.degree = _popcount(masks).astype(np.int64)  # monomial degree per mask
+        self._set_degree(_popcount(masks).astype(np.int64))
+        # (pa, pb) -> (idx_a, idx_b, scatter), or None above the table
+        self._tables = None
+        if self.n <= _MAX_TABLE_N:
+            self._build_table(masks)
+
+    def _set_degree(self, degree: np.ndarray) -> None:
+        self.degree = degree  # monomial degree per coefficient slot
         self.even_mask = self.degree % 2 == 0
         self.odd_mask = ~self.even_mask
         self._odd_slots = np.flatnonzero(self.odd_mask)
 
-        if self.n <= _MAX_TABLE_N:
-            self._build_table(masks)
+    def _split(self) -> tuple["GrassmannAlgebra", bool]:
+        """The algebra of a0 and a1 when ``mul`` splits off the top factor,
+        a = a0 + a1 t, and whether t is odd: here t = theta_N."""
+        return algebra(self.n - 1), True
 
     def _build_table(self, masks: np.ndarray) -> None:
         # Disjoint pairs (i, j) with i ascending and j descending; the order
@@ -150,7 +168,7 @@ class GrassmannAlgebra:
         # Scatter-with-sign as a single matmul: out = prod @ scatter.
         scatter = np.zeros((idx_a.size, self.dim))
         scatter[np.arange(idx_a.size), idx_a | idx_b] = signs
-        # (pa, pb) -> (idx_a, idx_b, scatter); typed tables are cut on first use.
+        # typed tables are cut on first use
         self._tables = {(None, None): (idx_a, idx_b, scatter)}
 
     def _typed_table(self, pa: int | None, pb: int | None):
@@ -172,15 +190,16 @@ class GrassmannAlgebra:
         """Grassmann product of coefficient arrays, broadcasting leading axes.
 
         ``pa`` and ``pb`` are the parities of ``a`` and ``b``: ``EVEN``,
-        ``ODD``, or None for either.  Up to N = 6 a hint drops the pairs
-        that multiply coefficients of the other parity, which a true hint
-        says are zero; a wrong hint drops terms of the product.  Hints are
-        not checked here; a test audits those the dynamics passes.  Above
-        N = 6 the hints are ignored and the top generator is split off.
+        ``ODD``, or None for either.  In an algebra with a table a hint
+        drops the pairs that multiply coefficients of the other parity,
+        which a true hint says are zero; a wrong hint drops terms of the
+        product.  Hints are not checked here; a test audits those the
+        dynamics passes.  Above the table the hints are ignored and the top
+        factor is split off.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        if self.n <= _MAX_TABLE_N:
+        if self._tables is not None:
             try:
                 ia, ib, sc = self._tables[pa, pb]
             except KeyError:
@@ -188,14 +207,13 @@ class GrassmannAlgebra:
             return a.take(ia, axis=-1) * b.take(ib, axis=-1) @ sc
         # the halves are stacked on a new leading axis, so line the batch up first
         a, b = np.broadcast_arrays(a, b)
-        # With a = a0 + a1 theta_N and b = b0 + b1 theta_N,
-        # ab = a0 b0 + (a0 b1 + a1 b0~) theta_N, where b0~ negates the odd
-        # part of b0 that theta_N moves past.
-        sub = algebra(self.n - 1)
+        # With a = a0 + a1 t and b = b0 + b1 t, ab = a0 b0 + (a0 b1 + a1 b0~) t,
+        # where b0~ negates the odd part of b0 when t is odd and moves past it.
+        sub, odd_top = self._split()
         half = sub.dim
         a0, a1 = a[..., :half], a[..., half:]
         b0, b1 = b[..., :half], b[..., half:]
-        b0_tilde = np.where(sub.odd_mask, -b0, b0)
+        b0_tilde = np.where(sub.odd_mask, -b0, b0) if odd_top else b0
         p = sub.mul(np.array((a0, a0, a1)), np.array((b0, b1, b0_tilde)))
         return np.concatenate([p[0], p[1] + p[2]], axis=-1)
 
@@ -360,6 +378,48 @@ class GrassmannAlgebra:
 def algebra(n_generators: int) -> GrassmannAlgebra:
     """Cached algebra factory; numbers with equal N share one table."""
     return GrassmannAlgebra(n_generators)
+
+
+class _DualAlgebra(GrassmannAlgebra):
+    """Dual numbers a0 + eps a1 over ``base`` = algebra(k), eps even and
+    eps^2 = 0, as coefficients [a0 | a1] of shape (..., 2**(k+1)).
+
+    Slot degrees count eps as theta_{k+1} theta_{k+2}, and ``n`` is k + 2,
+    so parities, ``invert_even``'s series and soul orders (``n // 2``) are
+    those of the embedding into algebra(k + 2).  Slots are not generator
+    masks: ``generator``, ``from_terms``, ``subalgebra`` and
+    ``GrassmannNumber``'s repr do not apply.
+    """
+
+    def __init__(self, base: GrassmannAlgebra):
+        self.base = base
+        self.n = base.n + 2
+        self.dim = 2 * base.dim
+        self._set_degree(np.concatenate([base.degree, base.degree + 2]))
+        self._tables = None
+        if base._tables is not None:
+            # a0 b0 into the low half, then a0 b1 and a1 b0 into the high one:
+            # the order in which algebra(k + 2)'s table meets these pairs
+            ia, ib, sc = base._tables[None, None]
+            d = base.dim
+            zero = np.zeros_like(sc)
+            scatter = np.block([[sc, zero], [zero, sc], [zero, sc]])
+            idx_a = np.concatenate([ia, ia, ia + d])
+            idx_b = np.concatenate([ib, ib + d, ib])
+            self._tables = {(None, None): (idx_a, idx_b, scatter)}
+
+    def _split(self) -> tuple[GrassmannAlgebra, bool]:
+        return self.base, False
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"dual_algebra({self.base.n})"
+
+
+@functools.lru_cache(maxsize=None)
+def dual_algebra(n_generators: int) -> GrassmannAlgebra:
+    """Cached algebra(k)[eps]/(eps^2), k = n_generators, with eps =
+    theta_{k+1} theta_{k+2}: the dual numbers over algebra(k)."""
+    return _DualAlgebra(algebra(n_generators))
 
 
 def _coerce(other, alg: GrassmannAlgebra):

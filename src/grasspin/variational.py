@@ -18,9 +18,11 @@ The varied action is S + fresh * DS, so DS is read off as the coefficient
 block of the fresh monomial, with no step size.
 
 Each public function restricts its path once, to the k generators that x and
-xi load, and maps Grassmann-valued results back into ``path.alg``.  The fresh
-generators go next to them, so an odd probe needs k + 1 and an even probe
-k + 2 generators, at most MAX_GENERATORS.
+xi load, and maps Grassmann-valued results back into ``path.alg``.  The odd
+probe works in algebra(k + 1).  The even probe works in algebra(k)[eps]/(eps^2),
+``dual_algebra(k)``, with 2**(k+1) coefficients: the part of algebra(k + 2)
+that eps reaches, which is all the probe reads.  The odd probe needs
+k + 1 <= MAX_GENERATORS and the even probe k + 2 <= MAX_GENERATORS.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmann import EVEN, MAX_GENERATORS, ODD, GrassmannAlgebra, GrassmannNumber, algebra
+from .grassmann import (
+    EVEN, MAX_GENERATORS, ODD, GrassmannAlgebra, GrassmannNumber, algebra, dual_algebra,
+)
 from .super_dynamics import (
     ModelParams, SuperTrajectory, _cut, _emul, _gdot, _multiplier, _require_finite, _rhs,
     _split_even,
@@ -172,8 +176,12 @@ def _lift(alg: GrassmannAlgebra, masks: np.ndarray, coeffs: np.ndarray) -> Grass
 
 def _first_variation(path: DiscretePath, fld, par, variation: PathVariation):
     """The masks of the restricted path in ``path.alg``, and DS along
-    ``variation`` over them: the block of the action on the fresh monomial,
-    whose mask is ext.dim - sub.dim and which every higher mask holds."""
+    ``variation`` over them: the block of the action on the fresh monomial.
+
+    The fresh monomial is theta_{k+1} of algebra(k + 1) for an odd
+    direction, and eps of ``dual_algebra(k)``, algebra(k)[eps]/(eps^2) with
+    2**(k+1) coefficients, for an even one.  Either way it sits at index
+    sub.dim, and its block is every index from there."""
     prof = _profile(path, variation)
     sub, masks, (x, xi) = path.alg.subalgebra(path.x, path.xi)
     even = variation.dx is not None
@@ -183,10 +191,10 @@ def _first_variation(path: DiscretePath, fld, par, variation: PathVariation):
             f"{'even' if even else 'odd'} stationarity probe needs at most "
             f"{MAX_GENERATORS - n_fresh} loaded generators, the path loads {sub.n}"
         )
-    ext = algebra(sub.n + n_fresh)
+    ext = dual_algebra(sub.n) if even else algebra(sub.n + 1)
     x, xi = sub.embed(x, ext), sub.embed(xi, ext)
-    (x if even else xi)[..., ext.dim - sub.dim] += prof
-    return masks, _action_coeffs(ext, fld, par, path.s, x, xi)[ext.dim - sub.dim :]
+    (x if even else xi)[..., sub.dim] += prof
+    return masks, _action_coeffs(ext, fld, par, path.s, x, xi)[sub.dim :]
 
 
 def action(path: DiscretePath, fld, par: ModelParams) -> GrassmannNumber:
@@ -199,7 +207,9 @@ def even_directional_quotient(
     path: DiscretePath, fld, par: ModelParams, variation: PathVariation
 ) -> GrassmannNumber:
     """Exact first variation of the action along an even direction, the
-    h -> 0 limit of the two-sided difference quotient, in ``path.alg``.
+    h -> 0 limit of the two-sided difference quotient, in ``path.alg``:
+    the eps block of one action in algebra(k)[eps]/(eps^2), with 2**(k+1)
+    coefficients.
 
     Needs k + 2 <= MAX_GENERATORS.  The name is kept as a span target of
     ``bench/spans.py``."""
@@ -213,10 +223,11 @@ def stationarity_residual(
     path: DiscretePath, fld, par: ModelParams, variation: PathVariation
 ) -> float:
     """Largest |coeff| of the first variation DS along ``variation``, exact:
-    the theta_{k+1} block of the action for an odd direction, the
-    theta_{k+1} theta_{k+2} block for an even one.  Raises ValueError before
-    any action is formed when k + 1 (odd) or k + 2 (even) generators exceed
-    MAX_GENERATORS."""
+    the theta_{k+1} block of the action in algebra(k + 1) for an odd
+    direction, the eps block of the action in algebra(k)[eps]/(eps^2), eps
+    = theta_{k+1} theta_{k+2} with 2**(k+1) coefficients, for an even one.
+    Raises ValueError before any action is formed when k + 1 (odd) or k + 2
+    (even) generators exceed MAX_GENERATORS."""
     _, coeffs = _first_variation(path, fld, par, variation)
     return float(np.max(np.abs(coeffs)))
 

@@ -15,6 +15,7 @@ from grasspin.grassmann import (
     Parity,
     ZeroLowestTermError,
     algebra,
+    dual_algebra,
 )
 
 
@@ -338,6 +339,53 @@ def test_untyped_mul_is_the_full_table_product(n):
         a = rng.normal(size=shape_a + (alg.dim,))
         b = rng.normal(size=shape_b + (alg.dim,))
         assert np.array_equal(alg.mul(a, b), a[..., idx_a] * b[..., idx_b] @ scatter)
+
+
+# ----------------------------------------------------------------------
+# Dual numbers over algebra(k)
+# ----------------------------------------------------------------------
+
+
+def random_dual(alg, rng, shape, parity):
+    """Normal coefficients of shape + (alg.dim,), zero off ``parity``."""
+    c = rng.normal(size=shape + (alg.dim,))
+    if parity is not None:
+        c[..., alg.even_mask != (parity == EVEN)] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+def test_dual_mul_matches_embedded_product(k):
+    """The dual product over algebra(k) is algebra(k + 2)'s product of the
+    operands embedded at masks m and m | 3 * 2**k, to lib_compare.py's
+    limit of 1e-15 of the reference's largest coefficient, and that product
+    has nothing off those masks.  Up to k = 6 the dual multiplies by its
+    table, at k = 7 by splitting off eps."""
+    dual, big = dual_algebra(k), algebra(k + 2)
+    slots = np.concatenate([np.arange(1 << k), np.arange(1 << k) | 3 << k])
+    rng = np.random.default_rng(1900 + k)
+    for pa, pb in [(None, None), (EVEN, EVEN), (EVEN, ODD), (ODD, EVEN), (ODD, ODD)]:
+        a = random_dual(dual, rng, (3, 1), pa)
+        b = random_dual(dual, rng, (4,), pb)
+        wide_a, wide_b = np.zeros((3, 1, big.dim)), np.zeros((4, big.dim))
+        wide_a[..., slots], wide_b[..., slots] = a, b
+        want = big.mul(wide_a, wide_b, pa, pb)
+        got = dual.mul(a, b, pa, pb)
+        assert got.shape == (3, 4, dual.dim)
+        assert not np.delete(want, slots, axis=-1).any()
+        assert np.max(np.abs(got - want[..., slots])) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_dual_inverse_counts_eps_as_degree_two():
+    """1 + theta1 theta2 + eps over algebra(2), inverted and multiplied back,
+    is exactly 1.  The inverse needs the 2 theta1 theta2 eps term of the
+    series, which stops before it if eps counts as degree 1."""
+    dual = dual_algebra(2)
+    a = np.zeros(dual.dim)
+    a[[0, 3, 4]] = 1.0   # 1, theta1 theta2, eps
+    inv = dual.invert_even(a)
+    assert inv[7] == 2.0   # theta1 theta2 eps
+    assert np.array_equal(dual.mul(inv, a), dual.scalar_coeffs(1.0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from grasspin import (
     integrate_super,
     stationarity_residual,
 )
-from grasspin.grassmann import EVEN, ODD, GrassmannAlgebra, Parity
+from grasspin.grassmann import EVEN, ODD, GrassmannAlgebra, Parity, _DualAlgebra
 
 from conftest import field_corpus, loaded_state
 
@@ -26,11 +26,13 @@ ALLOWED = {EVEN: (Parity.EVEN, Parity.ZERO), ODD: (Parity.ODD, Parity.ZERO)}
 
 @pytest.fixture
 def audited(monkeypatch):
-    """Counts of hinted operands seen, by hint; a mismatch fails the call."""
-    seen = {EVEN: 0, ODD: 0}
+    """Counts of hinted operands seen, by hint, and of products made in a
+    dual algebra; a mismatch fails the call."""
+    seen = {EVEN: 0, ODD: 0, "dual": 0}
     mul = GrassmannAlgebra.mul
 
     def checked(alg, a, b, pa=None, pb=None):
+        seen["dual"] += isinstance(alg, _DualAlgebra)
         for operand, hint in ((a, pa), (b, pb)):
             if hint is not None:
                 parity = alg.parity_of(operand, tol=0.0)
@@ -56,3 +58,4 @@ def test_hints_match_operand_parities(audited, name, fld, n):
     stationarity_residual(path, fld, par, PathVariation(dxi=prof))
     euler_lagrange_residual(path, fld, par)
     assert audited[EVEN] > 0 and audited[ODD] > 0
+    assert audited["dual"] > 0   # the even probe's products are audited too

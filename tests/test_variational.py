@@ -1,5 +1,7 @@
 """Discrete action, directional stationarity, and equation-of-motion defects."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from grasspin import (
     integrate_super,
     stationarity_residual,
 )
+import grasspin.grassmann as grassmann
 import grasspin.variational as variational
-from grasspin.grassmann import MAX_GENERATORS, Parity, algebra
+from grasspin.grassmann import MAX_GENERATORS, GrassmannAlgebra, Parity, algebra
 from grasspin.variational import even_directional_quotient
 
 from conftest import (
@@ -53,15 +56,19 @@ def bump(path, mode, direction, kind):
     return PathVariation(dx=prof) if kind == "x" else PathVariation(dxi=prof)
 
 
-def assert_probe_reads_fresh_block(fld, par, kind):
-    """The path loads theta1 and theta2 (k = 2).  Adding the profile times
-    theta3 to xi (odd), or times theta3 theta4 to x (even), the residual is
-    the largest |coeff| of that fresh block of the public action."""
-    alg2, ext = algebra(2), algebra(3 if kind == "xi" else 4)
-    path = solution_path(alg2, fld, par, steps=120)
+def assert_probe_reads_fresh_block(fld, par, kind, k=2):
+    """The path loads theta1..theta_k.  Adding the profile times
+    theta_{k+1} to xi (odd), or times theta_{k+1} theta_{k+2} to x (even),
+    the residual is the largest |coeff| of that fresh block of the public
+    action in algebra(k + 1) or algebra(k + 2), exactly."""
+    sub, ext = algebra(k), algebra(k + (1 if kind == "xi" else 2))
+    # loaded_state(2) is standard_state(algebra(2))
+    traj = integrate_super(loaded_state(k), fld, par, h=2 * np.pi / 1000, steps=120,
+                           record_every=1)
+    path = DiscretePath.from_trajectory(traj)
     var = bump(path, 1, [1.0, 0.5, -0.2, 0.8], kind)
-    x, xi = alg2.embed(path.x, ext), alg2.embed(path.xi, ext)
-    fresh = ext.dim - alg2.dim   # theta3, or theta3 theta4
+    x, xi = sub.embed(path.x, ext), sub.embed(path.xi, ext)
+    fresh = ext.dim - sub.dim   # theta_{k+1}, or theta_{k+1} theta_{k+2}
     target, prof = (x, var.dx) if kind == "x" else (xi, var.dxi)
     target[..., fresh] += prof
     block = action(DiscretePath(ext, path.s, x, xi), fld, par).coeffs[fresh:]
@@ -181,6 +188,35 @@ class TestStationarity:
 
     def test_even_direction_uses_fresh_monomial(self, b_field, params):
         assert_probe_reads_fresh_block(b_field, params, "x")
+
+    @pytest.mark.parametrize("field", ["gradient_b", "random_cubic"])
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("kind", ["x", "xi"])
+    def test_probe_reads_fresh_block(self, kind, k, field, params):
+        # at k = 4 the souls of these fields reach eval_even's order 3
+        assert_probe_reads_fresh_block(dict(field_corpus())[field], params, kind, k)
+
+    def test_even_probe_builds_no_larger_algebra(self, params, monkeypatch):
+        """At k = 4 the even probe multiplies in the dual algebra over
+        algebra(4): it constructs no GrassmannAlgebra with 6 generators."""
+        fld = dict(field_corpus())["gradient_b"]
+        traj = integrate_super(loaded_state(4), fld, params, h=0.05, steps=8)
+        path = DiscretePath.from_trajectory(traj)
+        var = bump(path, 1, [0.3, 1.0, -0.5, 0.7], "x")
+        # fresh factory caches, so that an algebra built earlier hides no construction
+        for name in ("algebra", "dual_algebra"):
+            fresh = functools.lru_cache(getattr(grassmann, name).__wrapped__)
+            for module in (grassmann, variational):
+                monkeypatch.setattr(module, name, fresh)
+        built, init = [], GrassmannAlgebra.__init__
+
+        def spy(alg, n_generators):
+            built.append(n_generators)
+            init(alg, n_generators)
+
+        monkeypatch.setattr(GrassmannAlgebra, "__init__", spy)
+        assert stationarity_residual(path, fld, params, var) > 0.0
+        assert built == [4]
 
     def test_even_probe_has_no_roundoff_floor(self, params):
         # 16 steps from loaded_state(4) on the zero field: the path solves
