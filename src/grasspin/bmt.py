@@ -40,6 +40,7 @@ import numpy as np
 
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
+from .polynomials import _monomials
 from .super_dynamics import ModelParams, _require_finite, rk4
 
 __all__ = [
@@ -161,12 +162,11 @@ def _pair_rate(fld, par: ModelParams):
     if fld.constant:
         fixed = pack_pairs(fld._f_const) @ maps + base
     else:
-        fixed, monomials = None, fld._f_values.monomials
-        program = fld._f_values.gather @ maps
+        fixed, exps, program = None, fld._f_exps, fld._f_cols @ maps
     dot = np.dot   # less call overhead than @ on operands this small
 
     def rate(y, i):
-        c = fixed if fixed is not None else dot(monomials(y[:4]), program) + base
+        c = fixed if fixed is not None else dot(_monomials(y[:4], exps), program) + base
         u = y[4:8]
         q = dot(u, c[:16].reshape(4, 4))
         g = c[16:] + dot(u, dot(q, g_qu).reshape(4, 140))

@@ -143,7 +143,7 @@ def _cmd_simulate_bmt(cfg: RunConfig, out_path: str | None) -> int:
 
 def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
     _, traj = _super_run(cfg)
-    red = leading_order(traj, on_zero="ignore")
+    red = leading_order(traj)
 
     header = _STATE_HEADER + ["constraint", "lambda"]
     rec = traj.steps_recorded
@@ -178,7 +178,7 @@ def _cmd_compare(cfg: RunConfig, out_path: str | None, threshold: float | None) 
     if cfg.xi_coeffs is None:
         raise ConfigError("initial.spin.xi is required by compare")
     fld, traj = _super_run(cfg)
-    red = leading_order(traj, on_zero="ignore")
+    red = leading_order(traj)
     btraj = _bmt_run(cfg, fld)
 
     dev_x = np.max(np.abs(red.x - btraj.x), axis=1)

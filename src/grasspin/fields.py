@@ -30,7 +30,7 @@ import numpy as np
 
 from .grassmann import GrassmannAlgebra, GrassmannNumber, Parity, algebra
 from .minkowski import EPS_UPPER, PAIRS, SIGNS, unpack_pairs
-from .polynomials import Polynomial, PolyVectorEvaluator
+from .polynomials import Polynomial, PolyVectorEvaluator, _monomials
 
 __all__ = [
     "NonEvenPointError",
@@ -123,17 +123,17 @@ class _FieldBase:
         polynomials, of dF, read off F's slots, and of ``potential``."""
         self._program = PolyVectorEvaluator(f_pairs, grad=True, extra=potential)
         self.constant = all(p.degree == 0 for p in f_pairs)
-        # F_{mu nu} = monomials @ _f_real over the rows F's values read, its
-        # value columns laid out as a flattened antisymmetric 4x4 tensor
-        self._f_values = self._program.value_program()
-        self._f_real = unpack_pairs(self._f_values.gather).reshape(-1, 16)
+        # F's pairs = _monomials(x, _f_exps) @ _f_cols over the rows F's values
+        # read; _f_real lays those columns out as a flattened 4x4 tensor
+        self._f_exps, self._f_cols = self._program.value_rows()
+        self._f_real = unpack_pairs(self._f_cols).reshape(-1, 16)
         self._f_const = self.f_lower_real(np.zeros(4)) if self.constant else None
 
     # -- real-point evaluation (reduced dynamics path) -------------------
 
     def f_lower_real(self, points: np.ndarray) -> np.ndarray:
         """F_{mu nu} at real points (..., 4) -> (..., 4, 4)."""
-        vals = self._f_values.monomials(points) @ self._f_real
+        vals = _monomials(points, self._f_exps) @ self._f_real
         return vals.reshape(vals.shape[:-1] + (4, 4))
 
     def df_lower_real(self, points: np.ndarray) -> np.ndarray:

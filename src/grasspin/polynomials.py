@@ -9,7 +9,6 @@ above N/2 vanish identically.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -281,21 +280,14 @@ class PolyVectorEvaluator:
         self._first_extra = n - n_extra
         self._plans = {}
 
-    def value_program(self) -> "PolyVectorEvaluator":
-        """The values of ``polys`` alone, at real points: a program of order 0
-        over the monomial rows those values read, which lead this program's
-        rows, and their value columns."""
+    def value_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values of ``polys`` alone at real points: the exponents
+        (rows, 4) of the monomial rows they read, which lead this program's
+        rows, and their value columns (rows, len(polys)), so that
+        ``_monomials(points, exponents) @ columns`` gives the values."""
         stop = len(self.polys)
         rows = int(np.count_nonzero(self.gather[:, :stop].any(axis=1)))
-        view = copy.copy(self)
-        view.extra = []
-        view.n_components = view.n_slots = stop
-        view.n_orders = 1
-        view.gather, view.extra_gather = self.gather[:rows, :stop], self.extra_gather[:0, :0]
-        view._exps, view._split = self._exps[:rows], rows
-        view._index, view._fact = np.arange(stop)[None, :], np.ones((1, stop))
-        view._top, view._plans = [0] * stop, {}
-        return view
+        return self._exps[:rows], self.gather[:rows, :stop]
 
     def monomials(self, points: np.ndarray) -> np.ndarray:
         """The program's monomials at real points (..., 4) -> (..., n_monomials).

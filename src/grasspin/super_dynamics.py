@@ -58,7 +58,6 @@ two F-terms combine.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -553,28 +552,15 @@ def integrate_super(
     )
 
 
-def leading_order(traj: SuperTrajectory, on_zero: str = "warn") -> ReducedTrajectory:
+def leading_order(traj: SuperTrajectory) -> ReducedTrajectory:
     """Project a trajectory to its lowest Grassmann degrees.
 
     Returns bodies of x and v, and the theta1 theta2 coefficient of the spin
     tensor S_{mu nu} = (1/2) xi_mu xi_nu, which is the block loaded by
-    two-generator initial data.  Components of the initial xi without a
-    degree-1 part are reported according to ``on_zero`` ("warn", "raise",
-    or "ignore").
+    two-generator initial data.
     """
-    if on_zero not in ("warn", "raise", "ignore"):
-        raise ValueError(f"on_zero must be 'warn', 'raise' or 'ignore', got {on_zero!r}")
-    alg = traj.alg
-    if alg.n < 2:
+    if traj.alg.n < 2:
         raise ValueError("projection needs an algebra with at least 2 generators")
-    deg1 = np.array([1 << a for a in range(alg.n)])
-    missing = [mu for mu in range(4) if not np.any(np.abs(traj.xi[0, mu, deg1]) > 0.0)]
-    if missing and on_zero != "ignore":
-        msg = f"xi components {missing} have no degree-1 part; their spin block is zero"
-        if on_zero == "raise":
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
-
     spin = spin_block(traj.xi[..., :, 1], traj.xi[..., :, 2])
     return ReducedTrajectory(s=traj.s.copy(), x=traj.x[..., 0], u=traj.v[..., 0], spin=spin)
 

@@ -78,7 +78,7 @@ def equivalence_runs():
         st = standard_state(algebra(4))
         traj = integrate_super(st, fld, par, h=PERIOD / 1000, steps=10_000,
                                record_every=100)
-        red = leading_order(traj, on_zero="ignore")
+        red = leading_order(traj)
         bst = BMTState(np.zeros(4), boosted_velocity(2.0), spin_from_rows(XI_ROWS))
         btraj = integrate_bmt(bst, fld, par, h=PERIOD / 1000, steps=10_000,
                               record_every=100)
@@ -239,7 +239,7 @@ def test_criterion_06_equivalence_of_levels(equivalence_runs):
     fld = gradient_b_field()
     st = standard_state(algebra(4))
     traj = integrate_super(st, fld, par, h=PERIOD / 1000, steps=2000, record_every=100)
-    red = leading_order(traj, on_zero="ignore")
+    red = leading_order(traj)
     bst = BMTState(np.zeros(4), boosted_velocity(2.0), spin_from_rows(XI_ROWS))
     btraj = integrate_bmt(bst, fld, par, h=PERIOD / 1000, steps=2000, record_every=100)
     grad_dev = max(
@@ -390,7 +390,7 @@ def test_criterion_11_generator_count_independence(equivalence_runs):
     st6 = standard_state(algebra(6))
     traj6 = integrate_super(st6, fld, par, h=PERIOD / 1000, steps=10_000,
                             record_every=100)
-    red6 = leading_order(traj6, on_zero="ignore")
+    red6 = leading_order(traj6)
     red4, _ = runs[1.2]
     diff = max(
         np.max(np.abs(red4.x - red6.x)),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import grasspin.bmt
+import grasspin.fields
 from grasspin import (
     BMTState,
     ConstantFieldOracle,
@@ -23,7 +25,7 @@ from grasspin import (
 )
 from grasspin.bmt import PAIRS
 from grasspin.minkowski import SIGNS, minkowski_dot, pack_pairs, unpack_pairs
-from grasspin.polynomials import PolyVectorEvaluator
+from grasspin.polynomials import _monomials
 from grasspin.super_dynamics import rk4
 
 from conftest import _dspin, _du, boosted_velocity, field_corpus, gradient_b_field
@@ -242,20 +244,23 @@ class TestIntegrateBmt:
         assert np.max(np.abs(traj.ss - traj.ss[0])) < 1e-8
 
     def test_constant_field_skips_field_evaluation(self, params, b_field, monkeypatch):
-        # every real-point field evaluation computes the program's monomials
+        # every real-point evaluation of F, by the BMT rate or by
+        # f_lower_real, computes the monomials of F's value rows
         calls = []
-        evaluate = PolyVectorEvaluator.monomials
 
-        def counted(ev, points):
+        def counted(points, exps):
             calls.append(np.shape(points))
-            return evaluate(ev, points)
+            return _monomials(points, exps)
 
         varying = gradient_b_field()
-        monkeypatch.setattr(PolyVectorEvaluator, "monomials", counted)
+        for module in (grasspin.bmt, grasspin.fields):
+            monkeypatch.setattr(module, "_monomials", counted)
         integrate_bmt(planar_state(), b_field, params, h=0.01, steps=10)
         assert calls == []
         integrate_bmt(planar_state(), varying, params, h=0.01, steps=10)
         assert len(calls) == 4 * 10
+        varying.f_lower_real(np.zeros(4))
+        assert len(calls) == 4 * 10 + 1
 
     @pytest.mark.parametrize("steps, record_every, name", [
         (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),

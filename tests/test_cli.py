@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,14 @@ def write_cfg(tmp_path, overrides=None, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(cfg))
     return str(p)
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def read_csv(path):
@@ -322,18 +331,22 @@ class TestSimulateBmt:
 
     def test_golden_matches_oracle(self):
         # rebuild the golden rows in memory; the file itself is never rewritten
-        spec = importlib.util.spec_from_file_location(
-            "make_golden", ROOT / "scripts" / "make_golden.py"
-        )
-        make_golden = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(make_golden)
-        rebuilt = make_golden.golden_lines()
+        rebuilt = load_script("make_golden").golden_lines()
         committed = GOLDEN.read_text(encoding="utf-8").splitlines()
         assert rebuilt[0] == committed[0]
         assert len(rebuilt) == len(committed)
         got = np.array([[float(v) for v in line.split(",")] for line in rebuilt[1:]])
         want = np.array([[float(v) for v in line.split(",")] for line in committed[1:]])
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_timings_cli_case(self, tmp_path):
+        # one fresh CLI process, measured as the timing tool's cli case does
+        timings = load_script("timings")
+        code, wall, rss, digest = timings.cli_call(
+            ROOT, ["simulate-bmt", "--config", "configs/bmt_regression.yaml"], tmp_path / "log")
+        assert code == 0 and wall > 0 and rss > 0
+        assert re.fullmatch("[0-9a-f]{16}", digest)
+        assert timings.main([str(ROOT), "bogus"]) == 2
 
     def test_zero_field_no_drift(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -17,7 +17,7 @@ from grasspin.fields import (
 )
 from grasspin.grassmann import MAX_GENERATORS, GrassmannNumber, algebra
 from grasspin.minkowski import PAIRS, SIGNS, pack_pairs, unpack_pairs
-from grasspin.polynomials import Polynomial, PolyVectorEvaluator
+from grasspin.polynomials import Polynomial, PolyVectorEvaluator, _monomials
 
 from conftest import ReferenceField, field_corpus, gradient_b_field, reference_f_polys
 
@@ -230,7 +230,7 @@ def test_program_memory_is_bounded():
     start = time.perf_counter()
     fld = FieldConfig.from_entries([(1, (3, 3, 3, 3), 1.0)])
     seconds = time.perf_counter() - start
-    arrays = [v for obj in (fld, fld._program, fld._f_values) for v in vars(obj).values()
+    arrays = [v for obj in (fld, fld._program) for v in vars(obj).values()
               if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) < 40 * 2**20
     assert seconds < 0.2
@@ -285,15 +285,14 @@ class TestFieldTensor:
             assert np.allclose(fld.f_lower_real(pts), via_poly, atol=1e-13), name
 
     def test_real_point_layout_equals_value_slots(self):
-        # f_lower_real reads the value slots of F's value program straight
-        # into the 4x4 layout; each entry must be the same dot product as
-        # eval_real's over that program
+        # f_lower_real reads F's value columns straight into the 4x4 layout;
+        # each entry must be the same dot product as over those columns
         rng = np.random.default_rng(8)
         direct = DirectField({(0, 1): Polynomial({(1, 0, 0, 0): 0.3, (0, 2, 0, 1): -1.1}),
                               (2, 3): Polynomial.constant(0.7)})
         for name, fld in field_corpus() + [("direct", direct)]:
             for pts in (rng.normal(size=4), rng.normal(size=(50, 4))):
-                want = unpack_pairs(fld._f_values.eval_real(pts))
+                want = unpack_pairs(_monomials(pts, fld._f_exps) @ fld._f_cols)
                 assert np.array_equal(fld.f_lower_real(pts), want), name
 
     def test_antisymmetry(self, alg4):

@@ -506,7 +506,7 @@ class TestIntegrateSuper:
         steps = 2000
         st = standard_state(alg4)
         traj = integrate_super(st, b_field, params_no_anomaly, h=h, steps=steps, record_every=200)
-        red = leading_order(traj, on_zero="ignore")
+        red = leading_order(traj)
         oracle = ConstantFieldOracle(
             BMTState(np.zeros(4), boosted_velocity(2.0), np.zeros((4, 4))),
             constant_f_lower([0, 0, 0], [0, 0, 1.0]),
@@ -568,8 +568,8 @@ class TestIntegrateSuper:
         st6 = SuperState.from_real(np.zeros(4), u0, c, alg6)
         traj6 = integrate_super(st6, fld, params, h=1e-3, steps=200, record_every=50)
         traj2 = integrate_super(st2, fld, params, h=1e-3, steps=200, record_every=50)
-        red6 = leading_order(traj6, on_zero="ignore")
-        red2 = leading_order(traj2, on_zero="ignore")
+        red6 = leading_order(traj6)
+        red2 = leading_order(traj2)
         for name in ("x", "u", "spin"):
             assert np.max(np.abs(getattr(red6, name) - getattr(red2, name))) <= 1e-12
         assert traj6.constraint_max.max() <= 1e-9
@@ -662,7 +662,7 @@ class TestLeadingOrder:
     def test_initial_point_recovery(self, alg4, b_field, params):
         st = standard_state(alg4)
         traj = integrate_super(st, b_field, params, h=1e-3, steps=1, record_every=1)
-        red = leading_order(traj, on_zero="ignore")
+        red = leading_order(traj)
         assert np.allclose(red.x[0], np.zeros(4))
         assert np.allclose(red.u[0], boosted_velocity(2.0))
         want = np.zeros((4, 4))
@@ -673,19 +673,5 @@ class TestLeadingOrder:
     def test_free_particle_constant_spin_block(self, alg4, params):
         st = standard_state(alg4)
         traj = integrate_super(st, ZERO_FIELD, params, h=0.05, steps=100, record_every=20)
-        red = leading_order(traj, on_zero="ignore")
+        red = leading_order(traj)
         assert np.max(np.abs(red.spin - red.spin[0])) == 0.0
-
-    def test_zero_components_reported(self, alg4, b_field, params):
-        st = standard_state(alg4)   # xi^0 and xi^1 identically zero
-        traj = integrate_super(st, b_field, params, h=1e-3, steps=2, record_every=1)
-        with pytest.warns(UserWarning, match=r"\[0, 1\]"):
-            leading_order(traj)
-        with pytest.raises(ValueError):
-            leading_order(traj, on_zero="raise")
-
-    @pytest.mark.parametrize("on_zero", ["bogus", "Warn", None])
-    def test_unknown_on_zero_rejected(self, alg4, b_field, params, on_zero):
-        traj = integrate_super(standard_state(alg4), b_field, params, h=1e-3, steps=2)
-        with pytest.raises(ValueError, match="on_zero must be 'warn', 'raise' or 'ignore'"):
-            leading_order(traj, on_zero=on_zero)
