@@ -63,9 +63,10 @@ that N and pass it after ``--``.
 Every child runs with BLAS pinned to one thread.  The two checkouts
 alternate case by case, which side goes first alternating too, for 11
 rounds, because a shared host's speed drifts over seconds.  Per case and
-layer the script prints the median over rounds on both sides, and as the
-ratio this/other the median over rounds of each round's ratio: the two
-sides of a round run back to back, so a slow spell tends to move both.
+layer the script prints the median over rounds on both sides, as context
+only, and as the ratio this/other the median over rounds of each round's
+ratio, the figure a claim quotes: host drift moves both sides of a round
+together, so their ratio holds while either median may read the higher.
 Compare checkouts whose paths have equal length, since the path length
 alone has moved timings of one commit by several percent.  A run takes
 about four minutes on a 2-core host with every case.

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
-from .minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
+from .minkowski import EPS_UPPER, SIGNS, _real_array, minkowski_dot, pack_pairs, unpack_pairs
 from .polynomials import _monomials
 from .super_dynamics import ModelParams, _require_finite, rk4
 
@@ -64,9 +64,9 @@ class BMTState:
     s: float = 0.0
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float).reshape(4)
-        self.u = np.asarray(self.u, dtype=float).reshape(4)
-        self.spin = np.asarray(self.spin, dtype=float).reshape(4, 4)
+        self.x = _real_array("x", self.x, (4,))
+        self.u = _real_array("u", self.u, (4,))
+        self.spin = _real_array("spin", self.spin, (4, 4))
         _require_finite(x=self.x, u=self.u, spin=self.spin, s=self.s)
         if np.max(np.abs(self.spin + self.spin.T)) > 1e-12:
             raise ValueError("spin tensor must be antisymmetric")

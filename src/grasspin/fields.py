@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .grassmann import GrassmannAlgebra, GrassmannNumber, Parity, algebra
-from .minkowski import EPS_UPPER, PAIRS, SIGNS, unpack_pairs
+from .minkowski import EPS_UPPER, PAIRS, SIGNS, _real_array, unpack_pairs
 from .polynomials import Polynomial, PolyVectorEvaluator, _monomials
 
 __all__ = [
@@ -260,9 +260,9 @@ def constant_f_lower(e_field: Sequence[float], b_field: Sequence[float]) -> np.n
     Conventions: F_{0i} = E^i and F_{ij} = -eps_{ijk} B^k, which reproduce
     du/ds = (e/m)(gamma E + u x B) in three-vector form.
     """
-    e1, e2, e3 = (float(v) for v in e_field)
-    b1, b2, b3 = (float(v) for v in b_field)
-    for name, vec in (("e_field", (e1, e2, e3)), ("b_field", (b1, b2, b3))):
+    e1, e2, e3 = e = _real_array("e_field", e_field, (3,))
+    b1, b2, b3 = b = _real_array("b_field", b_field, (3,))
+    for name, vec in (("e_field", e), ("b_field", b)):
         if not np.isfinite(vec).all():
             raise ValueError(f"{name} must be finite")
     f = np.zeros((4, 4))

@@ -68,3 +68,12 @@ def unpack_pairs(vals, axis: int = -1) -> np.ndarray:
     out[lead + (_ROWS, _COLS)] = vals
     out[lead + (_COLS, _ROWS)] = -vals
     return out
+
+
+def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float array of ``shape``; a ValueError naming ``name``
+    if it does not hold that many real numbers."""
+    try:
+        return np.asarray(value, dtype=float).reshape(shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must hold {np.prod(shape)} real numbers, got {value!r}") from None

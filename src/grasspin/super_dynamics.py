@@ -102,7 +102,12 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("mass", "charge", "mu_prime"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite")
         if self.mass <= 0:
             raise ValueError("mass must be positive")

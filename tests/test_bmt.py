@@ -70,18 +70,24 @@ def rates_24(fld, par):
     return rates
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["x", "u", "spin", "s"])
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in ["x", "u", "spin", "s"] for bad in [np.nan, np.inf, -np.inf]
+] + [("x", "short"), ("u", "text"), ("spin", "short")])
 def test_state_rejects_non_finite(name, bad):
     args = {"x": np.zeros(4), "u": boosted_velocity(2.0),
             "spin": unpack_pairs([0.0, 0.0, 0.0, 0.0, 0.0, 0.5]), "s": 0.0}
-    if name == "s":
+    message = "must be finite"
+    if bad == "short":   # 3 entries, or 3 rows of the spin tensor
+        args[name], message = args[name][:3], "must hold"
+    elif bad == "text":
+        args[name], message = ["a"] * 4, "must hold 4 real numbers"
+    elif name == "s":
         args["s"] = bad
     elif name == "spin":
         args["spin"][2, 3], args["spin"][3, 2] = bad, -bad   # antisymmetric
     else:
         args[name][3] = bad
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
         BMTState(**args)
 
 

@@ -504,3 +504,69 @@ class TestVerify:
                                                   "record_every": 1}})
         assert main(["verify", "--config", cfg, "--seed", "1"]) == 0
         assert main(["verify", "--config", cfg, "--seed", "2"]) == 0
+
+
+class TestOutputs:
+    """The judgement of ``scripts/outputs.py`` on synthetic results of the
+    shape its child returns; no child process starts."""
+
+    CSV = b"s,dev\n0.0,1.0\n0.05,2.0\n"
+
+    @pytest.fixture(scope="class")
+    def outputs(self):
+        return load_script("outputs")
+
+    def side(self):
+        rng = np.random.default_rng(2200)
+        x, v, xi = (rng.normal(size=(6, 4, 4)) for _ in range(3))
+        xi /= np.max(np.abs(xi), axis=(-2, -1))[:, None, None]
+        v /= np.max(np.abs(v), axis=(-2, -1))[:, None, None]   # |xi| * |v| = 1 at each record
+        arrays = {"s": 0.05 * np.arange(6), "x": x, "v": v, "xi": xi,
+                  "constraint_max": 1e-3 * rng.random(6)}
+        return {"cli": {("a.yaml", "compare"): (0, self.CSV, b"ok\n"),
+                        ("a.yaml", "verify"): (2, None, b"config error\n")},
+                "library": [("library f n=2 mu'=0", arrays)]}
+
+    def test_identical(self, outputs, capsys):
+        assert outputs.judge(self.side(), self.side()) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["a.yaml compare exit 0/0 identical", "a.yaml verify exit 2/2 identical"]
+        assert all(line.endswith(" 0.000e+00") for line in out[2:-1])
+
+    def test_moved_array_is_named(self, outputs, capsys):
+        other = self.side()
+        other["library"][0][1]["x"] *= 1 + 1e-12
+        assert outputs.judge(self.side(), other) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["library max 1.000e-12 (limit 1e-15); 1 arrays over it",
+                            "  library f n=2 mu'=0 x"]
+
+    def test_constraint_scaled_by_xi_times_v(self, outputs, capsys):
+        # 1e-13 of its own value, far below |xi| * |v| = 1; scaled by its
+        # largest value, as every array once was, it reads 1e-13
+        mine, other = self.side(), self.side()
+        a, b = mine["library"][0][1]["constraint_max"], other["library"][0][1]["constraint_max"]
+        b *= 1 + 1e-13
+        assert outputs.gap(a, b) > outputs.LIMIT
+        assert outputs.judge(mine, other) == 0
+        assert "0 arrays over it" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, moved", [
+        (("a.yaml", "verify"), (0, None, b"config error\n")),
+        (("a.yaml", "compare"), (0, b"s,dev_x\n0.0,1.0\n0.05,2.0\n", b"ok\n")),
+        (("a.yaml", "compare"), (0, b"s,dev\n0.0,1.0\n", b"ok\n")),
+    ], ids=["exit code", "header", "rows"])
+    def test_cli_mismatch_fails(self, outputs, key, moved):
+        other = self.side()
+        other["cli"][key] = moved
+        assert outputs.judge(self.side(), other) == 1
+
+    def test_moved_column_reported_not_judged(self, outputs, capsys):
+        other = self.side()
+        other["cli"]["a.yaml", "compare"] = (0, self.CSV.replace(b"2.0", b"2.000000002"), b"ok\n")
+        assert outputs.judge(self.side(), other) == 0
+        assert "a.yaml compare exit 0/0 dev 1.0e-09" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("argv", [[], ["a", "b"]])
+    def test_usage(self, outputs, argv):
+        assert outputs.main(argv) == 2

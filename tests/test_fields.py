@@ -84,13 +84,14 @@ def test_pair_packing_matches_index_loop(shape, axis):
     assert np.array_equal(pack_pairs(want), moved)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "short", "text"])
 @pytest.mark.parametrize("name", ["e_field", "b_field"])
 @pytest.mark.parametrize("build", [constant_f_lower, constant_field])
 def test_constant_field_rejects_non_finite(build, name, bad):
     vectors = {"e_field": [0.1, 0.0, 0.2], "b_field": [0.0, 0.0, 1.0]}
-    vectors[name] = [0.0, bad, 0.0]
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    vectors[name] = {"short": [1.0, 2.0], "text": [0.0, "a", 0.0]}.get(bad, [0.0, bad, 0.0])
+    message = "must hold 3 real numbers" if isinstance(bad, str) else "must be finite"
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
         build(**vectors)
 
 

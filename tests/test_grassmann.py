@@ -357,7 +357,7 @@ def random_dual(alg, rng, shape, parity):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_dual_mul_matches_embedded_product(k):
     """The dual product over algebra(k) is algebra(k + 2)'s product of the
-    operands embedded at masks m and m | 3 * 2**k, to lib_compare.py's
+    operands embedded at masks m and m | 3 * 2**k, to scripts/outputs.py's
     limit of 1e-15 of the reference's largest coefficient, and that product
     has nothing off those masks.  Up to k = 6 the dual multiplies by its
     table, at k = 7 by splitting off eps."""

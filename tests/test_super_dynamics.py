@@ -100,10 +100,10 @@ def contraction_oracle(f_real, v_real, xi_coeffs, alg):
 
 
 @pytest.mark.parametrize("name", ["mass", "charge", "mu_prime"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "1", None])
 def test_model_params_reject_non_finite(name, value):
     kwargs = {"mass": 1.0, "charge": 1.0, "mu_prime": 1.2, name: value}
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must be (finite|a real number)"):
         ModelParams(**kwargs)
 
 
