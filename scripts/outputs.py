@@ -19,9 +19,12 @@ over the roundoff floor of the stencil that formed it, the larger side's:
 ``constraint_max[i]``: max|xi_i| * max|v_i|; ``el_x`` at a node: m * max|x|
 over its three stencil nodes / h**2; ``el_xi`` at a node: max|xi| over its
 two stencil nodes / h; ``stationarity_even`` and ``_odd``: max|action| / h;
-every other array: its largest |coeff|.  It exits 1 if an exit code, a CSV
-header or row count differs, or a library gap exceeds 1e-15 (CSV columns
-and summaries are reported, not judged), 2 on bad usage, and 0 otherwise.
+the BMT invariants at a record, quadratic forms whose terms cancel (u.u = 1
+from u0**2 near 4): ``uu`` max|u|**2, ``us_max`` max|u| * max|S|, ``ss``
+max|S|**2; every other array: its largest |coeff|.  It exits 1 if an exit
+code, a CSV header or row count differs, or a library gap exceeds 1e-15
+(CSV columns and summaries are reported, not judged), 2 on bad usage, and
+0 otherwise.
 """
 
 import contextlib
@@ -102,7 +105,12 @@ def library_grid() -> list:
 
 
 def floors(arrays: dict) -> dict:
-    """The roundoff floor of each stencil-formed array of a library case."""
+    """The roundoff floor of each stencil-formed array and each BMT invariant
+    of a library case."""
+    if "spin" in arrays:
+        u = np.max(np.abs(arrays["u"]), axis=-1)
+        spin = np.max(np.abs(arrays["spin"]), axis=(-2, -1))
+        return {"uu": u * u, "us_max": u * spin, "ss": spin * spin}
     if "xi" not in arrays:
         return {}
     x, v, xi = (np.max(np.abs(arrays[k]), axis=(-2, -1)) for k in ("x", "v", "xi"))

@@ -35,6 +35,13 @@ without a soul.  ``_emul`` multiplies a cut tensor as the real it is and
 uses the Grassmann product otherwise.  ``_rhs`` is the general path for
 every field and algebra, and the reference for the program below.
 
+``_rhs`` makes its products by dependency level, and the products of one
+level that share their parity hints run as one kernel call, with their
+columns side by side; its docstring lists the levels.  One identity saves
+a product there: q.v = F_{mu nu} v^mu v^nu = 0 for an antisymmetric F and
+an even v, so the part -2 lam (q.v) of F^{mu nu} v_mu dxi_nu in R0 is
+dropped.
+
 Constant field, at most 2 generators.  There v = v0 + v3 theta1 theta2
 (x alike), xi = xi1 theta1 + xi2 theta2 and lam = lam1 theta1 + lam2
 theta2, with real 4-vectors v0, v3, xi_i and reals lam_i, and a grade of
@@ -177,34 +184,43 @@ def _field(alg, fld, x, grad=False):
     return _cut(f), _cut(df)
 
 
-def _f_left(alg, f, w, pw):
-    """Q_nu = sum_mu F_{mu nu} w^mu, for w of parity hint pw.
+def _f_first(alg, f, cols, w, pw):
+    """sum_mu [F | cols]_{mu c} w^mu for w of parity hint pw, as Q_nu(w) =
+    F_{mu nu} w^mu (..., 4, dim) and the even columns ``cols`` (..., 4, c,
+    dim) contracted with w (..., c, dim), in one product.  A cut F
+    multiplies as the real it is, outside the product."""
+    w = w[..., :, None, :]
+    if f.shape[-1] == 1:
+        return (f * w).sum(axis=-3), alg.mul(cols, w, EVEN, pw).sum(axis=-3)
+    p = alg.mul(np.concatenate((f, cols), axis=-2), w, EVEN, pw).sum(axis=-3)
+    return p[..., :4, :], p[..., 4:, :]
 
-    F is antisymmetric, so F^{mu nu} w_nu = -SIGNS[mu] Q_mu.
+
+def _solve_lam(alg, vv, q, xi, c_lam):
+    """(v.v)^{-1} and lam = c (v.v)^{-1} a, a = q_nu xi^nu = F^{mu nu} v_mu
+    xi_nu (metric signs cancel pairwise there).
+
+    vv comes out of an even-by-even product, whose odd slots are exact
+    zeros, so only its body is checked: a zero body raises
+    LightlikeVelocityError, and the inverse series runs without
+    ``invert_even``'s checks.
     """
-    return _emul(alg, f, w[..., :, None, :], pw).sum(axis=-3)
-
-
-def _odd_contract(alg, q, xi):
-    """sum_nu q^nu * xi^nu with even q the left factor, shape (..., dim)."""
-    return alg.mul(q, xi, EVEN, ODD).sum(axis=-2)
+    if (vv[..., 0] == 0.0).any():
+        raise LightlikeVelocityError("v.v has zero body")
+    inv_vv = alg._inverse_series(vv)
+    a_con = alg.mul(q, xi, EVEN, ODD).sum(axis=-2)
+    return inv_vv, c_lam * alg.mul(inv_vv, a_con, EVEN, ODD)
 
 
 def _multiplier(alg, f, v, xi, par):
     """Multiplier lam plus reusable contractions.
 
-    Returns (vv, inv_vv, q, lam) with q_nu = F_{mu nu} v^mu; the first
-    stacked product also yields the constraint contraction
-    a = F^{mu nu} v_mu xi_nu (metric signs cancel pairwise there).
+    Returns (vv, inv_vv, q, lam) with q_nu = F_{mu nu} v^mu; q and v.v come
+    from one product, [F | eta v] . v.
     """
-    q = _f_left(alg, f, v, EVEN)
-    left, right = np.array((_LOWER * v, q)), np.array((v, xi))
-    vv, a_con = alg.mul(left, right, EVEN, None).sum(axis=-2)
-    if (vv[..., 0] == 0.0).any():
-        raise LightlikeVelocityError("v.v has zero body")
-    inv_vv = alg.invert_even(vv)
-    c_lam = (par.mu_prime - par.charge) / (2.0 * par.mass)
-    lam = c_lam * alg.mul(inv_vv, a_con, EVEN, ODD)
+    q, vv = _f_first(alg, f, (_LOWER * v)[..., None, :], v, EVEN)
+    vv = vv[..., 0, :]
+    inv_vv, lam = _solve_lam(alg, vv, q, xi, par.anomaly / (2.0 * par.mass))
     return vv, inv_vv, q, lam
 
 
@@ -298,51 +314,94 @@ class ReducedTrajectory:
 
 
 def _rhs(alg, fld, par, x, v, xi):
-    """Batched right-hand side; returns (dv, dxi, lam, lam_dot).
+    """Batched right-hand side; returns (dv, dxi, lam, lam_dot, vv, v_xi),
+    with vv = v.v and v_xi = v.xi, the monitors' contractions.
 
     Inputs are coefficient arrays (..., 4, dim).  dx/ds = v is implicit.
-    Independent products are stacked on a new leading axis into shared
-    kernel calls; the comments name the slices.
+    The products run by dependency level, and products of one level with
+    the same parity hints share one kernel call, their columns side by
+    side (no hint is widened to None):
+
+    1. [F | eta v | dF] . v gives q = Q(v), v.v and, for a dF with a soul,
+       dF(v) = v^kappa d_kappa F; [F | eta v] . xi gives Q(xi) and v.xi;
+       and xi xi where the field has dF.
+    2. (v.v)^{-1}; q.xi; dF . xi xi, for a dF with a soul.
+    3. lam; [dF(v) | 0 ; F | eta v] . [v ; dv_base], which gives
+       dF(v) v + Q(dv_base) and v.dv_base.
+    4. [dF(v) v + Q(dv_base), q, v, d(v.v)/ds] . [xi, k_xi Q(xi), lam, lam],
+       one even-by-odd product: the F-terms of R0, lam v and lam d(v.v)/ds.
+    5. W.xi, E^{-1}, dlam/ds, then (dlam/ds) xi.
+
+    Level 4 drops the term -2 q.(lam v) of q.dxi: it is -2 lam (q.v), and
+    q.v = F_{mu nu} v^mu v^nu = 0, since F is antisymmetric and v even.
+    The signs of eta are folded into k_v = -(e/m) eta and k_xi = -(mu'/m)
+    eta.  E has the body of v.v (W.xi is odd by odd), so both inverses run
+    the series after the one body check.
     """
     m, e, mup = par.mass, par.charge, par.mu_prime
     c_lam = (mup - e) / (2.0 * m)
+    # F^{mu nu} w_nu = -eta_mu Q_mu(w), so (e/m) F^{mu nu} v_nu = k_v q
+    k_v, k_xi = -(e / m) * _LOWER, -(mup / m) * _LOWER
+    k_grad = (mup / (4.0 * m * m)) * _LOWER
 
     f, df = _field(alg, fld, x, grad=True)
-    vv, inv_vv, q, lam = _multiplier(alg, f, v, xi, par)
+    if df is not None and f.shape[-1] == 1:
+        # level 3 stacks F with dF(v), which carries every slot of v
+        f = np.concatenate((f, np.zeros(f.shape[:-1] + (alg.dim - 1,))), axis=-1)
+    lower_v = (_LOWER * v)[..., None, :]
+    soul_df = df is not None and df.shape[-1] > 1
 
-    # gradient (Stern-Gerlach) piece and F-dot term of R0; both vanish for
-    # homogeneous fields
-    grad = a_dot_field = 0.0
+    # level 1
+    cols = lower_v
+    if soul_df:
+        cols = np.concatenate((lower_v, df.reshape(df.shape[:-4] + (4, 16, alg.dim))), axis=-2)
+    q, p_v = _f_first(alg, f, cols, v, EVEN)
+    vv = p_v[..., 0, :]
+    q_xi, v_xi = _f_first(alg, f, lower_v, xi, ODD)
+    v_xi = v_xi[..., 0, :]
+    dv_base = k_v * q
     if df is not None:
         pair = alg.mul(xi[..., :, None, :], xi[..., None, :, :], ODD, ODD)
-        grad = 0.5 * _LOWER * _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
-        f_dot = _emul(alg, v[..., :, None, None, :], df, EVEN).sum(axis=-4)
-        r_dot = alg.mul(f_dot, v[..., :, None, :], EVEN, EVEN).sum(axis=-3)
-        a_dot_field = _odd_contract(alg, r_dot, xi)
+        if soul_df:
+            f_dot = p_v[..., 1:, :].reshape(p_v.shape[:-2] + (4, 4, alg.dim))
+        else:
+            f_dot = (v[..., :, None, None, :] * df).sum(axis=-4)
 
-    # dxi (depends on lam only); F^{mu nu} w_nu = -SIGNS[mu] Q_mu(w)
-    q_xi = _f_left(alg, f, xi, ODD)
-    lam_v = alg.mul(lam[..., None, :], v, ODD, EVEN)
-    dxi = (mup / m) * (-_LOWER * q_xi) - 2.0 * lam_v
-    dv_base = (e / m) * (-_LOWER * q) + (mup / (2.0 * m * m)) * grad
+    # levels 2 and 3
+    inv_vv, lam = _solve_lam(alg, vv, q, xi, c_lam)
+    if df is None:
+        f_dv, v_dv = _f_first(alg, f, lower_v, dv_base, EVEN)
+    else:
+        grad = _emul(alg, df, pair[..., None, :, :, :], EVEN).sum(axis=(-3, -2))
+        dv_base = dv_base + k_grad * grad
+        left = np.zeros(q.shape[:-2] + (8, 5, alg.dim))
+        left[..., :4, :4, :] = f_dot
+        left[..., 4:, :4, :] = f
+        left[..., 4:, 4:, :] = lower_v
+        right = np.concatenate((v, dv_base), axis=-2)[..., :, None, :]
+        p_dv = alg.mul(left, right, EVEN, EVEN).sum(axis=-3)
+        f_dv, v_dv = p_dv[..., :4, :], p_dv[..., 4:, :]
 
-    # R0 at dv_base; [0]: F^{mu nu} dv_mu xi_nu, [1]: v.dv
-    a_dot_xi = _odd_contract(alg, q, dxi)    # F^{mu nu} v_mu dxi_nu
-    left = np.array((_f_left(alg, f, dv_base, EVEN), _LOWER * v))
-    right = np.array((xi, dv_base))
-    a_dot_dv, v_dv = alg.mul(left, right, EVEN, None).sum(axis=-2)
-    vv_dot = 2.0 * v_dv
-    r0 = c_lam * (a_dot_field + a_dot_dv + a_dot_xi) - alg.mul(lam, vv_dot, ODD, EVEN)
+    # level 4; rows 0-7 sum to the F-terms of R0
+    left = np.concatenate((f_dv, q, v, 2.0 * v_dv), axis=-2)
+    right = np.empty(left.shape)
+    right[..., :4, :] = xi
+    right[..., 4:8, :] = kq_xi = k_xi * q_xi
+    right[..., 8:, :] = lam[..., None, :]
+    p_r = alg.mul(left, right, EVEN, ODD)
+    lam_v = p_r[..., 8:12, :]
+    r0 = c_lam * p_r[..., :8, :].sum(axis=-2) - p_r[..., 12, :]
+    dxi = kq_xi - 2.0 * lam_v
 
     # E = v.v + sum_nu W_nu xi^nu, W_nu = (c/m) Q_nu(xi) + (2/m) lam v_nu;
     # at n <= 2 generators E^-1 R0 = R0/(v.v) (module docstring)
     inv_e = inv_vv
     if alg.n > 2:
         w = (c_lam / m) * q_xi + (2.0 / m) * _LOWER * lam_v
-        inv_e = alg.invert_even(vv + alg.mul(w, xi, ODD, ODD).sum(axis=-2))
+        inv_e = alg._inverse_series(vv + alg.mul(w, xi, ODD, ODD).sum(axis=-2))
     lam_dot = alg.mul(inv_e, r0, EVEN, ODD)
     dv = dv_base - (1.0 / m) * alg.mul(lam_dot[..., None, :], xi, ODD, ODD)
-    return dv, dxi, lam, lam_dot
+    return dv, dxi, lam, lam_dot, vv, v_xi
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +483,7 @@ def lambda_solve(state: SuperState, fld, par: ModelParams) -> GrassmannNumber:
 
 def eom_rhs(state: SuperState, fld, par: ModelParams):
     """(dx, dv, dxi) at a state, as lists of GrassmannNumber."""
-    dv, dxi, _, _ = _rhs(state.alg, fld, par, state.x, state.v, state.xi)
+    dv, dxi = _rhs(state.alg, fld, par, state.x, state.v, state.xi)[:2]
     wrap = lambda arr: [GrassmannNumber(state.alg, arr[mu]) for mu in range(4)]
     return wrap(state.v), wrap(dv), wrap(dxi)
 
@@ -436,7 +495,7 @@ def constraint_value(state: SuperState) -> GrassmannNumber:
 
 def multiplier_rate(state: SuperState, fld, par: ModelParams):
     """(lam, dlam/ds) at a state, the rate solved in closed form, E^{-1} R0."""
-    _, _, lam, lam_dot = _rhs(state.alg, fld, par, state.x, state.v, state.xi)
+    lam, lam_dot = _rhs(state.alg, fld, par, state.x, state.v, state.xi)[2:4]
     return GrassmannNumber(state.alg, lam), GrassmannNumber(state.alg, lam_dot)
 
 
@@ -502,6 +561,8 @@ def integrate_super(
     Monitors (constraint magnitude, multiplier magnitude, body of v.v) are
     evaluated at every accepted step regardless of the recording stride,
     from the first stage of the step, and once more at the last state.
+    ``_rhs`` returns v.xi and v.v with the rate, so the monitors make no
+    Grassmann product of their own.
     """
     state0.validate()
     alg, masks, y0 = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
@@ -520,10 +581,9 @@ def integrate_super(
     if packed is None:
         def rates(y, i):
             x, v, xi = y
-            dv, dxi, lam, _ = at_step(i, _rhs, alg, fld, par, x, v, xi)
+            dv, dxi, lam, _, vv, v_xi = at_step(i, _rhs, alg, fld, par, x, v, xi)
             if i is not None:
-                monitors.append((np.abs(_gdot(alg, xi, v, ODD, EVEN)).max(),
-                                 np.abs(lam).max(), _gdot(alg, v, v, EVEN, EVEN)[0]))
+                monitors.append((np.abs(v_xi).max(), np.abs(lam).max(), vv[0]))
             return np.array((v, dv, dxi))
     else:
         terms = _const_program(fld._f_const, par)

@@ -250,7 +250,7 @@ def euler_lagrange_residual(path: DiscretePath, fld, par: ModelParams) -> ELResi
         xdd = (x[lo + 2 : hi + 2] - 2.0 * x[sl] + x[lo:hi]) / h**2
         v_c = (x[lo + 2 : hi + 2] - x[lo:hi]) / (2.0 * h)
         xid = (xi[lo + 2 : hi + 2] - xi[lo:hi]) / (2.0 * h)
-        dv, dxi, _, _ = _rhs(alg, fld, par, x[sl], v_c, xi[sl])
+        dv, dxi = _rhs(alg, fld, par, x[sl], v_c, xi[sl])[:2]
         res_x[lo:hi] = par.mass * np.max(np.abs(xdd - dv), axis=(-2, -1))
         res_xi[lo:hi] = np.max(np.abs(xid - dxi), axis=(-2, -1))
     return ELResidual(s=path.s[1:-1].copy(), x_residual=res_x, xi_residual=res_xi)

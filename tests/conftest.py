@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,15 @@ from grasspin import (
 )
 from grasspin.minkowski import PAIRS, SIGNS, unpack_pairs
 from grasspin.polynomials import PolyVectorEvaluator
+
+
+def load_script(name):
+    """The module of ``scripts/<name>.py``, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, determinism, golden regression."""
 
 import copy
-import importlib.util
 import re
 import subprocess
 import sys
@@ -15,6 +14,8 @@ from grasspin.cli import _check_finite, main
 from grasspin.config import parse_config
 from grasspin.polynomials import PolyVectorEvaluator
 from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
+
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bmt_regression.csv"
@@ -45,14 +46,6 @@ def write_cfg(tmp_path, overrides=None, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(cfg))
     return str(p)
-
-
-def load_script(name):
-    """The module of ``scripts/<name>.py``, loaded by path."""
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def read_csv(path):
@@ -550,6 +543,29 @@ class TestOutputs:
         assert outputs.gap(a, b) > outputs.LIMIT
         assert outputs.judge(mine, other) == 0
         assert "0 arrays over it" in capsys.readouterr().out
+
+    @staticmethod
+    def bmt_side():
+        """A BMT library case with max|u| = 2 at each record, so |u|**2 = 4
+        there while u.u = 1."""
+        rng = np.random.default_rng(2300)
+        u = rng.normal(size=(5, 4))
+        u *= 2.0 / np.max(np.abs(u), axis=-1, keepdims=True)
+        spin = rng.normal(size=(5, 4, 4))
+        arrays = {"s": 0.05 * np.arange(5), "x": rng.normal(size=(5, 4)), "u": u, "spin": spin,
+                  "uu": np.ones(5), "us_max": rng.random(5), "ss": rng.random(5)}
+        return {"cli": {}, "library": [("library bmt f mu'=0", arrays)]}
+
+    @pytest.mark.parametrize("moved, code", [(2e-15, 0), (1e-12, 1)])
+    def test_bmt_uu_scaled_by_u_squared(self, outputs, capsys, moved, code):
+        # 2e-15 over |u|**2 = 4 is within the limit; over max|uu| = 1, the
+        # scale the invariants once had, it is not
+        mine, other = self.bmt_side(), self.bmt_side()
+        uu = other["library"][0][1]["uu"]
+        uu += moved
+        assert outputs.gap(mine["library"][0][1]["uu"], uu) > outputs.LIMIT
+        assert outputs.judge(mine, other) == code
+        assert f"{code} arrays over it" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key, moved", [
         (("a.yaml", "verify"), (0, None, b"config error\n")),

@@ -2,7 +2,10 @@
 
 A wrong hint makes ``GrassmannAlgebra.mul`` drop terms silently, and nothing
 checks hints at run time.  Here every product of a run is intercepted, and
-each hinted operand must have exactly the hinted parity or be zero.
+each hinted operand must have exactly the hinted parity or be zero.  The
+dynamics also runs the even inverse's series without ``invert_even``'s
+checks, so every operand that reaches the series must be even with a
+nonzero body.
 """
 
 import numpy as np
@@ -26,10 +29,17 @@ ALLOWED = {EVEN: (Parity.EVEN, Parity.ZERO), ODD: (Parity.ODD, Parity.ZERO)}
 
 @pytest.fixture
 def audited(monkeypatch):
-    """Counts of hinted operands seen, by hint, and of products made in a
-    dual algebra; a mismatch fails the call."""
-    seen = {EVEN: 0, ODD: 0, "dual": 0}
-    mul = GrassmannAlgebra.mul
+    """Counts of hinted operands seen, by hint, of products made in a dual
+    algebra and of operands that reached the inverse series; a mismatch
+    fails the call."""
+    seen = {EVEN: 0, ODD: 0, "dual": 0, "series": 0}
+    mul, series = GrassmannAlgebra.mul, GrassmannAlgebra._inverse_series
+
+    def checked_series(alg, a):
+        assert alg.parity_of(a, tol=0.0) == Parity.EVEN, "odd coefficient in a series operand"
+        assert (a[..., 0] != 0.0).all(), "zero body in a series operand"
+        seen["series"] += 1
+        return series(alg, a)
 
     def checked(alg, a, b, pa=None, pb=None):
         seen["dual"] += isinstance(alg, _DualAlgebra)
@@ -41,6 +51,7 @@ def audited(monkeypatch):
         return mul(alg, a, b, pa, pb)
 
     monkeypatch.setattr(GrassmannAlgebra, "mul", checked)
+    monkeypatch.setattr(GrassmannAlgebra, "_inverse_series", checked_series)
     return seen
 
 
@@ -59,3 +70,4 @@ def test_hints_match_operand_parities(audited, name, fld, n):
     euler_lagrange_residual(path, fld, par)
     assert audited[EVEN] > 0 and audited[ODD] > 0
     assert audited["dual"] > 0   # the even probe's products are audited too
+    assert audited["series"] > 0

@@ -19,16 +19,18 @@ from grasspin import (
     lambda_solve,
     leading_order,
 )
-from grasspin.grassmann import EVEN, ODD, GrassmannNumber, Parity, algebra
+from grasspin.grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, Parity, algebra
 from grasspin.minkowski import SIGNS
 from grasspin.polynomials import PolyVectorEvaluator
 import grasspin.super_dynamics as sd
 from grasspin.super_dynamics import (
-    LightlikeVelocityError, _const_program, _cut, _emul, _f_left, _field, _gdot, _multiplier,
-    _odd_contract, _pack, _rhs, _unpack, multiplier_rate, rk4,
+    LightlikeVelocityError, _const_program, _cut, _emul, _field, _gdot, _multiplier, _pack, _rhs,
+    _unpack, multiplier_rate, rk4,
 )
 
-from conftest import boosted_velocity, field_corpus, gradient_b_field, loaded_state, standard_state
+from conftest import (
+    boosted_velocity, field_corpus, gradient_b_field, load_script, loaded_state, standard_state,
+)
 
 
 ZERO_FIELD = FieldConfig([Polynomial.zero()] * 4)
@@ -49,6 +51,19 @@ def full_algebra_rk4(st, fld, par, h, steps):
         y = tuple(a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + w)
                   for a, p, q, r, w in zip(y, k1, k2, k3, k4))
     return y
+
+
+def _f_left(alg, f, w, pw):
+    """Q_nu = sum_mu F_{mu nu} w^mu, for w of parity hint pw.
+
+    F is antisymmetric, so F^{mu nu} w_nu = -SIGNS[mu] Q_mu.
+    """
+    return _emul(alg, f, w[..., :, None, :], pw).sum(axis=-3)
+
+
+def _odd_contract(alg, q, xi):
+    """sum_nu q^nu * xi^nu with even q the left factor, shape (..., dim)."""
+    return alg.mul(q, xi, EVEN, ODD).sum(axis=-2)
 
 
 def fixed_point_rhs(alg, fld, par, x, v, xi):
@@ -231,7 +246,7 @@ def test_rhs_matches_fixed_point_reference(name, fld, n):
         off = st.xi + 0.1 * st.xi[::-1]
         assert np.max(np.abs(_gdot(alg, st.v, off, EVEN, ODD))) > 0.1
         for xi in (st.xi, off):
-            dv, _, _, lam_dot = _rhs(alg, fld, par, st.x, st.v, xi)
+            dv, _, _, lam_dot = _rhs(alg, fld, par, st.x, st.v, xi)[:4]
             want_dv, want_lam_dot = fixed_point_rhs(alg, fld, par, st.x, st.v, xi)
             for got, want in ((dv, want_dv), (lam_dot, want_lam_dot)):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -332,6 +347,39 @@ def test_rhs_evaluates_the_field_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, limit", [("gradient_b", 12), ("random_cubic", 15)])
+def test_rhs_product_count(name, limit, monkeypatch):
+    """One ``_rhs`` call at N = 4, every generator loaded and x carrying a
+    soul, makes at most ``limit`` products, those inside the even inverses
+    and the field's evaluation included."""
+    fld = dict(field_corpus())[name]
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+    traj = integrate_super(loaded_state(4), fld, par, h=0.05, steps=4)
+    assert traj.x[-1][:, 1:].any()
+    calls = []
+    mul = GrassmannAlgebra.mul
+    monkeypatch.setattr(GrassmannAlgebra, "mul", lambda alg, *a: calls.append(1) or mul(alg, *a))
+    _rhs(traj.alg, fld, par, traj.x[-1], traj.v[-1], traj.xi[-1])
+    assert len(calls) <= limit
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("name, fld", field_corpus(), ids=[n for n, _ in field_corpus()])
+def test_monitors_match_records(name, fld, n):
+    """constraint_max and vv_body, read off the rate, equal |xi.v| and the
+    body of v.v recomputed with ``_gdot`` from every record, within the
+    roundoff floors that ``scripts/outputs.py`` judges them by."""
+    outputs = load_script("outputs")
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+    traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=16, record_every=1)
+    alg, x, v, xi = traj.alg, traj.x, traj.v, traj.xi
+    constraint = np.max(np.abs(_gdot(alg, xi, v, ODD, EVEN)), axis=-1)
+    vv_body = _gdot(alg, v, v, EVEN, EVEN)[:, 0]
+    floor = outputs.floors({"x": x, "v": v, "xi": xi})["constraint_max"]
+    assert np.all(np.abs(traj.constraint_max - constraint) <= outputs.LIMIT * floor)
+    assert np.max(np.abs(traj.vv_body - vv_body)) <= outputs.LIMIT * np.max(np.abs(vv_body))
+
+
 class TestConstProgram:
     """The rate program of a constant field at k <= 2 against ``_rhs``."""
 
@@ -359,7 +407,7 @@ class TestConstProgram:
             mup = (rng.normal(), e, 0.0)[case % 3]
             par = ModelParams(mass=m, charge=e, mu_prime=mup)
             y = self.random_state(rng, alg)
-            dv, dxi, lam, lam_dot = _rhs(alg, fld, par, *y)
+            dv, dxi, lam, lam_dot = _rhs(alg, fld, par, *y)[:4]
             packed = _pack(alg, y)
             terms = _const_program(fld._f_const, par)(packed)
             got = _unpack(alg, np.concatenate((packed[2:4], *terms[:2])))
