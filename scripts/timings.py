@@ -4,7 +4,7 @@ against another one.
 
     python scripts/timings.py OTHER_CHECKOUT [KIND ...] [-- CLI ARGS]
 
-KIND is one of ``rhs``, ``field``, ``rate``, ``probe``, ``bmt`` and ``cli``,
+KIND is one of ``rhs``, ``field``, ``rate``, ``probe``, ``bmt``, ``cli`` and ``main``,
 the case kinds below; given one or more, only cases of those kinds run, and
 with none every case runs.  An unknown kind prints the usage and exits 2.
 ``python scripts/timings.py OTHER probe`` runs its 11 rounds in about 15 s
@@ -63,6 +63,14 @@ codes and whether the output of every call, on both sides, was
 byte-identical.  To time ``verify`` at N generators, write a config with
 that N and pass it after ``--``.
 
+Main case: the same call, as one in-process ``grasspin.cli.main`` call,
+in a fresh interpreter per side and round with the same environment and
+working directory as the CLI case.  The child makes one call to warm up
+(imports, tables, caches), then six more with stdout and stderr
+discarded, and reports the median of their wall times in ms and their
+exit code.  This is the fixed cost of each call in a process that makes
+many, as a sweep does, without the interpreter's start-up.
+
 Every child runs with BLAS pinned to one thread.  The two checkouts
 alternate case by case, which side goes first alternating too, for 11
 rounds, because a shared host's speed drifts over seconds.  Per case and
@@ -93,9 +101,9 @@ CASES += [("field", n, "gradient_b") for n in (4, 6)]
 CASES += [("rate", 2, "constant_eb"), ("rate", 4, "gradient_b")]
 CASES += [("probe", 4, "gradient_b")]
 CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b")]
-CASES += [("cli", 0, "")]
+CASES += [("cli", 0, ""), ("main", 0, "")]
 LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "rate": "rate n={n} ",
-          "probe": "probe n={n} ", "bmt": "bmt ", "cli": "cli"}
+          "probe": "probe n={n} ", "bmt": "bmt ", "cli": "cli", "main": "main"}
 
 PRELUDE = """
 import json, statistics, sys, time
@@ -217,8 +225,27 @@ print(json.dumps({"rate": median_us(lambda: rates(y0, None)),
                   "rk4 step": median_us(run) / steps}))
 """
 
+CHILD_MAIN = """
+import contextlib, json, os, statistics, sys, time
+from grasspin.cli import main
+
+null = open(os.devnull, "w")
+def call():
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
+        try:
+            code = main(sys.argv[4:])
+        except SystemExit as exc:
+            code = exc.code
+    return code, time.perf_counter() - t0
+
+call()
+runs = [call() for _ in range(6)]
+print(json.dumps({"wall ms": 1e3 * statistics.median(t for _, t in runs), "exit": runs[-1][0]}))
+"""
+
 CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "probe": CHILD_PROBE,
-            "bmt": CHILD_BMT}
+            "bmt": CHILD_BMT, "main": CHILD_MAIN}
 
 
 def child_env(root: Path) -> dict:
@@ -247,8 +274,9 @@ def measure(root: Path, case: tuple, cli_args: list[str], log: Path) -> dict:
     if kind == "cli":
         code, wall, rss, digest = cli_call(root, cli_args, log)
         return {"wall ms": 1e3 * wall, "peak rss MB": rss, "exit": code, "digest": digest}
-    out = subprocess.run([sys.executable, "-c", CHILDREN[kind], str(root), str(n), name],
-                         check=True, stdout=subprocess.PIPE, env=child_env(root)).stdout
+    extra = cli_args if kind == "main" else []
+    out = subprocess.run([sys.executable, "-c", CHILDREN[kind], str(root), str(n), name, *extra],
+                         check=True, stdout=subprocess.PIPE, env=child_env(root), cwd=root).stdout
     return json.loads(out)
 
 
@@ -283,11 +311,13 @@ def main(argv: list[str]) -> int:
             ratio = statistics.median(x[layer] / y[other_layer] for x, y in zip(mine, theirs))
             layer_label = layer if layer == other_layer else f"{layer} ({other_layer})"
             print(f"{label:<21} {layer_label:<16} {a:>9.1f} {b:>9.1f} {ratio:>6.2f}", flush=True)
-        if kind == "cli":
+        if kind in ("cli", "main"):
             codes = [sorted({run["exit"] for run in side}) for side in (mine, theirs)]
-            equal = len({run["digest"] for run in mine + theirs}) == 1
-            print(f"{label:<21} grasspin {' '.join(cli_args)}: exit codes this {codes[0]}, "
-                  f"other {codes[1]}; every output equal: {'yes' if equal else 'NO'}")
+            line = f"exit codes this {codes[0]}, other {codes[1]}"
+            if kind == "cli":
+                equal = len({run["digest"] for run in mine + theirs}) == 1
+                line += f"; every output equal: {'yes' if equal else 'NO'}"
+            print(f"{label:<21} grasspin {' '.join(cli_args)}: {line}")
     return 0
 
 

@@ -10,11 +10,19 @@ Exit codes: 0 pass, 1 threshold fail, 2 configuration error, 3 numerical
 abort.  CSV goes to --out when given, else to stdout (the human summary
 then moves to stderr), and all numbers carry full round-trip precision so
 identical config + seed reproduce byte-identical output.
+
+The argument parser is built once per process, at the first ``main`` call,
+and reused by every later call.
+
+simulate-super and compare lift every recorded state into the configured
+algebra.  A run whose records would take more than ``MAX_RECORD_BYTES``
+exits 2 before it integrates.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -34,6 +42,9 @@ EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Bytes that simulate-super and compare may spend on lifted records.
+MAX_RECORD_BYTES = 10**9
 
 
 def _fmt(value: float) -> str:
@@ -102,7 +113,20 @@ def _bmt_run(cfg: RunConfig, fld):
     return traj
 
 
+def _record_bytes(n_generators: int, steps: int, record_every: int) -> int:
+    """Bytes of the records ``integrate_super`` lifts into algebra(n_generators):
+    R states of x, v and xi, each (4, 2**n_generators) float64."""
+    records = len(range(0, steps, record_every)) + 1
+    return records * 3 * 4 * 2**n_generators * 8
+
+
 def _super_run(cfg: RunConfig):
+    size = _record_bytes(cfg.n_generators, cfg.steps, cfg.record_every)
+    if size > MAX_RECORD_BYTES:
+        raise ConfigError(
+            f"records would take {size / 1e9:.1f} GB, above {MAX_RECORD_BYTES / 1e9:.1f} GB; "
+            f"lower algebra.n_generators ({cfg.n_generators}) or integrator.steps "
+            f"({cfg.steps}), or raise integrator.record_every ({cfg.record_every})")
     fld = _potential_field(cfg)
     state0 = cfg.build_super_state()
     traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
@@ -325,7 +349,8 @@ def _materialize(spec: dict, s_grid: np.ndarray) -> PathVariation:
 # ----------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grasspin",
         description="Spinning-particle dynamics with anticommuting spin variables",
@@ -340,7 +365,11 @@ def main(argv=None) -> int:
                                  help="override the compare threshold")
     subs["verify"].add_argument("--seed", type=_seed, default=None,
                                 help="override the configured random seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -28,6 +28,11 @@ SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 _ROWS, _COLS = (np.array(idx) for idx in zip(*PAIRS))
 
+# T_{mn} is slot _PAIR_SLOT[m, n] of (the six components, their negatives, 0)
+_PAIR_SLOT = np.full((4, 4), 12)
+_PAIR_SLOT[_ROWS, _COLS] = np.arange(6)
+_PAIR_SLOT[_COLS, _ROWS] = np.arange(6, 12)
+
 
 def _levi_civita() -> np.ndarray:
     eps = np.zeros((4, 4, 4, 4))
@@ -61,13 +66,10 @@ def unpack_pairs(vals, axis: int = -1) -> np.ndarray:
 
     The pair axis ``axis`` of ``vals`` is replaced by two axes of length 4.
     """
-    vals = np.asarray(vals)
+    vals = np.asarray(vals, dtype=float)
     axis %= vals.ndim
-    out = np.zeros(vals.shape[:axis] + (4, 4) + vals.shape[axis + 1:])
-    lead = (slice(None),) * axis
-    out[lead + (_ROWS, _COLS)] = vals
-    out[lead + (_COLS, _ROWS)] = -vals
-    return out
+    zero = np.zeros(vals.shape[:axis] + (1,) + vals.shape[axis + 1:])
+    return np.concatenate((vals, -vals, zero), axis=axis).take(_PAIR_SLOT, axis=axis)
 
 
 def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, Parity
+from .grassmann import EVEN, ODD, PRUNE_TOL, GrassmannAlgebra, GrassmannNumber
 from .minkowski import SIGNS
 
 __all__ = [
@@ -266,14 +266,16 @@ class SuperState:
         return cls(alg, x, v, xi, s)
 
     def validate(self) -> None:
+        """Raise a ValueError naming the first component, mu-major and then x,
+        v, xi, with a coefficient above PRUNE_TOL in a slot of the wrong parity."""
         _require_finite(x=self.x, v=self.v, xi=self.xi, s=self.s)
-        for mu in range(4):
-            if self.alg.parity_of(self.x[mu]) not in (Parity.EVEN, Parity.ZERO):
-                raise ValueError(f"x^{mu} is not Grassmann-even")
-            if self.alg.parity_of(self.v[mu]) not in (Parity.EVEN, Parity.ZERO):
-                raise ValueError(f"v^{mu} is not Grassmann-even")
-            if self.alg.parity_of(self.xi[mu]) not in (Parity.ODD, Parity.ZERO):
-                raise ValueError(f"xi^{mu} is not Grassmann-odd")
+        alg = self.alg
+        wrong = np.array((alg.odd_mask, alg.odd_mask, alg.even_mask))[:, None, :]
+        bad = ((np.abs((self.x, self.v, self.xi)) > PRUNE_TOL) & wrong).any(axis=-1)
+        if bad.any():
+            mu, k = np.argwhere(bad.T)[0]
+            name, parity = (("x", "even"), ("v", "even"), ("xi", "odd"))[k]
+            raise ValueError(f"{name}^{mu} is not Grassmann-{parity}")
 
 
 @dataclass
@@ -562,12 +564,13 @@ def integrate_super(
     evaluated at every accepted step regardless of the recording stride,
     from the first stage of the step, and once more at the last state.
     ``_rhs`` returns v.xi and v.v with the rate, so the monitors make no
-    Grassmann product of their own.
+    Grassmann product of their own.  The step loop keeps each step's xi.v,
+    lam and v.v body, and their abs/max reductions run once, after it.
     """
     state0.validate()
     alg, masks, y0 = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
     y0 = np.stack(y0)
-    monitors = []   # (max |xi.v|, max |lam|, body of v.v) per step
+    monitors = []   # (xi.v, lam, body of v.v) per step, reduced after the loop
 
     def at_step(i, kernel, *args):
         try:
@@ -583,7 +586,7 @@ def integrate_super(
             x, v, xi = y
             dv, dxi, lam, _, vv, v_xi = at_step(i, _rhs, alg, fld, par, x, v, xi)
             if i is not None:
-                monitors.append((np.abs(v_xi).max(), np.abs(lam).max(), vv[0]))
+                monitors.append((v_xi, lam, vv[0]))
             return np.array((v, dv, dxi))
     else:
         terms = _const_program(fld._f_const, par)
@@ -591,8 +594,7 @@ def integrate_super(
         def rates(y, i):
             dv, dxi, lam, _, vv = at_step(i, terms, y)
             if i is not None:
-                monitors.append((np.abs(np.dot(y[4:], SIGNS * y[2])).max(),
-                                 np.abs(lam).max(), vv))
+                monitors.append((np.dot(y[4:], SIGNS * y[2]), lam, vv))
             return np.concatenate((y[2:4], dv, dxi))
 
     rec_steps, rec = rk4(rates, y0 if packed is None else packed, h, steps, record_every)
@@ -602,7 +604,8 @@ def integrate_super(
 
     lifted = np.zeros(rec.shape[:-1] + (state0.alg.dim,))
     lifted[..., masks] = rec
-    constraint_max, lambda_max, vv_body = np.array(monitors).T.copy()
+    xi_v, lams, vv_body = zip(*monitors)
+    constraint_max, lambda_max = (np.abs(np.array(ops)).max(axis=-1) for ops in (xi_v, lams))
     return SuperTrajectory(
         alg=state0.alg,
         h=h,
@@ -613,7 +616,7 @@ def integrate_super(
         steps_recorded=rec_steps,
         constraint_max=constraint_max,
         lambda_max=lambda_max,
-        vv_body=vv_body,
+        vv_body=np.array(vv_body),
     )
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, determinism, golden regression."""
 
+import argparse
 import copy
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+import grasspin.cli as cli
 from grasspin.cli import _check_finite, main
 from grasspin.config import parse_config
 from grasspin.polynomials import PolyVectorEvaluator
@@ -276,6 +279,101 @@ class TestExitCodes:
         assert main(["simulate-bmt", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
 
 
+class TestRecordBudget:
+    """simulate-super and compare refuse, before integrating, a run whose
+    lifted records would exceed ``cli.MAX_RECORD_BYTES``."""
+
+    def test_estimate_at_sixteen_generators(self):
+        # 2001 records of x, v and xi, each 4 x 2**16 float64: computed, never allocated
+        size = cli._record_bytes(16, 2000, 1)
+        assert size == 2001 * 3 * 4 * 2**16 * 8
+        assert 12.5e9 < size < 12.7e9 and size > cli.MAX_RECORD_BYTES
+
+    @pytest.mark.parametrize("steps, every, records", [(300, 50, 7), (301, 50, 8), (1, 1, 2)])
+    def test_estimate_counts_records_as_the_run_does(self, tmp_path, steps, every, records):
+        cfg = write_cfg(tmp_path, {"integrator.steps": steps, "integrator.record_every": every,
+                                   "integrator.h": 1e-3})
+        out = tmp_path / "o.csv"
+        assert main(["simulate-super", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == records + 1
+        assert cli._record_bytes(4, steps, every) == records * 3 * 4 * 16 * 8
+
+    @pytest.mark.parametrize("command", ["simulate-super", "compare"])
+    def test_oversized_records_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no state is built or integrated")
+        monkeypatch.setattr(cli, "integrate_super", refuse)
+        monkeypatch.setattr(cli.RunConfig, "build_super_state", refuse)
+        cfg = write_cfg(tmp_path, {"algebra.n_generators": 16, "integrator.steps": 2000,
+                                   "integrator.record_every": 1})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "12.6 GB" in err
+        for name in ("algebra.n_generators", "integrator.steps", "integrator.record_every"):
+            assert name in err
+
+    @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 2)])
+    def test_budget_is_inclusive(self, tmp_path, monkeypatch, spare, code):
+        monkeypatch.setattr(cli, "MAX_RECORD_BYTES", cli._record_bytes(4, 300, 50) + spare)
+        cfg = write_cfg(tmp_path)
+        assert main(["simulate-super", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == code
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a call's options do not
+    leak into the next call."""
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        cfg = write_cfg(tmp_path)
+        for command in ("compare", "simulate-super", "compare"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert progs.count("grasspin") == 1
+        assert len(progs) == 5      # the parser and its four subcommands, once
+
+    def test_calls_in_one_process_match_lone_calls(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "integrator": {"h": 2 * np.pi / 1000, "steps": 150, "record_every": 1},
+            "verify": {"points": 8, "variations": 2},
+        })
+        calls = [["compare", "--threshold", "1e-30"], ["compare"],
+                 ["verify", "--seed", "7"], ["verify"]]
+        together = []
+        for k, call in enumerate(calls):
+            out = tmp_path / f"together{k}.csv"
+            code = main([*call, "--config", cfg, "--out", str(out)])
+            together.append((code, out.read_bytes(), capsys.readouterr().out))
+        assert [t[0] for t in together] == [1, 0, 0, 0]
+        for k, call in enumerate(calls):
+            out = tmp_path / f"alone{k}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "grasspin.cli", *call, "--config", cfg, "--out", str(out)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+            assert (proc.returncode, out.read_bytes(), proc.stdout) == together[k], call
+
+    def test_bad_option_after_good_calls_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "o.csv")
+        assert main(["compare", "--config", cfg, "--out", out, "--threshold", "0.5"]) == 0
+        assert main(["verify", "--config", cfg, "--seed", "3"]) == 0
+        for bad in (["compare", "--config", cfg, "--seed", "3"],
+                    ["compare", "--config", cfg, "--threshold", "nan"],
+                    ["simulate-bmt", "--config", cfg, "--threshold", "0.5"]):
+            with pytest.raises(SystemExit) as info:
+                main(bad)
+            assert info.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert main(["compare", "--config", cfg, "--out", out]) == 0
+
+
 class TestLoading:
     @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
     @pytest.mark.parametrize("text", [
@@ -340,6 +438,16 @@ class TestSimulateBmt:
         assert code == 0 and wall > 0 and rss > 0
         assert re.fullmatch("[0-9a-f]{16}", digest)
         assert timings.main([str(ROOT), "bogus"]) == 2
+
+    def test_timings_main_case(self, tmp_path):
+        # in-process cli.main calls in one child, measured as the timing tool's main case does
+        timings = load_script("timings")
+        cfg = write_cfg(tmp_path, {"initial.spin": {"s_tensor": [0, 0, 0, 0, 0, 0.5]}})
+        got = timings.measure(ROOT, ("main", 0, ""), ["simulate-bmt", "--config", cfg],
+                              tmp_path / "log")
+        assert got["exit"] == 0 and got["wall ms"] > 0
+        got = timings.measure(ROOT, ("main", 0, ""), ["simulate-bmt", "--bogus"], tmp_path / "log")
+        assert got["exit"] == 2
 
     def test_zero_field_no_drift(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -84,6 +84,35 @@ def test_pair_packing_matches_index_loop(shape, axis):
     assert np.array_equal(pack_pairs(want), moved)
 
 
+def scatter_unpack(vals, axis):
+    """``unpack_pairs`` as zeros plus two fancy assignments, the form the
+    signed gather replaced."""
+    vals = np.asarray(vals)
+    axis %= vals.ndim
+    rows, cols = (np.array(idx) for idx in zip(*PAIRS))
+    out = np.zeros(vals.shape[:axis] + (4, 4) + vals.shape[axis + 1:])
+    lead = (slice(None),) * axis
+    out[lead + (rows, cols)] = vals
+    out[lead + (cols, rows)] = -vals
+    return out
+
+
+@pytest.mark.parametrize("shape, axis", [((6,), -1), ((5, 6), -1), ((4, 6, 16), -2),
+                                         ((2, 3, 6, 8), -2)])
+def test_pair_unpacking_equals_scatter_bitwise(shape, axis):
+    """Signed zeros, infinities and NaN come through as the scatter put
+    them, and every diagonal entry is +0.0."""
+    vals = np.random.default_rng(32).normal(size=shape)
+    flat = np.moveaxis(vals, axis, -1).reshape(-1, 6)
+    flat[0, :4] = (-0.0, 0.0, np.inf, -np.inf)
+    flat[-1, 5] = np.nan
+    vals = np.moveaxis(flat.reshape(np.moveaxis(vals, axis, -1).shape), -1, axis)
+    got, want = unpack_pairs(vals, axis=axis), scatter_unpack(vals, axis)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    diag = np.diagonal(got, axis1=axis % vals.ndim, axis2=axis % vals.ndim + 1)
+    assert not diag.any() and not np.signbit(diag).any()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "short", "text"])
 @pytest.mark.parametrize("name", ["e_field", "b_field"])
 @pytest.mark.parametrize("build", [constant_f_lower, constant_field])

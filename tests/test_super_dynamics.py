@@ -19,7 +19,9 @@ from grasspin import (
     lambda_solve,
     leading_order,
 )
-from grasspin.grassmann import EVEN, ODD, GrassmannAlgebra, GrassmannNumber, Parity, algebra
+from grasspin.grassmann import (
+    EVEN, ODD, PRUNE_TOL, GrassmannAlgebra, GrassmannNumber, Parity, algebra,
+)
 from grasspin.minkowski import SIGNS
 from grasspin.polynomials import PolyVectorEvaluator
 import grasspin.super_dynamics as sd
@@ -498,6 +500,79 @@ def test_integrate_super_rejects_non_finite_state(name, slot, bad, alg4, b_field
         getattr(st, name)[3, slot] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         integrate_super(st, b_field, params, h=1e-3, steps=3)
+
+
+def loop_validate(st):
+    """The parity check of ``SuperState.validate`` as a loop over the
+    components, mu-major and then x, v, xi, one ``parity_of`` each."""
+    for mu in range(4):
+        for name, parity, ok in (("x", "even", Parity.EVEN), ("v", "even", Parity.EVEN),
+                                 ("xi", "odd", Parity.ODD)):
+            if st.alg.parity_of(getattr(st, name)[mu]) not in (ok, Parity.ZERO):
+                raise ValueError(f"{name}^{mu} is not Grassmann-{parity}")
+
+
+def validate_message(check, st):
+    with pytest.raises(ValueError) as info:
+        check(st)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("mu", range(4))
+@pytest.mark.parametrize("name", ["x", "v", "xi"])
+def test_validate_names_wrong_parity_component(name, mu, sign, alg4):
+    """A wrong-parity coefficient of 1e-10 fails with the loop's message;
+    one of PRUNE_TOL passes."""
+    st = standard_state(alg4)
+    slot = 3 if name == "xi" else 1    # theta1 theta2 in xi, theta1 in x and v
+    getattr(st, name)[mu, slot] = sign * 1e-10
+    want = f"{name}^{mu} is not Grassmann-{'odd' if name == 'xi' else 'even'}"
+    assert validate_message(SuperState.validate, st) == validate_message(loop_validate, st) == want
+    getattr(st, name)[mu, slot] = sign * PRUNE_TOL
+    st.validate()
+    loop_validate(st)
+
+
+def test_validate_names_first_offender_as_loop(alg4):
+    """With several wrong-parity coefficients, in any slot and of any size
+    above PRUNE_TOL, the one pass names the component the loop names."""
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        st = standard_state(alg4)
+        for _ in range(rng.integers(1, 4)):
+            name = ("x", "v", "xi")[rng.integers(3)]
+            mask = alg4.even_mask if name == "xi" else alg4.odd_mask
+            value = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.9, 0.0)
+            getattr(st, name)[rng.integers(4), rng.choice(np.flatnonzero(mask))] = value
+        assert validate_message(SuperState.validate, st) == validate_message(loop_validate, st)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("name, fld", field_corpus(), ids=[n for n, _ in field_corpus()])
+def test_monitors_equal_per_step_reductions(name, fld, n):
+    """constraint_max, lambda_max and vv_body, reduced after the step loop,
+    equal the per-step reductions of the rate's own xi.v, lam and v.v at
+    every record, bitwise: through ``_const_program`` for a constant field
+    at n = 2, through ``_rhs`` otherwise.  ``loaded_state(n)`` loads every
+    generator, so the records are the states the loop stepped."""
+    par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+    traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=12, record_every=1)
+    alg = traj.alg
+    program = fld.constant and n <= 2
+    terms = _const_program(fld._f_const, par) if program else None
+    want = []
+    for y in np.stack((traj.x, traj.v, traj.xi), axis=1):
+        if program:
+            y = _pack(alg, y)
+            _, _, lam, _, vv = terms(y)
+            want.append((np.abs(np.dot(y[4:], SIGNS * y[2])).max(), np.abs(lam).max(), vv))
+        else:
+            _, _, lam, _, vv, v_xi = _rhs(alg, fld, par, *y)
+            want.append((np.abs(v_xi).max(), np.abs(lam).max(), vv[0]))
+    for got, ref in zip((traj.constraint_max, traj.lambda_max, traj.vv_body), np.array(want).T,
+                        strict=True):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("steps, record_every, name", [
