@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List the code of ``src/grasspin`` that the benchmark workloads never run.
+"""List the code of ``src/grasspin`` that neither the benchmark workloads
+nor the test suite runs.
 
     python3 scripts/traffic_lines.py
 
@@ -7,13 +8,16 @@ For each workload of ``bench/workloads.py`` it generates a few jobs from a
 fixed seed through ``bench/inputs.py``, writes their configs into a
 temporary directory, and runs ``run`` then ``check`` on each job, in this
 process, under ``sys.settrace``.  The files under ``bench/`` are imported,
-never written.  It then prints the functions of the package that were never
-entered, and for every function that was entered the statement lines it
-never executed.  Module and class bodies run at import and are not listed.
+never written.  It then runs ``pytest`` on ``tests/`` in the same process,
+under the same trace; test code that starts a child process is not traced
+there.  It prints the functions of the package that neither entered, and
+for every function that was entered the statement lines neither executed.
+Module and class bodies run at import and are not listed.
 
 The trace records line events only inside the package's own files, so a
-traced job runs a few times slower than an untraced one.  The package is
-imported from this checkout's ``src/``.
+traced job runs a few times slower than an untraced one; the traced test
+suite took about a minute on a 2-core host.  The package is imported from
+this checkout's ``src/``.
 """
 
 import dis
@@ -108,8 +112,16 @@ def run_workloads() -> list[str]:
     return summary
 
 
+def run_tests() -> str:
+    """Run the test suite in this process; one summary line."""
+    import pytest
+
+    code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    return f"tests: pytest exit {int(code)}"
+
+
 def main() -> int:
-    summary, executed = traced(run_workloads)
+    summary, executed = traced(lambda: run_workloads() + [run_tests()])
 
     never, partial = [], []
     for path in sorted(PACKAGE.glob("*.py")):

@@ -14,9 +14,12 @@ identical config + seed reproduce byte-identical output.
 The argument parser is built once per process, at the first ``main`` call,
 and reused by every later call.
 
-simulate-super and compare lift every recorded state into the configured
-algebra.  A run whose records would take more than ``MAX_RECORD_BYTES``
-exits 2 before it integrates.
+simulate-super, compare and verify make their Grassmann runs through
+``_super_run``, in algebra(2): theta1 and theta2, which initial.spin.xi
+loads, are the only generators a run reaches, so a coefficient_masks column
+past them reads zero.  Before it builds a state it counts the bytes the run
+keeps, its records and per-step monitors, and above ``MAX_RECORD_BYTES``
+exits 2 (verify's half-step run is checked first); a non-finite run exits 3.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ EXIT_THRESHOLD = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Bytes that simulate-super and compare may spend on lifted records.
+# Bytes that one Grassmann run may keep in records and monitors.
 MAX_RECORD_BYTES = 10**9
 
 
@@ -113,25 +116,29 @@ def _bmt_run(cfg: RunConfig, fld):
     return traj
 
 
-def _record_bytes(n_generators: int, steps: int, record_every: int) -> int:
-    """Bytes of the records ``integrate_super`` lifts into algebra(n_generators):
-    R states of x, v and xi, each (4, 2**n_generators) float64."""
+def _record_bytes(steps: int, record_every: int) -> int:
+    """Bytes one ``integrate_super`` run in algebra(2) keeps until it returns:
+    R records of x, v and xi, (4, 4) float64 each, and the monitor operands of
+    steps + 1 states, at most 6 x 4 float64 each."""
     records = len(range(0, steps, record_every)) + 1
-    return records * 3 * 4 * 2**n_generators * 8
+    return records * 3 * 4 * 4 * 8 + (steps + 1) * 6 * 4 * 8
 
 
-def _super_run(cfg: RunConfig):
-    size = _record_bytes(cfg.n_generators, cfg.steps, cfg.record_every)
+def _super_run(cfg: RunConfig, fld, h: float, steps: int, record_every: int):
+    """cfg's xi rows integrated in algebra(2) and checked finite; refused
+    before any state is built if over budget."""
+    if cfg.xi_coeffs is None:
+        raise ConfigError("initial.spin.xi is required for the full dynamics")
+    size = _record_bytes(steps, record_every)
     if size > MAX_RECORD_BYTES:
         raise ConfigError(
-            f"records would take {size / 1e9:.1f} GB, above {MAX_RECORD_BYTES / 1e9:.1f} GB; "
-            f"lower algebra.n_generators ({cfg.n_generators}) or integrator.steps "
-            f"({cfg.steps}), or raise integrator.record_every ({cfg.record_every})")
-    fld = _potential_field(cfg)
-    state0 = cfg.build_super_state()
-    traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, cfg.record_every)
+            f"records of {steps} steps would take {size / 1e9:.1f} GB, above "
+            f"{MAX_RECORD_BYTES / 1e9:.1f} GB; lower integrator.steps ({cfg.steps}) or raise "
+            f"integrator.record_every ({cfg.record_every})")
+    state0 = SuperState.from_real(cfg.x0, cfg.u0, cfg.xi_coeffs, algebra(2))
+    traj = integrate_super(state0, fld, cfg.params, h, steps, record_every)
     _check_finite(traj.x, traj.v, traj.xi)
-    return fld, traj
+    return traj
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +173,7 @@ def _cmd_simulate_bmt(cfg: RunConfig, out_path: str | None) -> int:
 
 
 def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
-    _, traj = _super_run(cfg)
+    traj = _super_run(cfg, _potential_field(cfg), cfg.h, cfg.steps, cfg.record_every)
     red = leading_order(traj)
 
     header = _STATE_HEADER + ["constraint", "lambda"]
@@ -175,7 +182,8 @@ def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
         traj.constraint_max[rec], traj.lambda_max[rec]]
     for mask in cfg.coefficient_masks:
         header += [f"{name}{m}_c{mask}" for name in ("x", "u", "xi") for m in range(4)]
-        columns += [traj.x[..., mask], traj.v[..., mask], traj.xi[..., mask]]
+        columns += [a[..., mask] if mask < traj.alg.dim else np.zeros(a.shape[:-1])
+                    for a in (traj.x, traj.v, traj.xi)]
     _emit_csv(out_path, header, np.column_stack(columns))
 
     con = float(np.max(traj.constraint_max))
@@ -199,9 +207,8 @@ def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, out_path: str | None, threshold: float | None) -> int:
-    if cfg.xi_coeffs is None:
-        raise ConfigError("initial.spin.xi is required by compare")
-    fld, traj = _super_run(cfg)
+    fld = _potential_field(cfg)
+    traj = _super_run(cfg, fld, cfg.h, cfg.steps, cfg.record_every)
     red = leading_order(traj)
     btraj = _bmt_run(cfg, fld)
 
@@ -274,18 +281,14 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
         if cfg.steps < MIN_INTERVALS:
             raise ConfigError(f"integrator.steps must be >= {MIN_INTERVALS} for verify, "
                               f"got {cfg.steps}")
-        # the run and its probes restrict to the theta1, theta2 that xi loads,
-        # so they start there; n_generators is for the Maxwell points only
-        state0 = SuperState.from_real(cfg.x0, cfg.u0, cfg.xi_coeffs, algebra(2))
-        traj = integrate_super(state0, fld, cfg.params, cfg.h, cfg.steps, record_every=1)
+        # the finer run is the larger: the record budget refuses it before either runs
+        traj_f = _super_run(cfg, fld, cfg.h / 2.0, 2 * cfg.steps, 1)
+        traj = _super_run(cfg, fld, cfg.h, cfg.steps, 1)
         con_tol = vcfg["constraint_tol"]
         con = float(np.max(traj.constraint_max))
         checks.append(("constraint", con < con_tol, f"max |xi.v| {con:.3e} vs {con_tol:.1e}"))
 
         path = DiscretePath.from_trajectory(traj)
-        traj_f = integrate_super(
-            state0, fld, cfg.params, cfg.h / 2.0, 2 * cfg.steps, record_every=1
-        )
         path_f = DiscretePath.from_trajectory(traj_f)
         n_var = vcfg["variations"]
         res_h, res_h2 = [], []

@@ -15,10 +15,10 @@ import numpy as np
 import yaml
 
 from .fields import DirectField, FieldConfig, constant_field
-from .grassmann import MAX_GENERATORS, algebra
+from .grassmann import MAX_GENERATORS
 from .minkowski import minkowski_dot, unpack_pairs
 from .polynomials import Polynomial
-from .super_dynamics import ModelParams, SuperState, spin_block
+from .super_dynamics import ModelParams, spin_block
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -189,7 +189,7 @@ class RunConfig:
     h: float
     steps: int
     record_every: int
-    n_generators: int
+    n_generators: int                 # verify's Maxwell points; bounds the masks
     seed: int
     coefficient_masks: list[int] = field(default_factory=list)
     thresholds: dict = field(default_factory=dict)
@@ -199,11 +199,6 @@ class RunConfig:
 
     def build_field(self):
         return self.field.build()
-
-    def build_super_state(self) -> SuperState:
-        if self.xi_coeffs is None:
-            raise ConfigError("initial.spin.xi is required for the full dynamics")
-        return SuperState.from_real(self.x0, self.u0, self.xi_coeffs, algebra(self.n_generators))
 
     def spin_tensor_matrix(self) -> np.ndarray:
         """Covariant S_{mu nu} from whichever spin specification is present."""

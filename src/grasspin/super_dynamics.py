@@ -30,10 +30,10 @@ All kernels below operate on raw coefficient arrays of shape (..., 4, dim)
 and broadcast over leading axes, so a whole grid of states can be evaluated
 in one call.  The field tensors F_{mu nu} (..., 4, 4, dim) and
 d_kappa F_{mu nu} (..., 4, 4, 4, dim) are cut to their body, a last axis of
-length 1, when they carry no soul: for a constant field, and at points
-without a soul.  ``_emul`` multiplies a cut tensor as the real it is and
-uses the Grassmann product otherwise.  ``_rhs`` is the general path for
-every field and algebra, and the reference for the program below.
+length 1, when they carry no soul (``_field`` says which).  ``_emul``
+multiplies a cut tensor as the real it is and uses the Grassmann product
+otherwise.  ``_rhs`` is the general path for every field and algebra, and
+the reference for the program below.
 
 ``_rhs`` makes its products by dependency level, and the products of one
 level that share their parity hints run as one kernel call, with their
@@ -170,10 +170,10 @@ def _emul(alg, a, b, pb=None):
 
 def _field(alg, fld, x, grad=False):
     """F_{mu nu} (..., 4, 4, dim) and d_kappa F_{mu nu} (..., 4, 4, 4, dim)
-    at even points x, each cut to its body when it has no soul; with
-    ``grad``, both come from one pass of the field's program.
+    at even points x.  dF, and F without ``grad``, are cut to their body when
+    they have no soul; with ``grad``, both come from one pass of the program.
 
-    dF is None for a constant field, or when ``grad`` is false.
+    A constant F is its body and its dF None; dF is None without ``grad``.
     """
     if fld.constant:
         return fld._f_const[..., None], None
@@ -181,7 +181,7 @@ def _field(alg, fld, x, grad=False):
     if not grad:
         return _cut(fld.f_lower_coeffs(bodies, souls, alg)), None
     f, df = fld.f_and_df_coeffs(bodies, souls, alg)
-    return _cut(f), _cut(df)
+    return f, _cut(df)
 
 
 def _f_first(alg, f, cols, w, pw):
@@ -346,10 +346,8 @@ def _rhs(alg, fld, par, x, v, xi):
     k_v, k_xi = -(e / m) * _LOWER, -(mup / m) * _LOWER
     k_grad = (mup / (4.0 * m * m)) * _LOWER
 
+    # F comes full width with a dF: level 3 stacks it with dF(v)
     f, df = _field(alg, fld, x, grad=True)
-    if df is not None and f.shape[-1] == 1:
-        # level 3 stacks F with dF(v), which carries every slot of v
-        f = np.concatenate((f, np.zeros(f.shape[:-1] + (alg.dim - 1,))), axis=-1)
     lower_v = (_LOWER * v)[..., None, :]
     soul_df = df is not None and df.shape[-1] > 1
 

@@ -14,7 +14,8 @@ import yaml
 
 import grasspin.cli as cli
 from grasspin.cli import _check_finite, main
-from grasspin.config import parse_config
+from grasspin.config import ConfigError, load_config, parse_config
+from grasspin.minkowski import SIGNS
 from grasspin.polynomials import PolyVectorEvaluator
 from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
 
@@ -75,6 +76,12 @@ class TestExitCodes:
         assert main(["simulate-bmt", "--config", cfg]) == 2
         assert "s_tensor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate-super", "compare"])
+    def test_grassmann_run_requires_xi(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, {"initial.spin": {"s_tensor": [0, 0, 0, 0, 0, 0.5]}})
+        assert main([command, "--config", cfg]) == 2
+        assert "initial.spin.xi is required" in capsys.readouterr().err
+
     def test_direct_field_only_for_verify(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
@@ -94,6 +101,19 @@ class TestExitCodes:
             code = main(["simulate-bmt", "--config", cfg, "--out", str(tmp_path / "o.csv")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-super", "compare", "verify"])
+    def test_grassmann_overflow_is_numerical_abort(self, tmp_path, capsys, command):
+        # finite input whose Grassmann run overflows: B = 1e200 at h = 1
+        cfg = write_cfg(tmp_path, {
+            "field": {"kind": "constant", "E": [0.0, 0.0, 0.0], "B": [0.0, 0.0, 1e200]},
+            "integrator": {"h": 1.0, "steps": 8, "record_every": 1},
+            "verify": {"points": 4},
+        })
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert "numerical abort: non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compare", "simulate-super", "verify"])
     def test_overflowing_potential_term_is_config_error(self, tmp_path, capsys, command):
@@ -279,43 +299,161 @@ class TestExitCodes:
         assert main(["simulate-bmt", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
 
 
-class TestRecordBudget:
-    """simulate-super and compare refuse, before integrating, a run whose
-    lifted records would exceed ``cli.MAX_RECORD_BYTES``."""
+class TestConfigBoundaries:
+    """Each invalid config raises ConfigError naming the field, and the CLI
+    exits 2 with that message."""
 
-    def test_estimate_at_sixteen_generators(self):
-        # 2001 records of x, v and xi, each 4 x 2**16 float64: computed, never allocated
-        size = cli._record_bytes(16, 2000, 1)
-        assert size == 2001 * 3 * 4 * 2**16 * 8
-        assert 12.5e9 < size < 12.7e9 and size > cli.MAX_RECORD_BYTES
+    @pytest.mark.parametrize("path, value, message", [
+        ("initial.x0", {"a": 1.0}, "initial.x0 must be numeric"),
+        ("verify.ratio_band", [2.5], "verify.ratio_band must be [low, high]"),
+        ("verify.ratio_band", [6.0, 2.5], "verify.ratio_band must be [low, high]"),
+        ("initial.x0", [0.0, 0.0, 0.0], "initial.x0 must be a 4-vector"),
+        ("field", {"kind": "polynomial", "terms": [{"component": 1, "exponents": [0, 0, 1, 0]}]},
+         "field.terms[0] needs component, exponents, coefficient"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1, "exponents": [0, 1, 0], "coefficient": 0.5}]},
+         "field.terms[0].exponents must have 4 entries"),
+        ("field.E", [0.0, 0.0], "field.E and field.B must be 3-vectors"),
+        ("field.B", [0.0, 0.0, 1.0, 0.0], "field.E and field.B must be 3-vectors"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 4, "exponents": [0, 0, 1, 0], "coefficient": 0.5}]},
+         "field.terms[0].component must be 0..3"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [1], "exponents": [0, 0, 0, 0], "coefficient": 1.0}]},
+         "field.f_terms[0].pair must be [m, n]"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [2, 1], "exponents": [0, 0, 0, 0], "coefficient": 1.0}]},
+         "field.f_terms[0].pair must satisfy 0 <= m < n <= 3"),
+        ("field.kind", "uniform", "field.kind must be constant, polynomial or direct"),
+        ("initial.spin", {"xi": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                          "s_tensor": [0, 0, 0, 0, 0, 0.5]},
+         "initial.spin must give exactly one of s_tensor, xi"),
+        ("initial.spin", {}, "initial.spin must give exactly one of s_tensor, xi"),
+        ("initial.spin", {"s_tensor": [0, 0, 0, 0, 0.5]},
+         "initial.spin.s_tensor must list 6 components"),
+        ("initial.spin", {"xi": [[0.0, 0.0, 1.0, 0.0]]},
+         "initial.spin.xi must be a (2, 4) coefficient array"),
+        ("integrator.h", 0.0, "integrator.h must be positive"),
+        ("integrator.h", -0.01, "integrator.h must be positive"),
+        ("integrator.steps", 0, "integrator.steps must be >= 1"),
+        ("integrator.record_every", 0, "integrator.record_every must be >= 1"),
+        ("algebra.n_generators", 1, "algebra.n_generators must be in [2, 16]"),
+        ("algebra.n_generators", 17, "algebra.n_generators must be in [2, 16]"),
+        ("output.coefficient_masks", 3, "output.coefficient_masks must be a list"),
+        ("output.coefficient_masks", [3, 16],
+         "output.coefficient_masks entries must be valid subset masks"),
+        ("output.coefficient_masks", [-1],
+         "output.coefficient_masks entries must be valid subset masks"),
+    ])
+    def test_rejected_with_field_named(self, tmp_path, capsys, path, value, message):
+        cfg = write_cfg(tmp_path, {path: value})
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert message in str(info.value)
+        assert main(["simulate-super", "--config", cfg]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("- 1\n- 2\n", "configuration document must be a mapping"),
+        (None, "cannot read config"),
+    ], ids=["list-document", "missing-file"])
+    def test_unreadable_document(self, tmp_path, capsys, text, message):
+        p = tmp_path / "cfg.yaml"
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(p))
+        assert main(["simulate-super", "--config", str(p)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_u0_rescale_warns(self):
+        raw = copy.deepcopy(BASE)
+        u0 = np.array(raw["initial"]["u0"])
+        raw["initial"]["u0"] = list(u0 * (1.0 + 1e-8))
+        with pytest.warns(UserWarning, match="initial.u0 rescaled"):
+            cfg = parse_config(raw)
+        assert abs(float(cfg.u0 @ (SIGNS * cfg.u0)) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("command, header, summary", [
+        ("simulate-bmt", "s,x0,", "uu_drift:"),
+        ("simulate-super", "s,x0,", "constraint_max:"),
+        ("compare", "s,dev_x,", "max deviation x:"),
+    ])
+    def test_csv_to_stdout_without_out(self, tmp_path, capsys, command, header, summary):
+        spin = {"s_tensor": [0, 0, 0, 0, 0, 0.5]} if command == "simulate-bmt" else BASE[
+            "initial"]["spin"]
+        cfg = write_cfg(tmp_path, {"initial.spin": spin})
+        assert main([command, "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(header) and len(out.splitlines()) == 8   # header + 7 records
+        assert summary in err and summary not in out
+
+
+class TestRecordBudget:
+    """simulate-super, compare and verify run in algebra(2), and refuse,
+    before they build a state, a run whose records and monitors would
+    exceed ``cli.MAX_RECORD_BYTES``."""
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no state is built or integrated")
+        monkeypatch.setattr(cli, "integrate_super", refuse)
+        monkeypatch.setattr(cli.SuperState, "from_real", refuse)
+
+    def test_estimate_at_sixteen_generators(self, tmp_path):
+        # N = 16 and a mask naming theta16 do not size the run: 2001 records of
+        # x, v and xi, (4, 4) float64 each, and the monitors of 2001 states,
+        # 6 x 4 float64 each; lifted into algebra(16) the records took 12.6 GB
+        assert cli._record_bytes(2000, 1) == 2001 * 3 * 4 * 4 * 8 + 2001 * 6 * 4 * 8
+        cfg = write_cfg(tmp_path, {"algebra.n_generators": 16,
+                                   "output.coefficient_masks": [3, 1 << 15],
+                                   "integrator.steps": 2000, "integrator.record_every": 1})
+        out = tmp_path / "o.csv"
+        assert main(["simulate-super", "--config", cfg, "--out", str(out)]) == 0
+        data = read_csv(out)
+        assert len(data) == 2001
+        for name in ("x", "u", "xi"):
+            for m in range(4):
+                assert not np.any(data[f"{name}{m}_c32768"])
 
     @pytest.mark.parametrize("steps, every, records", [(300, 50, 7), (301, 50, 8), (1, 1, 2)])
-    def test_estimate_counts_records_as_the_run_does(self, tmp_path, steps, every, records):
+    def test_estimate_counts_records_as_the_run_does(self, tmp_path, monkeypatch, steps, every,
+                                                     records):
+        runs, integrate = [], cli.integrate_super
+        monkeypatch.setattr(cli, "integrate_super", lambda *a: runs.append(integrate(*a)) or runs[0])
         cfg = write_cfg(tmp_path, {"integrator.steps": steps, "integrator.record_every": every,
                                    "integrator.h": 1e-3})
         out = tmp_path / "o.csv"
         assert main(["simulate-super", "--config", cfg, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == records + 1
-        assert cli._record_bytes(4, steps, every) == records * 3 * 4 * 16 * 8
+        (traj,) = runs
+        assert traj.alg.n == 2 and len(traj) == records
+        assert traj.constraint_max.size == traj.lambda_max.size == steps + 1
+        assert cli._record_bytes(steps, every) == records * 3 * 4 * 4 * 8 + (steps + 1) * 192
 
-    @pytest.mark.parametrize("command", ["simulate-super", "compare"])
-    def test_oversized_records_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch,
-                                                    command):
-        def refuse(*args, **kwargs):
-            raise AssertionError("no state is built or integrated")
-        monkeypatch.setattr(cli, "integrate_super", refuse)
-        monkeypatch.setattr(cli.RunConfig, "build_super_state", refuse)
-        cfg = write_cfg(tmp_path, {"algebra.n_generators": 16, "integrator.steps": 2000,
-                                   "integrator.record_every": 1})
+    @pytest.mark.parametrize("command", ["simulate-super", "compare", "verify"])
+    def test_oversized_records_exit_2_before_the_run(self, tmp_path, capsys, no_run, command):
+        cfg = write_cfg(tmp_path, {"integrator.steps": 2 * 10**6, "integrator.record_every": 1,
+                                   "verify": {"points": 1}})
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "12.6 GB" in err
-        for name in ("algebra.n_generators", "integrator.steps", "integrator.record_every"):
+        # verify's half-step run, 4e6 steps, is refused before either run
+        assert ("2.3 GB" if command == "verify" else "1.2 GB") in err
+        for name in ("integrator.steps", "integrator.record_every"):
             assert name in err
+
+    def test_verify_bounded(self, tmp_path, capsys, no_run):
+        # verify's half-step run of 2e7 steps keeps 2e7 + 1 records of 384
+        # bytes and monitors of 192
+        cfg = write_cfg(tmp_path, {"integrator.steps": 10**7, "integrator.record_every": 1,
+                                   "verify": {"points": 1}})
+        assert main(["verify", "--config", cfg]) == 2
+        assert "records of 20000000 steps would take 11.5 GB" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 2)])
     def test_budget_is_inclusive(self, tmp_path, monkeypatch, spare, code):
-        monkeypatch.setattr(cli, "MAX_RECORD_BYTES", cli._record_bytes(4, 300, 50) + spare)
+        monkeypatch.setattr(cli, "MAX_RECORD_BYTES", cli._record_bytes(300, 50) + spare)
         cfg = write_cfg(tmp_path)
         assert main(["simulate-super", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == code
 
@@ -561,25 +699,30 @@ class TestVerify:
         assert data["x_residual"].max() < 1e-2
 
     def test_result_independent_of_generator_count(self, tmp_path, capsys):
-        """The run and its probes use the generators that initial.spin.xi
-        loads; algebra.n_generators sets only the Maxwell points' algebra."""
-        lines, csvs = [], []
-        for n in (2, 4, 16):
-            cfg = write_cfg(tmp_path, {
-                "integrator": {"h": 2 * np.pi / 1000, "steps": 150, "record_every": 1},
-                "verify": {"points": 8, "variations": 2},
-                "algebra.n_generators": n,
-            }, name=f"n{n}.yaml")
-            out = tmp_path / f"n{n}.csv"
-            code = main(["verify", "--config", cfg, "--out", str(out)])
-            text = capsys.readouterr().out
-            assert code == 0, text
-            lines.append([line for line in text.splitlines()
-                          if line.startswith(("constraint:", "stationarity:"))])
-            csvs.append(out.read_bytes())
-        assert len(lines[0]) == 2
-        assert lines[0] == lines[1] == lines[2]
-        assert csvs[0] == csvs[1] == csvs[2]
+        """The Grassmann runs use theta1 and theta2, which initial.spin.xi
+        loads; algebra.n_generators sets only the Maxwell points' algebra, so
+        verify's Maxwell line is left out."""
+        for command in ("simulate-super", "compare", "verify"):
+            lines, csvs = [], []
+            # mask 5 names theta3, so n >= 3; 201 records lifted into
+            # algebra(16) would take 1.3 GB, but the runs stay in algebra(2)
+            for n in (3, 4, 16):
+                cfg = write_cfg(tmp_path, {
+                    "integrator": {"h": 2 * np.pi / 1000, "steps": 200, "record_every": 1},
+                    "verify": {"points": 8, "variations": 2},
+                    "output": {"coefficient_masks": [3, 5]},
+                    "algebra.n_generators": n,
+                }, name=f"n{n}.yaml")
+                out = tmp_path / f"n{n}.csv"
+                code = main([command, "--config", cfg, "--out", str(out)])
+                text = capsys.readouterr().out
+                assert code == 0, (command, n, text)
+                lines.append([line for line in text.splitlines()
+                              if not line.startswith("maxwell:")])
+                csvs.append(out.read_bytes())
+            assert len(lines[0]) == {"simulate-super": 4, "compare": 4, "verify": 2}[command]
+            assert lines[0] == lines[1] == lines[2], command
+            assert csvs[0] == csvs[1] == csvs[2], command
 
     def test_nonclosed_expected_fail(self, capsys):
         code = main(["verify", "--config", str(ROOT / "configs" / "nonclosed_f.yaml")])
