@@ -14,12 +14,11 @@ identical config + seed reproduce byte-identical output.
 The argument parser is built once per process, at the first ``main`` call,
 and reused by every later call.
 
-simulate-super, compare and verify make their Grassmann runs through
-``_super_run``, in algebra(2): theta1 and theta2, which initial.spin.xi
-loads, are the only generators a run reaches, so a coefficient_masks column
-past them reads zero.  Before it builds a state it counts the bytes the run
-keeps, its records and per-step monitors, and above ``MAX_RECORD_BYTES``
-exits 2 (verify's half-step run is checked first); a non-finite run exits 3.
+simulate-super, compare and verify run in algebra(2) through ``_super_run``:
+theta1 and theta2, which initial.spin.xi loads, are the only generators a run
+reaches, so a coefficient_masks column past them reads zero.  A run whose
+records and per-step monitors would exceed ``MAX_RECORD_BYTES`` (for verify,
+both its runs) exits 2 before any state is built; a non-finite run exits 3.
 """
 
 from __future__ import annotations
@@ -118,8 +117,7 @@ def _bmt_run(cfg: RunConfig, fld):
 
 def _record_bytes(steps: int, record_every: int) -> int:
     """Bytes one ``integrate_super`` run in algebra(2) keeps until it returns:
-    R records of x, v and xi, (4, 4) float64 each, and the monitor operands of
-    steps + 1 states, at most 6 x 4 float64 each."""
+    R records of x, v, xi (384 B) and monitors of steps + 1 states (<= 192 B)."""
     records = len(range(0, steps, record_every)) + 1
     return records * 3 * 4 * 4 * 8 + (steps + 1) * 6 * 4 * 8
 
@@ -281,15 +279,20 @@ def _cmd_verify(cfg: RunConfig, out_path: str | None, seed: int | None) -> int:
         if cfg.steps < MIN_INTERVALS:
             raise ConfigError(f"integrator.steps must be >= {MIN_INTERVALS} for verify, "
                               f"got {cfg.steps}")
-        # the finer run is the larger: the record budget refuses it before either runs
-        traj_f = _super_run(cfg, fld, cfg.h / 2.0, 2 * cfg.steps, 1)
+        size = _record_bytes(2 * cfg.steps, 1) + _record_bytes(cfg.steps, 1)
+        if size > MAX_RECORD_BYTES:   # both runs are kept: refused before either starts
+            raise ConfigError(
+                f"verify's two runs would take {size / 1e9:.1f} GB, above "
+                f"{MAX_RECORD_BYTES / 1e9:.1f} GB; lower integrator.steps ({cfg.steps})")
         traj = _super_run(cfg, fld, cfg.h, cfg.steps, 1)
+        traj_f = _super_run(cfg, fld, cfg.h / 2.0, 2 * cfg.steps, 1)
         con_tol = vcfg["constraint_tol"]
         con = float(np.max(traj.constraint_max))
         checks.append(("constraint", con < con_tol, f"max |xi.v| {con:.3e} vs {con_tol:.1e}"))
 
-        path = DiscretePath.from_trajectory(traj)
-        path_f = DiscretePath.from_trajectory(traj_f)
+        # the paths read the records in place; nothing writes to either
+        path = DiscretePath(traj.alg, traj.s, traj.x, traj.xi)
+        path_f = DiscretePath(traj_f.alg, traj_f.s, traj_f.x, traj_f.xi)
         n_var = vcfg["variations"]
         res_h, res_h2 = [], []
         # own stream: how many numbers the Maxwell points draw depends on N

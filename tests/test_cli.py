@@ -245,11 +245,52 @@ class TestExitCodes:
         ("field.B", [0, 0, True], "field.B"),
         ("thresholds.uu_drift", "1e-8", "thresholds.uu_drift"),
         ("verify.points", "10", "verify.points"),
+        ("initial.x0", {"a": 1.0}, "initial.x0 must be numeric"),
+        ("verify.ratio_band", [2.5], "verify.ratio_band must be [low, high]"),
+        ("verify.ratio_band", [6.0, 2.5], "verify.ratio_band must be [low, high]"),
+        ("initial.x0", [0.0, 0.0, 0.0], "initial.x0 must be a 4-vector"),
+        ("field", {"kind": "polynomial", "terms": [{"component": 1, "exponents": [0, 0, 1, 0]}]},
+         "field.terms[0] needs component, exponents, coefficient"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 1, "exponents": [0, 1, 0], "coefficient": 0.5}]},
+         "field.terms[0].exponents must have 4 entries"),
+        ("field.E", [0.0, 0.0], "field.E and field.B must be 3-vectors"),
+        ("field.B", [0.0, 0.0, 1.0, 0.0], "field.E and field.B must be 3-vectors"),
+        ("field", {"kind": "polynomial",
+                   "terms": [{"component": 4, "exponents": [0, 0, 1, 0], "coefficient": 0.5}]},
+         "field.terms[0].component must be 0..3"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [1], "exponents": [0, 0, 0, 0], "coefficient": 1.0}]},
+         "field.f_terms[0].pair must be [m, n]"),
+        ("field", {"kind": "direct",
+                   "f_terms": [{"pair": [2, 1], "exponents": [0, 0, 0, 0], "coefficient": 1.0}]},
+         "field.f_terms[0].pair must satisfy 0 <= m < n <= 3"),
+        ("field.kind", "uniform", "field.kind must be constant, polynomial or direct"),
+        ("initial.spin", {"xi": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                          "s_tensor": [0, 0, 0, 0, 0, 0.5]},
+         "initial.spin must give exactly one of s_tensor, xi"),
+        ("initial.spin", {}, "initial.spin must give exactly one of s_tensor, xi"),
+        ("initial.spin", {"s_tensor": [0, 0, 0, 0, 0.5]},
+         "initial.spin.s_tensor must list 6 components"),
+        ("initial.spin", {"xi": [[0.0, 0.0, 1.0, 0.0]]},
+         "initial.spin.xi must be a (2, 4) coefficient array"),
+        ("integrator.h", 0.0, "integrator.h must be positive"),
+        ("integrator.h", -0.01, "integrator.h must be positive"),
+        ("integrator.steps", 0, "integrator.steps must be >= 1"),
+        ("integrator.record_every", 0, "integrator.record_every must be >= 1"),
+        ("algebra.n_generators", 1, "algebra.n_generators must be in [2, 16]"),
+        ("algebra.n_generators", 17, "algebra.n_generators must be in [2, 16]"),
+        ("output.coefficient_masks", 3, "output.coefficient_masks must be a list"),
+        ("output.coefficient_masks", [3, 16],
+         "output.coefficient_masks entries must be valid subset masks"),
+        ("output.coefficient_masks", [-1],
+         "output.coefficient_masks entries must be valid subset masks"),
     ])
     def test_bad_number_rejected(self, tmp_path, capsys, path, value, name):
         cfg = write_cfg(tmp_path, {path: value})
         assert main(["simulate-super", "--config", cfg]) == 2
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: " in err and name in err
 
     @pytest.mark.parametrize("option, value", [
         ("--threshold", "nan"), ("--threshold", "inf"), ("--threshold", "-0.5"),
@@ -300,58 +341,8 @@ class TestExitCodes:
 
 
 class TestConfigBoundaries:
-    """Each invalid config raises ConfigError naming the field, and the CLI
-    exits 2 with that message."""
-
-    @pytest.mark.parametrize("path, value, message", [
-        ("initial.x0", {"a": 1.0}, "initial.x0 must be numeric"),
-        ("verify.ratio_band", [2.5], "verify.ratio_band must be [low, high]"),
-        ("verify.ratio_band", [6.0, 2.5], "verify.ratio_band must be [low, high]"),
-        ("initial.x0", [0.0, 0.0, 0.0], "initial.x0 must be a 4-vector"),
-        ("field", {"kind": "polynomial", "terms": [{"component": 1, "exponents": [0, 0, 1, 0]}]},
-         "field.terms[0] needs component, exponents, coefficient"),
-        ("field", {"kind": "polynomial",
-                   "terms": [{"component": 1, "exponents": [0, 1, 0], "coefficient": 0.5}]},
-         "field.terms[0].exponents must have 4 entries"),
-        ("field.E", [0.0, 0.0], "field.E and field.B must be 3-vectors"),
-        ("field.B", [0.0, 0.0, 1.0, 0.0], "field.E and field.B must be 3-vectors"),
-        ("field", {"kind": "polynomial",
-                   "terms": [{"component": 4, "exponents": [0, 0, 1, 0], "coefficient": 0.5}]},
-         "field.terms[0].component must be 0..3"),
-        ("field", {"kind": "direct",
-                   "f_terms": [{"pair": [1], "exponents": [0, 0, 0, 0], "coefficient": 1.0}]},
-         "field.f_terms[0].pair must be [m, n]"),
-        ("field", {"kind": "direct",
-                   "f_terms": [{"pair": [2, 1], "exponents": [0, 0, 0, 0], "coefficient": 1.0}]},
-         "field.f_terms[0].pair must satisfy 0 <= m < n <= 3"),
-        ("field.kind", "uniform", "field.kind must be constant, polynomial or direct"),
-        ("initial.spin", {"xi": [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
-                          "s_tensor": [0, 0, 0, 0, 0, 0.5]},
-         "initial.spin must give exactly one of s_tensor, xi"),
-        ("initial.spin", {}, "initial.spin must give exactly one of s_tensor, xi"),
-        ("initial.spin", {"s_tensor": [0, 0, 0, 0, 0.5]},
-         "initial.spin.s_tensor must list 6 components"),
-        ("initial.spin", {"xi": [[0.0, 0.0, 1.0, 0.0]]},
-         "initial.spin.xi must be a (2, 4) coefficient array"),
-        ("integrator.h", 0.0, "integrator.h must be positive"),
-        ("integrator.h", -0.01, "integrator.h must be positive"),
-        ("integrator.steps", 0, "integrator.steps must be >= 1"),
-        ("integrator.record_every", 0, "integrator.record_every must be >= 1"),
-        ("algebra.n_generators", 1, "algebra.n_generators must be in [2, 16]"),
-        ("algebra.n_generators", 17, "algebra.n_generators must be in [2, 16]"),
-        ("output.coefficient_masks", 3, "output.coefficient_masks must be a list"),
-        ("output.coefficient_masks", [3, 16],
-         "output.coefficient_masks entries must be valid subset masks"),
-        ("output.coefficient_masks", [-1],
-         "output.coefficient_masks entries must be valid subset masks"),
-    ])
-    def test_rejected_with_field_named(self, tmp_path, capsys, path, value, message):
-        cfg = write_cfg(tmp_path, {path: value})
-        with pytest.raises(ConfigError) as info:
-            load_config(cfg)
-        assert message in str(info.value)
-        assert main(["simulate-super", "--config", cfg]) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+    """Config reading and output routing that the field checks above do not
+    reach."""
 
     @pytest.mark.parametrize("text, message", [
         ("- 1\n- 2\n", "configuration document must be a mapping"),
@@ -392,7 +383,7 @@ class TestConfigBoundaries:
 class TestRecordBudget:
     """simulate-super, compare and verify run in algebra(2), and refuse,
     before they build a state, a run whose records and monitors would
-    exceed ``cli.MAX_RECORD_BYTES``."""
+    exceed ``cli.MAX_RECORD_BYTES``; verify counts both its runs at once."""
 
     @pytest.fixture
     def no_run(self, monkeypatch):
@@ -421,7 +412,8 @@ class TestRecordBudget:
     def test_estimate_counts_records_as_the_run_does(self, tmp_path, monkeypatch, steps, every,
                                                      records):
         runs, integrate = [], cli.integrate_super
-        monkeypatch.setattr(cli, "integrate_super", lambda *a: runs.append(integrate(*a)) or runs[0])
+        monkeypatch.setattr(cli, "integrate_super",
+                            lambda *a: runs.append(integrate(*a)) or runs[0])
         cfg = write_cfg(tmp_path, {"integrator.steps": steps, "integrator.record_every": every,
                                    "integrator.h": 1e-3})
         out = tmp_path / "o.csv"
@@ -438,18 +430,42 @@ class TestRecordBudget:
                                    "verify": {"points": 1}})
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        # verify's half-step run, 4e6 steps, is refused before either run
-        assert ("2.3 GB" if command == "verify" else "1.2 GB") in err
-        for name in ("integrator.steps", "integrator.record_every"):
-            assert name in err
+        if command == "verify":
+            # both runs, of 2e6 and 4e6 steps, every step recorded: one check
+            assert "verify's two runs would take 3.5 GB" in err
+            assert "lower integrator.steps (2000000)" in err and "record_every" not in err
+        else:
+            assert "records of 2000000 steps would take 1.2 GB" in err
+            for name in ("integrator.steps", "integrator.record_every"):
+                assert name in err
 
-    def test_verify_bounded(self, tmp_path, capsys, no_run):
-        # verify's half-step run of 2e7 steps keeps 2e7 + 1 records of 384
-        # bytes and monitors of 192
-        cfg = write_cfg(tmp_path, {"integrator.steps": 10**7, "integrator.record_every": 1,
-                                   "verify": {"points": 1}})
+    VERIFY_20 = {"integrator.steps": 20, "integrator.record_every": 1,
+                 "verify": {"points": 1, "variations": 1}}
+
+    def test_verify_estimate_counts_what_verify_keeps(self, tmp_path, monkeypatch):
+        size = cli._record_bytes(40, 1) + cli._record_bytes(20, 1)
+        monkeypatch.setattr(cli, "MAX_RECORD_BYTES", size)
+        runs, paths = [], []
+        integrate, path_type = cli.integrate_super, cli.DiscretePath
+        monkeypatch.setattr(cli, "integrate_super",
+                            lambda *a: runs.append(integrate(*a)) or runs[-1])
+        monkeypatch.setattr(cli, "DiscretePath",
+                            lambda *a: paths.append(path_type(*a)) or paths[-1])
+        cfg = write_cfg(tmp_path, self.VERIFY_20)
+        assert main(["verify", "--config", cfg]) != 2
+        assert [len(t) for t in runs] == [21, 41] and len(paths) == 2
+        assert sum(t.x.nbytes + t.v.nbytes + t.xi.nbytes + t.constraint_max.size * 192
+                   for t in runs) == size
+        for t, path in zip(runs, paths):
+            # the paths keep no copy of their own
+            assert np.shares_memory(path.x, t.x) and np.shares_memory(path.xi, t.xi)
+
+    def test_verify_refused_before_either_run(self, tmp_path, monkeypatch, capsys, no_run):
+        monkeypatch.setattr(cli, "MAX_RECORD_BYTES",
+                            cli._record_bytes(40, 1) + cli._record_bytes(20, 1) - 1)
+        cfg = write_cfg(tmp_path, self.VERIFY_20)
         assert main(["verify", "--config", cfg]) == 2
-        assert "records of 20000000 steps would take 11.5 GB" in capsys.readouterr().err
+        assert "verify's two runs would take" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spare, code", [(0, 0), (-1, 2)])
     def test_budget_is_inclusive(self, tmp_path, monkeypatch, spare, code):
@@ -703,26 +719,27 @@ class TestVerify:
         loads; algebra.n_generators sets only the Maxwell points' algebra, so
         verify's Maxwell line is left out."""
         for command in ("simulate-super", "compare", "verify"):
-            lines, csvs = [], []
-            # mask 5 names theta3, so n >= 3; 201 records lifted into
-            # algebra(16) would take 1.3 GB, but the runs stay in algebra(2)
-            for n in (3, 4, 16):
-                cfg = write_cfg(tmp_path, {
-                    "integrator": {"h": 2 * np.pi / 1000, "steps": 200, "record_every": 1},
-                    "verify": {"points": 8, "variations": 2},
-                    "output": {"coefficient_masks": [3, 5]},
-                    "algebra.n_generators": n,
-                }, name=f"n{n}.yaml")
-                out = tmp_path / f"n{n}.csv"
-                code = main([command, "--config", cfg, "--out", str(out)])
-                text = capsys.readouterr().out
-                assert code == 0, (command, n, text)
-                lines.append([line for line in text.splitlines()
-                              if not line.startswith("maxwell:")])
-                csvs.append(out.read_bytes())
-            assert len(lines[0]) == {"simulate-super": 4, "compare": 4, "verify": 2}[command]
-            assert lines[0] == lines[1] == lines[2], command
-            assert csvs[0] == csvs[1] == csvs[2], command
+            # mask 5 names theta3, which algebra(2) lacks; 201 records lifted
+            # into algebra(16) would take 1.3 GB, but the runs stay in algebra(2)
+            for masks, ns in (([3], (2, 4, 16)), ([3, 5], (3, 4, 16))):
+                lines, csvs = [], []
+                for n in ns:
+                    cfg = write_cfg(tmp_path, {
+                        "integrator": {"h": 2 * np.pi / 1000, "steps": 200, "record_every": 1},
+                        "verify": {"points": 8, "variations": 2},
+                        "output": {"coefficient_masks": masks},
+                        "algebra.n_generators": n,
+                    }, name=f"n{n}.yaml")
+                    out = tmp_path / f"n{n}.csv"
+                    code = main([command, "--config", cfg, "--out", str(out)])
+                    text = capsys.readouterr().out
+                    assert code == 0, (command, masks, n, text)
+                    lines.append([line for line in text.splitlines()
+                                  if not line.startswith("maxwell:")])
+                    csvs.append(out.read_bytes())
+                assert len(lines[0]) == {"simulate-super": 4, "compare": 4, "verify": 2}[command]
+                assert lines[0] == lines[1] == lines[2], (command, masks)
+                assert csvs[0] == csvs[1] == csvs[2], (command, masks)
 
     def test_nonclosed_expected_fail(self, capsys):
         code = main(["verify", "--config", str(ROOT / "configs" / "nonclosed_f.yaml")])
