@@ -4,8 +4,8 @@ against another one.
 
     python scripts/timings.py OTHER_CHECKOUT [KIND ...] [-- CLI ARGS]
 
-KIND is one of ``rhs``, ``field``, ``rate``, ``probe``, ``bmt``, ``cli`` and ``main``,
-the case kinds below; given one or more, only cases of those kinds run, and
+KIND is one of ``rhs``, ``field``, ``rate``, ``run``, ``probe``, ``bmt``, ``cli`` and
+``main``, the case kinds below; given one or more, only cases of those kinds run, and
 with none every case runs.  An unknown kind prints the usage and exits 2.
 ``python scripts/timings.py OTHER probe`` runs its 11 rounds in about 15 s
 on a 2-core host, so a claim about one layer can be timed alone, or timed
@@ -27,25 +27,31 @@ Field cases: ``gradient_b`` at N in {4, 6}, from the same state as the
 state's x, whose souls carry every even degree the algebra has: F and dF
 at a soul-carrying point, as one ``_rhs`` call forms them.
 
-Rate cases: ``constant_eb`` at N = 2 and ``gradient_b`` at N = 4, mu' =
-1.2, from ``loaded_state(N)``.  Each case records the rate function and
-initial state that ``integrate_super`` hands to ``rk4`` and times one call
-of that rate.  At N = 2 on a constant field that is the rate program, on
-checkouts that have one; the N = 4 ``gradient_b`` case steps ``_rhs`` on
-every checkout.
+Rate case: ``gradient_b`` at N = 4, mu' = 1.2, from ``loaded_state(4)``.
+It records the rate function and initial state that ``integrate_super``
+hands to ``rk4`` and times one call of that rate, which steps ``_rhs``.
+
+Run case: ``constant_eb`` at N = 2, mu' = 1.2, in the run shape of a
+``sweep_const_n6`` benchmark job: 24 RK4 steps (h = 0.01, every 4th state
+recorded) from ``loaded_state(2)``.  It times the whole ``integrate_super``
+call divided by its 24 steps ("step", which includes the run's set-up,
+records and monitors), so it compares checkouts whatever form their
+constant-field runs take.
 
 Probe cases: ``gradient_b`` at N = 4, mu' = 1.2, in the job shape of the
 ``full_load_poly_n4`` benchmark workload: the path of 16 RK4 steps (h =
 0.005, every state recorded) from ``loaded_state(4)``, and a sin profile.
 Each times one even and one odd ``stationarity_residual`` on that path.
 
-BMT cases: the same two fields, mu' = 1.2, in the job shape of the
-``bmt_sweep`` benchmark workload (100 steps, h = 0.005, every 10th state
-recorded).  Each case records the rate function and initial state that
-``integrate_bmt`` hands to ``rk4``, times one call of that rate, and times
-the whole run divided by its 100 steps ("rk4 step", which includes the
-run's set-up and records).  Recording at ``rk4`` keeps the cases the same
-on checkouts whose rate functions differ.
+BMT cases: ``constant_eb`` and ``gradient_b``, mu' = 1.2, in the job shape
+of the ``bmt_sweep`` benchmark workload (100 steps, h = 0.005, every 10th
+state recorded).  Each times the whole ``integrate_bmt`` call divided by its
+100 steps ("step", which includes the run's set-up and records).  The
+``gradient_b`` case also records the rate function and initial state that
+``integrate_bmt`` hands to ``rk4`` and times one call of that rate; a
+constant field runs as step maps, with no rate handed to ``rk4``.
+Recording at ``rk4`` keeps the case the same on checkouts whose rate
+functions differ.
 
 A layer figure is the median over five repeats of the mean time per call,
 in microseconds, with each repeat about 50 ms long.  Each layer case runs in
@@ -98,11 +104,11 @@ ROUNDS = 11
 CLI_ARGS = ["compare", "--config", "configs/constant_b.yaml"]
 CASES = [("rhs", n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
 CASES += [("field", n, "gradient_b") for n in (4, 6)]
-CASES += [("rate", 2, "constant_eb"), ("rate", 4, "gradient_b")]
+CASES += [("rate", 4, "gradient_b"), ("run", 2, "constant_eb")]
 CASES += [("probe", 4, "gradient_b")]
 CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b")]
 CASES += [("cli", 0, ""), ("main", 0, "")]
-LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "rate": "rate n={n} ",
+LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "rate": "rate n={n} ", "run": "run n={n} ",
           "probe": "probe n={n} ", "bmt": "bmt ", "cli": "cli", "main": "main"}
 
 PRELUDE = """
@@ -196,6 +202,14 @@ rates, y0 = handed_to_rk4(sd, lambda: sd.integrate_super(loaded_state(n), fld, p
 print(json.dumps({"rate": median_us(lambda: rates(y0, None))}))
 """
 
+CHILD_RUN = PRELUDE + """
+from grasspin import integrate_super
+
+steps, state = 24, loaded_state(n)
+print(json.dumps({"step": median_us(
+    lambda: integrate_super(state, fld, par, h=0.01, steps=steps, record_every=4)) / steps}))
+"""
+
 CHILD_PROBE = PRELUDE + """
 import numpy as np
 from grasspin import DiscretePath, PathVariation, integrate_super
@@ -220,9 +234,12 @@ state = bmt.BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
 steps = 100
 run = lambda: bmt.integrate_bmt(state, fld, par, 0.005, steps, 10)
-rates, y0 = handed_to_rk4(bmt, run)
-print(json.dumps({"rate": median_us(lambda: rates(y0, None)),
-                  "rk4 step": median_us(run) / steps}))
+out = {}
+if not fld.constant:
+    rates, y0 = handed_to_rk4(bmt, run)
+    out["rate"] = median_us(lambda: rates(y0, None))
+out["step"] = median_us(run) / steps
+print(json.dumps(out))
 """
 
 CHILD_MAIN = """
@@ -244,8 +261,8 @@ runs = [call() for _ in range(6)]
 print(json.dumps({"wall ms": 1e3 * statistics.median(t for _, t in runs), "exit": runs[-1][0]}))
 """
 
-CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "probe": CHILD_PROBE,
-            "bmt": CHILD_BMT, "main": CHILD_MAIN}
+CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "run": CHILD_RUN,
+            "probe": CHILD_PROBE, "bmt": CHILD_BMT, "main": CHILD_MAIN}
 
 
 def child_env(root: Path) -> dict:

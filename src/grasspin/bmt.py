@@ -26,9 +26,16 @@ generator.  With q^sigma = F^{rho sigma} u_rho its rate is
 
 where du = -(e/m) q is the force law above, because F is antisymmetric, and
 K (linear in the six F pairs) and W (bilinear in q and u) are 6 x 6 maps
-read off fixed coefficient tensors.  F is evaluated at every RK4 stage only
-for a field that varies; a constant field's coefficients are formed once per
-run.
+read off fixed coefficient tensors.  A field that varies is evaluated at
+every RK4 stage, and ``_pair_rate`` steps the rate above.  In a constant
+field each part of the rate is linear, as in the map form of
+:mod:`grasspin.super_dynamics`: (x, u) follows one fixed generator, the
+body generator of that module, and given u the spin pairs follow
+L = (mu'/m) K(F) + ((mu' - e)/m) W(q, u), formed at each stage's u.  So
+RK4's step maps are formed for a block of steps at once, the body's first,
+and each step chains one small matrix-vector product per part.  That is
+the same RK4 with its terms reassociated, equal to stepping the rate up to
+roundoff.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ import numpy as np
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, _real_array, minkowski_dot, pack_pairs, unpack_pairs
 from .polynomials import _monomials
-from .super_dynamics import ModelParams, _require_finite, rk4
+from .super_dynamics import (
+    ModelParams, _body_run, _chain, _rec_steps, _require_finite, _run_maps, rk4, rk4_maps,
+)
 
 __all__ = [
     "BMTState",
@@ -137,6 +146,16 @@ def _rate_maps():
 _F_ETA, _K, _T = _rate_maps()
 
 
+def _spin_gen(f, u, k_f, k_w):
+    """k_f K(F) + k_w W(q, u) (..., 6, 6), q = u @ (F eta), at velocities u
+    (..., 4), with f the six pairs of F_{mu nu}: the spin generator of the
+    rate (k_f = mu'/m, k_w = (mu' - e)/m) and of the oracle's co-rotating
+    frame (both (mu' - e)/m)."""
+    q = u @ (f @ _F_ETA).reshape(4, 4)
+    qu = (q[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
+    return (k_f * (f @ _K) + k_w * (qu @ _T)).reshape(u.shape[:-1] + (6, 6))
+
+
 def _pair_rate(fld, par: ModelParams):
     """The rate ``rate(y, i)`` of the 14-vector y = (x, u, s), for :func:`rk4`.
 
@@ -146,9 +165,9 @@ def _pair_rate(fld, par: ModelParams):
         G = [[1, 0], [-(e/m) (F eta)^T, 0], [0, (mu'/m) K + ((mu' - e)/m) W]].
 
     F eta and the F-linear blocks of G come from the six F pairs through
-    fixed maps: a constant field forms them once per run, a polynomial field
-    with one product ``monomials(x) @ program`` per stage.  W is bilinear in
-    q and u, so G's last block is u @ (q @ g_qu) with g_qu fixed for the run.
+    fixed maps, with one product ``monomials(x) @ program`` per stage; a
+    constant field's value rows are degree-0 monomials.  W is bilinear in q
+    and u, so G's last block is u @ (q @ g_qu) with g_qu fixed for the run.
     """
     g_f = np.zeros((6, 14, 10))
     g_f[:, 4:8, :4] = -(par.charge / par.mass) * np.swapaxes(_F_ETA.reshape(6, 4, 4), 1, 2)
@@ -159,20 +178,32 @@ def _pair_rate(fld, par: ModelParams):
     g_qu = np.zeros((16, 14, 10))
     g_qu[:, 8:, 4:] = (par.anomaly / par.mass) * _T.reshape(16, 6, 6)
     g_qu = g_qu.reshape(4, 560)
-    if fld.constant:
-        fixed = pack_pairs(fld._f_const) @ maps + base
-    else:
-        fixed, exps, program = None, fld._f_exps, fld._f_cols @ maps
+    exps, program = fld._f_exps, fld._f_cols @ maps
     dot = np.dot   # less call overhead than @ on operands this small
 
     def rate(y, i):
-        c = fixed if fixed is not None else dot(_monomials(y[:4], exps), program) + base
+        c = dot(_monomials(y[:4], exps), program) + base
         u = y[4:8]
         q = dot(u, c[:16].reshape(4, 4))
         g = c[16:] + dot(u, dot(q, g_qu).reshape(4, 140))
         return dot(g.reshape(14, 10), y[4:])
 
     return rate
+
+
+def _const_run(f_lower, par: ModelParams, y0, h, steps, record_every):
+    """The map form of a constant-field run (module docstring): the recorded
+    steps and the 14-vectors at them."""
+    rec_steps = _rec_steps(h, steps, record_every)
+    f, body = pack_pairs(f_lower), _body_run(f_lower, par, h)
+
+    def advance(y, start, count):
+        z, u = body(y[:8], count)
+        gens = _spin_gen(f, u, par.mu_prime / par.mass, par.anomaly / par.mass)
+        spin_maps, _ = rk4_maps(np.swapaxes(gens, -1, -2), h)
+        return np.hstack((z, _chain(y[8:], spin_maps)))
+
+    return rec_steps, _run_maps(advance, y0, steps, rec_steps)[0]
 
 
 def bmt_rhs(state: BMTState, fld, par: ModelParams):
@@ -198,13 +229,17 @@ def integrate_bmt(
         dx = u,   du = -(e/m) q,   ds = [(mu'/m) K(F) + ((mu' - e)/m) W(q, u)] s.
 
     du is the Lorentz force (e/m) F^{mu nu} u_nu, which equals -(e/m) q^mu
-    because F is antisymmetric.  A constant field's coefficients are formed
-    once per run; a polynomial field is evaluated once per stage.  The
-    recorded spin pairs are unpacked once, into exactly antisymmetric
-    tensors, and returned with the invariants u.u, max |u.S| and S.S of each
-    recorded state.
+    because F is antisymmetric.  A polynomial field is evaluated once per
+    stage, by ``_pair_rate``.  A constant field runs as RK4 step maps chained
+    over blocks of steps (module docstring): (x, u) by one fixed map, s by
+    the maps of L at each stage's u.  The recorded spin pairs are unpacked
+    once, into exactly antisymmetric tensors, and returned with the
+    invariants u.u, max |u.S| and S.S of each recorded state.
     """
-    rec_steps, rec = rk4(_pair_rate(fld, par), _pack(state0), h, steps, record_every)
+    if fld.constant:
+        rec_steps, rec = _const_run(fld._f_const, par, _pack(state0), h, steps, record_every)
+    else:
+        rec_steps, rec = rk4(_pair_rate(fld, par), _pack(state0), h, steps, record_every)
     u, spin = rec[:, 4:8], unpack_pairs(rec[:, 8:])
     return BMTTrajectory(state0.s + h * rec_steps, rec[:, :4], u, spin, *_invariants(u, spin))
 
@@ -243,13 +278,11 @@ class ConstantFieldOracle:
             raise ValueError("constant field tensor must be antisymmetric")
         self.par = par
         self.refine = int(refine)
-        f = pack_pairs(self.f_lo)
-        q0 = state0.u @ (f @ _F_ETA).reshape(4, 4)
-        spin_gen = (par.anomaly / par.mass) * (f @ _K + np.outer(q0, state0.u).ravel() @ _T)
+        k_co = par.anomaly / par.mass
         self._gen = np.zeros((14, 14))
         self._gen[:4, :4] = (par.charge / par.mass) * (SIGNS[:, None] * self.f_lo)
         self._gen[:4, 4:8] = np.eye(4)
-        self._gen[8:, 8:] = spin_gen.reshape(6, 6)
+        self._gen[8:, 8:] = _spin_gen(pack_pairs(self.f_lo), state0.u, k_co, k_co)
 
     def sample(self, times: np.ndarray, h_ref: float | None = None) -> BMTTrajectory:
         """Oracle states at increasing times >= state0.s.

@@ -117,7 +117,9 @@ def _bmt_run(cfg: RunConfig, fld):
 
 def _record_bytes(steps: int, record_every: int) -> int:
     """Bytes one ``integrate_super`` run in algebra(2) keeps until it returns:
-    R records of x, v, xi (384 B) and monitors of steps + 1 states (<= 192 B)."""
+    R records of x, v, xi (384 B) and monitors of steps + 1 states (<= 192 B;
+    the map form of a constant field keeps 24 B, plus transient block arrays
+    whose size does not grow with the run)."""
     records = len(range(0, steps, record_every)) + 1
     return records * 3 * 4 * 4 * 8 + (steps + 1) * 6 * 4 * 8
 

@@ -33,7 +33,7 @@ d_kappa F_{mu nu} (..., 4, 4, 4, dim) are cut to their body, a last axis of
 length 1, when they carry no soul (``_field`` says which).  ``_emul``
 multiplies a cut tensor as the real it is and uses the Grassmann product
 otherwise.  ``_rhs`` is the general path for every field and algebra, and
-the reference for the program below.
+the reference for the map form below.
 
 ``_rhs`` makes its products by dependency level, and the products of one
 level that share their parity hints run as one kernel call, with their
@@ -46,20 +46,47 @@ Constant field, at most 2 generators.  There v = v0 + v3 theta1 theta2
 (x alike), xi = xi1 theta1 + xi2 theta2 and lam = lam1 theta1 + lam2
 theta2, with real 4-vectors v0, v3, xi_i and reals lam_i, and a grade of
 degree >= 3 is zero.  So every product above is real 4-vector arithmetic,
-which ``_const_program`` evaluates with F fixed for the run.  Write f for
-the matrix F_{mu nu}, a f for the row vector a^mu F_{mu nu}, a.b for
-sum_mu a^mu b^mu (no metric), H = f eta f (symmetric), b = v0.(eta v0)
-and c = (mu'-e)/(2m).  Then
+with F fixed for the run.  Write f for the matrix F_{mu nu}, a f for the
+row vector a^mu F_{mu nu}, a.b for sum_mu a^mu b^mu (no metric), H = f eta f
+(symmetric), b = v0.(eta v0), c = (mu'-e)/(2m), and k_v = -(e/m) eta and
+k_xi = -(mu'/m) eta as sign vectors.  Then
 
     lam_i     = (c/b) xi_i.(v0 f)
     dlam_i/ds = (2 c^2/b) xi_i.(v0 H)
-    dv        = -(e/m) eta (v0 f + v3 f theta1 theta2)
+    dv        = k_v o (v0 f + v3 f theta1 theta2)
                 - (1/m)(dlam_1 xi_2 - dlam_2 xi_1) theta1 theta2
-    dxi_i     = -(mu'/m) eta (xi_i f) - 2 lam_i v0,
+    dxi_i     = k_xi o (xi_i f) - 2 lam_i v0,
 
 and E^{-1} R0 = R0/b.  R0 reduces to c ((mu'-e)/m) xi_i.(v0 H) because
 v0.(v0 f) = 0 for an antisymmetric f: the lam-terms of R0 drop out, and the
 two F-terms combine.
+
+These rates are triangular by degree, and each level is linear in its own
+rows once the levels below are given, as row vectors times a generator:
+
+    body z = (x0, v0):    dz = z A, A fixed (dx0 = v0, dv0 = k_v o (v0 f))
+    xi_i:                 dxi_i = xi_i N,  N = f diag(k_xi) - (2c/b) (v0 f)^T v0
+    w = (x3, v3, 1):      dw = w L,  dx3 = v3,
+                          dv3 = k_v o (v3 f) + (dlam_2 xi_1 - dlam_1 xi_2)/m,
+
+with N formed at the body's v0 and L, which is A with that source in its
+homogeneous row, at the body's v0 and xi.  (Bargmann, Michel and Telegdi,
+PRL 2 (1959) 435, use the same linearity for their closed form.)  So one
+RK4 step of a level is a linear map of its rows, formed from the level's
+generators at the step's four stage points (``rk4_maps``): y_n goes to
+y_n + y_n D_n, and its stage i is y_n + y_n S_{n,i}.  ``integrate_super``
+forms the maps of a block of steps level by level, each level in one
+batched pass: the body's maps are one fixed map, whose chained states give
+every stage's v0; those form the xi maps, whose chained states give every
+stage's xi; those form the w maps.  A step then costs one small
+matrix-vector product per level, and the monitors are read off the chained
+states in one batched pass.  This is RK4 on the rates above with its terms
+reassociated, y_n (1 + D_n) in place of y_n + (h/6)(k1 + 2 k2 + 2 k3 + k4),
+so the two differ by roundoff.  The maps are kept as increments D = R - 1:
+a rounded entry 1 + O(h) of a fixed map would repeat its error at every
+step, so the error would grow linearly with the run.  Blocks hold
+``_MAP_BLOCK`` steps, which bounds the transient arrays of a run of any
+length.
 """
 
 from __future__ import annotations
@@ -405,7 +432,7 @@ def _rhs(alg, fld, par, x, v, xi):
 
 
 # ----------------------------------------------------------------------
-# Rate program: constant field, at most 2 generators
+# Map form: constant field, at most 2 generators
 # ----------------------------------------------------------------------
 
 # (array, coefficient) of each row of the packed state (6, 4): the rows are
@@ -435,37 +462,111 @@ def _unpack(alg, packed):
     return y
 
 
-def _const_program(f, par):
-    """``terms(y)`` of a packed state y for the constant field F_{mu nu} = f.
+def _body_gen(f, par):
+    """The 8 x 8 generator of the body rows z = (x0, v0) in a constant field
+    F_{mu nu} = f: dz/ds = z @ gen, that is dx0 = v0, dv0 = k_v o (v0 f)."""
+    gen = np.zeros((8, 8))
+    gen[4:, :4] = np.eye(4)
+    gen[4:, 4:] = f * (-(par.charge / par.mass) * SIGNS)
+    return gen
 
-    ``terms`` returns dv (rows dv0, dv3), dxi (rows dxi1, dxi2), lam and
-    dlam/ds (theta1 and theta2 coefficients) and the body of v.v, by the
-    equations of the module docstring.  F and F eta F are stacked once, so
-    the rows (v0, v3, xi1, xi2) meet them in one product.  Raises
-    LightlikeVelocityError when v.v has zero body.
+
+def _body_run(f, par, h):
+    """``run(z, count)``: the body states z (count + 1, 8) of ``count`` RK4
+    steps from z = (x0, v0) in the constant field f, and the velocities v0
+    (count, 4, 4) at each step's four stages.  The body's step map is one
+    fixed map, formed once here."""
+    maps, stages = rk4_maps(_body_gen(f, par)[None, None].repeat(4, axis=1), h)
+
+    def run(z, count):
+        z = _chain(z, (maps[0],) * count)
+        zs = z[:-1, None, None]
+        return z, (zs + zs @ stages)[:, :, 0, 4:]
+
+    return run
+
+
+def _xi_gen(f, par, v0, vv):
+    """N (..., 4, 4) with dxi_i/ds = xi_i @ N at body velocities v0 (..., 4)
+    of body v.v ``vv`` (...): N = f diag(k_xi) - (2c/b) (v0 f)^T v0."""
+    c_lam = par.anomaly / (2.0 * par.mass)
+    vf = v0 @ f
+    return (f * (-(par.mu_prime / par.mass) * SIGNS)
+            - (2.0 * c_lam / vv)[..., None, None] * vf[..., :, None] * v0[..., None, :])
+
+
+def _soul_gen(f, par, v0, vv, xi):
+    """The 9 x 9 generator (..., 9, 9) of w = (x3, v3, 1), dw/ds = w @ gen,
+    at body velocities v0 (..., 4) of body v.v ``vv`` (...) and spins xi
+    (..., 2, 4), and dlam/ds (..., 2).  gen is the body generator with the
+    source (dlam_2 xi_1 - dlam_1 xi_2)/m of dv3 in its homogeneous row."""
+    c_lam = par.anomaly / (2.0 * par.mass)
+    vh = v0 @ ((f * SIGNS) @ f)                   # v0 H, H = f eta f
+    lam_dot = (2.0 * c_lam * c_lam / vv)[..., None] * (xi * vh[..., None, :]).sum(axis=-1)
+    gen = np.zeros(v0.shape[:-1] + (9, 9))
+    gen[..., :8, :8] = _body_gen(f, par)
+    source = lam_dot[..., 1:] * xi[..., 0, :] - lam_dot[..., :1] * xi[..., 1, :]
+    gen[..., 8, 4:8] = source / par.mass
+    return gen, lam_dot
+
+
+def _const_monitors(f, par, packed):
+    """xi.v (..., 2), lam (..., 2) and the body of v.v (...) of packed states
+    (..., 6, 4).  Element-wise products summed along the last axis, so each
+    state reads the same bits in a batch of any size."""
+    v0, xi = packed[..., 2, :], packed[..., 4:, :]
+    vv = (SIGNS * v0 * v0).sum(axis=-1)
+    xi_v = (xi * (SIGNS * v0)[..., None, :]).sum(axis=-1)
+    vf = (v0[..., None, :] * f.T).sum(axis=-1)
+    lam = (par.anomaly / (2.0 * par.mass) / vv)[..., None] * (xi * vf[..., None, :]).sum(axis=-1)
+    return xi_v, lam, vv
+
+
+def _check_lightlike(vv, start):
+    """Raise LightlikeVelocityError at the first zero of vv (steps, stages),
+    stage 0 of row 0 being step ``start``; the step is named when the zero
+    is at a step's first stage."""
+    hit = np.flatnonzero(vv == 0.0)
+    if hit.size:
+        step, stage = divmod(int(hit[0]), vv.shape[-1])
+        at = f" at step {start + step}" if stage == 0 else ""
+        raise LightlikeVelocityError(f"v.v has zero body{at}")
+
+
+def _const_run(f, par, packed, h, steps, record_every):
+    """The map form of a constant-field run at k <= 2 (module docstring).
+
+    Returns the recorded steps, the packed states at them (R, 6, 4) and the
+    monitors (constraint magnitude, multiplier magnitude, body of v.v) of
+    steps 0, ..., ``steps``.  Raises LightlikeVelocityError at the first
+    (step, stage) whose body v.v is zero, before any map divides by it.
     """
-    m, e, mup = par.mass, par.charge, par.mu_prime
-    c_lam = (mup - e) / (2.0 * m)
-    k_dot = 2.0 * c_lam * c_lam
-    fh = np.hstack((f, (f * SIGNS) @ f))       # [F | F eta F], (4, 8)
-    k_v, k_xi = -(e / m) * SIGNS, -(mup / m) * SIGNS
-    cross = np.array((1.0, -1.0)) / m          # -(1/m)(a1 xi2 - a2 xi1) = (a2, a1) . cross . xi
-    dot = np.dot   # less call overhead than @ on operands this small
+    rec_steps = _rec_steps(h, steps, record_every)
+    body = _body_run(f, par, h)
 
-    def terms(y):
-        v0, xi = y[2], y[4:]
-        vv = dot(SIGNS * v0, v0)
-        if vv == 0.0:
-            raise LightlikeVelocityError("v.v has zero body")
-        p = dot(y[2:], fh)                     # rows (v0 F | v0 H), v3 F, xi1 F, xi2 F
-        lam = (c_lam / vv) * dot(xi, p[0, :4])
-        lam_dot = (k_dot / vv) * dot(xi, p[0, 4:])
-        dv = k_v * p[:2, :4]
-        dv[1] += dot(lam_dot[::-1] * cross, xi)
-        dxi = k_xi * p[2:, :4] - (2.0 * lam)[:, None] * v0
-        return dv, dxi, lam, lam_dot, vv
+    def advance(y, start, count):
+        z, v0 = body(np.concatenate((y[0], y[2])), count)
+        vv = (SIGNS * v0 * v0).sum(axis=-1)
+        _check_lightlike(vv, start)
+        xi_maps, xi_stages = rk4_maps(_xi_gen(f, par, v0, vv), h)
+        xi = _chain(y[4:], xi_maps)
+        xis = xi[:-1, None]
+        soul_maps, _ = rk4_maps(_soul_gen(f, par, v0, vv, xis + xis @ xi_stages)[0], h)
+        w = _chain(np.concatenate((y[1], y[3], (1.0,))), soul_maps)
+        states = np.empty((count + 1, 6, 4))
+        states[:, 0], states[:, 2] = z[:, :4], z[:, 4:]
+        states[:, 1], states[:, 3] = w[:, :4], w[:, 4:8]
+        states[:, 4:] = xi
+        return states
 
-    return terms
+    def reduce(states, start):
+        v0 = states[:, 2]
+        _check_lightlike((SIGNS * v0 * v0).sum(axis=-1)[:, None], start)   # before lam divides
+        xi_v, lam, vv = _const_monitors(f, par, states)
+        return np.abs(xi_v).max(axis=-1), np.abs(lam).max(axis=-1), vv
+
+    rec, seen = _run_maps(advance, packed, steps, rec_steps, reduce)
+    return rec_steps, rec, [np.concatenate(series) for series in zip(*seen)]
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +600,21 @@ def multiplier_rate(state: SuperState, fld, par: ModelParams):
     return GrassmannNumber(state.alg, lam), GrassmannNumber(state.alg, lam_dot)
 
 
+def _rec_steps(h, steps, record_every) -> np.ndarray:
+    """The recorded step counts 0, ``record_every``, ... below ``steps``, then
+    ``steps``, once h and both counts are checked."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size h must be finite and positive, got {h!r}")
+    for name, count in (("steps", steps), ("record_every", record_every)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    return np.append(np.arange(0, steps, record_every), steps)
+
+
 def rk4(rates, y, h: float, steps: int, record_every: int):
     """Classical fixed-step RK4 (Hairer, Norsett, Wanner, *Solving ODEs I*).
 
@@ -510,17 +626,8 @@ def rk4(rates, y, h: float, steps: int, record_every: int):
     ``steps``, then ``steps``, and the states after that many steps,
     stacked on a new leading axis.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size h must be finite and positive, got {h!r}")
-    for name, count in (("steps", steps), ("record_every", record_every)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     half = 0.5 * h
-    rec_steps = np.append(np.arange(0, steps, record_every), steps)
+    rec_steps = _rec_steps(h, steps, record_every)
     rec_y = np.empty((rec_steps.size,) + np.shape(y))
     for i in range(steps):
         if i % record_every == 0:
@@ -532,6 +639,70 @@ def rk4(rates, y, h: float, steps: int, record_every: int):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     rec_y[-1] = y
     return rec_steps, rec_y
+
+
+def rk4_maps(gens, h: float):
+    """The RK4 step maps of linear rates dy/ds = y @ gens[n, i] on row
+    vectors y, gens (N, 4, d, d) holding step n's generator at stage i.
+
+    :func:`rk4` takes one step from a batch of N zero matrices psi, the
+    increments of identity matrices phi = 1 + psi, its k-th rate call
+    returning phi @ gens[:, k].  Returns the step increments D (N, d, d) and
+    the stage increments S (N, 4, d, d): RK4 takes y_n to y_n + y_n @ D[n],
+    and its stage i of step n to y_n + y_n @ S[n, i].  Kept as increments,
+    the maps round no entry 1 + O(h), whose error a fixed map would repeat
+    at every step.  An affine source rides in a homogeneous last component
+    of y, held at 1 by a zero last column.
+    """
+    stages = []
+
+    def rates(psi, i):
+        stages.append(psi)
+        gen = gens[:, len(stages) - 1]
+        return gen + psi @ gen
+
+    return rk4(rates, np.zeros(gens[:, 0].shape), h, 1, 1)[1][1], np.stack(stages, axis=1)
+
+
+def _chain(y, maps):
+    """y and its images under the step increments ``maps`` in turn, y + y @ D,
+    stacked: (len(maps) + 1, ...)."""
+    out = np.empty((len(maps) + 1,) + y.shape)
+    out[0] = y
+    for n, step in enumerate(maps):
+        out[n + 1] = y = y + np.dot(y, step)
+    return out
+
+
+# Steps whose maps one pass forms: a map-form run's transient arrays are a
+# few (_MAP_BLOCK, 4, 9, 9) stacks, about 0.3 MB each, whatever its length.
+_MAP_BLOCK = 128
+
+
+def _run_maps(advance, y0, steps, rec_steps, reduce=None):
+    """A run advanced in blocks of at most ``_MAP_BLOCK`` steps.
+
+    ``advance(y, start, count)`` returns the states (count + 1, ...) of
+    steps start, ..., start + count, from the state y of step start.
+    Returns the states at ``rec_steps`` and, with ``reduce``, the list of
+    ``reduce(states, start)`` over the states of steps 0, ..., ``steps``,
+    block by block and the last state alone.
+    """
+    rec = np.empty((rec_steps.size,) + y0.shape)
+    seen = []
+    y, start = y0, 0
+    while start < steps:
+        count = min(_MAP_BLOCK, steps - start)
+        states = advance(y, start, count)
+        if reduce is not None:
+            seen.append(reduce(states[:-1], start))
+        kept = (rec_steps >= start) & (rec_steps < start + count)
+        rec[kept] = states[rec_steps[kept] - start]
+        y, start = states[-1], start + count
+    rec[-1] = y
+    if reduce is not None:
+        seen.append(reduce(y[None], steps))
+    return rec, seen
 
 
 def integrate_super(
@@ -552,58 +723,54 @@ def integrate_super(
     the merge signs.  Recorded states are mapped back into ``state0.alg``.
 
     The rate is ``_rhs``, the general path, except for a constant field at
-    k <= 2 whose x and v are even and whose xi is odd: there RK4 steps the
-    packed rows (x0, x3, v0, v3, xi1, xi2) with the rate of
-    ``_const_program``, the equations of the module docstring in real
-    4-vector arithmetic with F fixed for the run.  Both paths solve the same
-    equations; their results differ by roundoff.
+    k <= 2 whose x and v are even and whose xi is odd.  There the packed
+    rows (x0, x3, v0, v3, xi1, xi2) advance in the map form of the module
+    docstring: RK4's step maps are formed for a block of steps at once and
+    chained, one small matrix-vector product per step and level.  Both
+    paths take the same RK4 steps of the same equations; their results
+    differ by roundoff.  A zero body of v.v raises LightlikeVelocityError
+    at the first (step, stage) where it occurs, naming the step when that
+    stage is a step's first, on either path.
 
     Monitors (constraint magnitude, multiplier magnitude, body of v.v) are
     evaluated at every accepted step regardless of the recording stride,
-    from the first stage of the step, and once more at the last state.
-    ``_rhs`` returns v.xi and v.v with the rate, so the monitors make no
-    Grassmann product of their own.  The step loop keeps each step's xi.v,
-    lam and v.v body, and their abs/max reductions run once, after it.
+    at the step's first stage, and once more at the last state.  ``_rhs``
+    returns v.xi and v.v with the rate, so the monitors make no Grassmann
+    product of their own; its step loop keeps each step's xi.v, lam and v.v
+    body, and their abs/max reductions run once, after it.  The map form
+    reduces them block by block from the chained states.
     """
     state0.validate()
     alg, masks, y0 = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
     y0 = np.stack(y0)
-    monitors = []   # (xi.v, lam, body of v.v) per step, reduced after the loop
-
-    def at_step(i, kernel, *args):
-        try:
-            return kernel(*args)
-        except LightlikeVelocityError as err:
-            if i is None:
-                raise
-            raise LightlikeVelocityError(f"{err} at step {i}") from err
-
     packed = _pack(alg, y0) if fld.constant and alg.n <= 2 else None
     if packed is None:
+        monitors = []   # (xi.v, lam, body of v.v) per step, reduced after the loop
+
         def rates(y, i):
             x, v, xi = y
-            dv, dxi, lam, _, vv, v_xi = at_step(i, _rhs, alg, fld, par, x, v, xi)
+            try:
+                dv, dxi, lam, _, vv, v_xi = _rhs(alg, fld, par, x, v, xi)
+            except LightlikeVelocityError as err:
+                if i is None:
+                    raise
+                raise LightlikeVelocityError(f"{err} at step {i}") from err
             if i is not None:
                 monitors.append((v_xi, lam, vv[0]))
             return np.array((v, dv, dxi))
+
+        rec_steps, rec = rk4(rates, y0, h, steps, record_every)
+        rates(rec[-1], steps)   # monitors of the last state
+        xi_v, lams, vv_body = zip(*monitors)
+        constraint_max, lambda_max = (np.abs(np.array(ops)).max(axis=-1) for ops in (xi_v, lams))
+        vv_body = np.array(vv_body)
     else:
-        terms = _const_program(fld._f_const, par)
-
-        def rates(y, i):
-            dv, dxi, lam, _, vv = at_step(i, terms, y)
-            if i is not None:
-                monitors.append((np.dot(y[4:], SIGNS * y[2]), lam, vv))
-            return np.concatenate((y[2:4], dv, dxi))
-
-    rec_steps, rec = rk4(rates, y0 if packed is None else packed, h, steps, record_every)
-    rates(rec[-1], steps)   # monitors of the last state
-    if packed is not None:
+        rec_steps, rec, (constraint_max, lambda_max, vv_body) = _const_run(
+            fld._f_const, par, packed, h, steps, record_every)
         rec = _unpack(alg, rec)
 
     lifted = np.zeros(rec.shape[:-1] + (state0.alg.dim,))
     lifted[..., masks] = rec
-    xi_v, lams, vv_body = zip(*monitors)
-    constraint_max, lambda_max = (np.abs(np.array(ops)).max(axis=-1) for ops in (xi_v, lams))
     return SuperTrajectory(
         alg=state0.alg,
         h=h,
@@ -614,7 +781,7 @@ def integrate_super(
         steps_recorded=rec_steps,
         constraint_max=constraint_max,
         lambda_max=lambda_max,
-        vv_body=np.array(vv_body),
+        vv_body=vv_body,
     )
 
 

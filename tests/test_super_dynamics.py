@@ -24,10 +24,11 @@ from grasspin.grassmann import (
 )
 from grasspin.minkowski import SIGNS
 from grasspin.polynomials import PolyVectorEvaluator
+import grasspin.bmt
 import grasspin.super_dynamics as sd
 from grasspin.super_dynamics import (
-    LightlikeVelocityError, _const_program, _cut, _emul, _field, _gdot, _multiplier, _pack, _rhs,
-    _unpack, multiplier_rate, rk4,
+    LightlikeVelocityError, _body_gen, _const_monitors, _cut, _emul, _field, _gdot, _multiplier,
+    _pack, _rhs, _soul_gen, _unpack, _xi_gen, multiplier_rate, rk4,
 )
 
 from conftest import (
@@ -383,7 +384,7 @@ def test_monitors_match_records(name, fld, n):
 
 
 class TestConstProgram:
-    """The rate program of a constant field at k <= 2 against ``_rhs``."""
+    """The map form of a constant field at k <= 2 against ``_rhs``."""
 
     @staticmethod
     def random_state(rng, alg):
@@ -398,9 +399,10 @@ class TestConstProgram:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_terms_match_rhs(self, n):
-        """(dv, dxi, lam, dlam/ds) over random constant E + B fields and random
-        mu', with mu' = e and mu' = 0 among them, relative to the size of the
-        terms that each sums."""
+        """The rate y.L + sigma of the per-stage generators, (dx, dv, dxi), with
+        lam of the monitors and dlam/ds of the source, over random constant
+        E + B fields and random mu', with mu' = e and mu' = 0 among them,
+        relative to the size of the terms that each sums."""
         alg = algebra(n)
         rng = np.random.default_rng(16 + n)
         for case in range(60):
@@ -410,16 +412,21 @@ class TestConstProgram:
             par = ModelParams(mass=m, charge=e, mu_prime=mup)
             y = self.random_state(rng, alg)
             dv, dxi, lam, lam_dot = _rhs(alg, fld, par, *y)[:4]
-            packed = _pack(alg, y)
-            terms = _const_program(fld._f_const, par)(packed)
-            got = _unpack(alg, np.concatenate((packed[2:4], *terms[:2])))
+            packed, f = _pack(alg, y), fld._f_const
+            v0, xi_rows = packed[2], packed[4:]
+            _, lam_p, vv_p = _const_monitors(f, par, packed)
+            body = np.concatenate((packed[0], v0)) @ _body_gen(f, par)
+            soul_gen, lam_dot_p = _soul_gen(f, par, v0, vv_p, xi_rows)
+            soul = np.concatenate((packed[1], packed[3], (1.0,))) @ soul_gen
+            dxi_p = xi_rows @ _xi_gen(f, par, v0, vv_p)
+            got = _unpack(alg, np.stack((body[:4], soul[:4], body[4:], soul[4:8], *dxi_p)))
             assert np.array_equal(got[0], y[1])
             got_lam, got_lam_dot = np.zeros((2, alg.dim))
-            got_lam[1:n + 1], got_lam_dot[1:n + 1] = terms[2][:n], terms[3][:n]
-            assert not np.any([t[n:] for t in terms[2:4]])
+            got_lam[1:n + 1], got_lam_dot[1:n + 1] = lam_p[:n], lam_dot_p[:n]
+            assert not np.any([t[n:] for t in (lam_p, lam_dot_p)])
 
             f, v, xi = np.max(np.abs(fld._f_const)), np.max(np.abs(y[1])), np.max(np.abs(y[2]))
-            vv = abs(terms[4])
+            vv = abs(vv_p)
             lam_s = abs(mup - e) / (2.0 * m) * f * v * xi / vv
             lam_dot_s = lam_s * ((abs(mup) + abs(e)) / m * f + abs(e) / m * f * v * v / vv)
             scales = (abs(e) / m * f * v + lam_dot_s * xi / m, abs(mup) / m * f * xi + lam_s * v,
@@ -466,6 +473,56 @@ class TestConstProgram:
         st = SuperState.from_real(np.zeros(4), [1.0, 1.0, 0.0, 0.0], c, alg4)
         with pytest.raises(LightlikeVelocityError, match="at step 0"):
             integrate_super(st, b_field, params, h=1e-3, steps=3)
+
+    def test_lightlike_check_names_step_at_first_stage_only(self):
+        """The first zero of v.v in (step, stage) order raises; the step is
+        named only when that stage is a step's first."""
+        vv = np.ones((4, 4))
+        vv[2, 0] = vv[3, 1] = 0.0
+        with pytest.raises(LightlikeVelocityError, match="^v.v has zero body at step 7$"):
+            sd._check_lightlike(vv, 5)
+        vv[1, 3] = 0.0
+        with pytest.raises(LightlikeVelocityError, match="^v.v has zero body$"):
+            sd._check_lightlike(vv, 5)
+        sd._check_lightlike(np.ones((3, 4)), 0)
+
+    def test_constant_field_runs_call_no_rate(self, b_field, params, monkeypatch):
+        """k <= 2 ``integrate_super`` and ``integrate_bmt`` on a constant field
+        chain step maps and never call a per-stage rate."""
+        monkeypatch.setattr(sd, "_rhs", None)
+        monkeypatch.setattr(grasspin.bmt, "_pair_rate", None)
+        traj = integrate_super(loaded_state(2), b_field, params, h=0.05, steps=8)
+        bmt = integrate_bmt(BMTState.from_pairs(np.zeros(4), boosted_velocity(2.0),
+                                                [0.1, -0.2, 0.05, 0.5, -0.3, 0.4]),
+                            b_field, params, h=0.05, steps=8)
+        assert np.isfinite(traj.xi).all() and np.isfinite(bmt.spin).all()
+
+    @pytest.mark.parametrize("name", ["constant_b", "constant_eb"])
+    def test_blocks_match_one_block(self, name, monkeypatch):
+        """Runs chained in blocks of 3 steps match the same runs in one block
+        to 1e-15 relative, records and monitors alike; 20 steps recorded
+        every 3rd, so blocks and records do not line up."""
+        fld = dict(field_corpus())[name]
+        par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
+        bstate = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                                     [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+
+        def runs():
+            traj = integrate_super(loaded_state(2), fld, par, h=0.05, steps=20, record_every=3)
+            bmt = integrate_bmt(bstate, fld, par, h=0.05, steps=20, record_every=3)
+            return traj, bmt
+
+        one = runs()
+        monkeypatch.setattr(sd, "_MAP_BLOCK", 3)
+        blocks = runs()
+        names = (("x", "v", "xi", "lambda_max", "vv_body"), ("x", "u", "spin", "uu", "us_max", "ss"))
+        for a, b, keys in zip(blocks, one, names, strict=True):
+            assert np.array_equal(a.s, b.s)
+            for key in keys:
+                want = getattr(b, key)
+                assert np.max(np.abs(getattr(a, key) - want)) <= 1e-15 * np.max(np.abs(want))
+        floor = np.max(np.abs(one[0].xi)) * np.max(np.abs(one[0].v))
+        assert np.max(np.abs(blocks[0].constraint_max - one[0].constraint_max)) <= 1e-15 * floor
 
     def test_general_path_keeps_wrong_parity_soul(self, alg4, b_field, params):
         """A tiny odd coefficient of v passes validation; the packed state
@@ -553,25 +610,24 @@ def test_validate_names_first_offender_as_loop(alg4):
 def test_monitors_equal_per_step_reductions(name, fld, n):
     """constraint_max, lambda_max and vv_body, reduced after the step loop,
     equal the per-step reductions of the rate's own xi.v, lam and v.v at
-    every record, bitwise: through ``_const_program`` for a constant field
-    at n = 2, through ``_rhs`` otherwise.  ``loaded_state(n)`` loads every
-    generator, so the records are the states the loop stepped."""
+    every record, bitwise: through the batched formula ``_const_monitors``,
+    on every record at once, for a constant field at n = 2, through ``_rhs``
+    otherwise.  ``loaded_state(n)`` loads every generator, so the records
+    are the states the run stepped."""
     par = ModelParams(mass=1.0, charge=1.0, mu_prime=1.2)
     traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=12, record_every=1)
     alg = traj.alg
-    program = fld.constant and n <= 2
-    terms = _const_program(fld._f_const, par) if program else None
-    want = []
-    for y in np.stack((traj.x, traj.v, traj.xi), axis=1):
-        if program:
-            y = _pack(alg, y)
-            _, _, lam, _, vv = terms(y)
-            want.append((np.abs(np.dot(y[4:], SIGNS * y[2])).max(), np.abs(lam).max(), vv))
-        else:
+    records = np.stack((traj.x, traj.v, traj.xi), axis=1)
+    if fld.constant and n <= 2:
+        xi_v, lam, vv = _const_monitors(fld._f_const, par, np.array([_pack(alg, y) for y in records]))
+        want = np.array((np.abs(xi_v).max(axis=-1), np.abs(lam).max(axis=-1), vv))
+    else:
+        want = []
+        for y in records:
             _, _, lam, _, vv, v_xi = _rhs(alg, fld, par, *y)
             want.append((np.abs(v_xi).max(), np.abs(lam).max(), vv[0]))
-    for got, ref in zip((traj.constraint_max, traj.lambda_max, traj.vv_body), np.array(want).T,
-                        strict=True):
+        want = np.array(want).T
+    for got, ref in zip((traj.constraint_max, traj.lambda_max, traj.vv_body), want, strict=True):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
