@@ -13,10 +13,17 @@ stationarity probes and the Euler-Lagrange residuals; then ``integrate_bmt``
 over ``field_corpus()`` x mu' in {0, 1.2, 2}, every invariant nonzero.
 
 Per CLI call it prints both exit codes, then ``identical``, or the largest
-gap of each CSV column that moved relative to its largest |value|, and
-whether the summary differs.  Per library array it prints the largest gap
-over the roundoff floor of the stencil that formed it, the larger side's:
-``constraint_max[i]``: max|xi_i| * max|v_i|; ``el_x`` at a node: m * max|x|
+gap of each CSV column that moved, and whether the summary differs.  A
+column formed from the state is judged against the state's scale, the
+larger side's, read off the call's x, u and S columns (for ``compare``,
+which writes none, off ``simulate-super`` on the same config): ``uu``
+max|u|**2, ``us_max`` max|u| * max|S|, ``ss`` max|S|**2, and
+``constraint``, ``lambda`` and ``dev_*`` the largest |x|, |u| or |S|.  Any
+other column is judged against its own largest |value|.
+
+Per library array it prints the largest gap over the roundoff floor of the
+stencil that formed it, the larger side's: ``constraint_max[i]``:
+max|xi_i| * max|v_i|; ``el_x`` at a node: m * max|x|
 over its three stencil nodes / h**2; ``el_xi`` at a node: max|xi| over its
 two stencil nodes / h; ``stationarity_even`` and ``_odd``: max|action| / h;
 the BMT invariants at a record, quadratic forms whose terms cancel (u.u = 1
@@ -31,6 +38,7 @@ import contextlib
 import io
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -136,8 +144,33 @@ def gap(a, b, scale=None) -> float:
     return float(np.max(np.nan_to_num(d, nan=np.inf), initial=0.0))
 
 
-def cli_line(mine: tuple, theirs: tuple) -> tuple[str, bool]:
-    """One CLI call's report, and whether the two sides differ past it."""
+def columns(csv: bytes) -> dict:
+    """A CSV payload's columns by name."""
+    names = csv.split(b"\n", 1)[0].decode().split(",")
+    return dict(zip(names, np.loadtxt(io.BytesIO(csv), delimiter=",", skiprows=1, ndmin=2).T))
+
+
+def csv_floors(state: bytes | None) -> dict:
+    """The roundoff floor of each CSV column formed from the state, read off
+    the x, u and S columns of the CSV ``state`` (module docstring)."""
+    if not state:
+        return {}
+    cols = columns(state)
+    big = {k: max((np.max(np.abs(v)) for name, v in cols.items() if re.fullmatch(rf"{k}\d+", name)),
+                  default=0.0) for k in ("x", "u", "S")}
+    u, s, scale = big["u"], big["S"], max(big.values())
+    return {"uu": u * u, "us_max": u * s, "ss": s * s, "constraint": scale, "lambda": scale,
+            "dev_x": scale, "dev_u": scale, "dev_spin": scale}
+
+
+def state_csv(cli: dict, key: tuple) -> bytes | None:
+    """The CSV whose state scales the columns of CLI call ``key``."""
+    return cli.get((key[0], "simulate-super") if key[1] == "compare" else key, MISSING)[1]
+
+
+def cli_line(mine: tuple, theirs: tuple, states: list) -> tuple[str, bool]:
+    """One CLI call's report, and whether the two sides differ past it;
+    ``states`` are the two sides' CSVs whose state scales its columns."""
     (code, csv, summary), (other_code, other_csv, other_summary) = mine, theirs
     words, failed = [f"exit {code}/{other_code}"], code != other_code
     heads = [(c.split(b"\n", 1)[0], c.count(b"\n")) if c else None for c in (csv, other_csv)]
@@ -145,9 +178,11 @@ def cli_line(mine: tuple, theirs: tuple) -> tuple[str, bool]:
         words.append("header or row count differs")
         failed = True
     elif csv != other_csv:
-        a, b = (np.loadtxt(io.BytesIO(c), delimiter=",", skiprows=1, ndmin=2).T
-                for c in (csv, other_csv))
-        gaps = zip(heads[0][0].decode().split(","), map(gap, a, b))
+        a, b = columns(csv), columns(other_csv)
+        mine_floor, other_floor = map(csv_floors, states)
+        scales = {name: max(mine_floor.get(name, 0.0), other_floor.get(name, 0.0)) or None
+                  for name in a}
+        gaps = ((name, gap(a[name], b[name], scales[name])) for name in a)
         words += [f"{name} {g:.1e}" for name, g in gaps if g]
     if summary != other_summary:
         words.append("summary differs")
@@ -160,7 +195,8 @@ def judge(mine: dict, theirs: dict) -> int:
     """Print the two sides' results compared; 1 if they differ past roundoff."""
     failed = False
     for key in sorted(mine["cli"].keys() | theirs["cli"].keys()):
-        line, bad = cli_line(mine["cli"].get(key, MISSING), theirs["cli"].get(key, MISSING))
+        line, bad = cli_line(mine["cli"].get(key, MISSING), theirs["cli"].get(key, MISSING),
+                             [state_csv(side["cli"], key) for side in (mine, theirs)])
         failed |= bad
         print(" ".join(key), line)
     worst, over = 0.0, []

@@ -43,15 +43,11 @@ Probe cases: ``gradient_b`` at N = 4, mu' = 1.2, in the job shape of the
 0.005, every state recorded) from ``loaded_state(4)``, and a sin profile.
 Each times one even and one odd ``stationarity_residual`` on that path.
 
-BMT cases: ``constant_eb`` and ``gradient_b``, mu' = 1.2, in the job shape
-of the ``bmt_sweep`` benchmark workload (100 steps, h = 0.005, every 10th
-state recorded).  Each times the whole ``integrate_bmt`` call divided by its
-100 steps ("step", which includes the run's set-up and records).  The
-``gradient_b`` case also records the rate function and initial state that
-``integrate_bmt`` hands to ``rk4`` and times one call of that rate; a
-constant field runs as step maps, with no rate handed to ``rk4``.
-Recording at ``rk4`` keeps the case the same on checkouts whose rate
-functions differ.
+BMT cases: ``constant_eb``, ``gradient_b`` and ``random_cubic``, mu' = 1.2,
+in the job shape of the ``bmt_sweep`` benchmark workload (100 steps, h =
+0.005, every 10th state recorded).  Each times the whole ``integrate_bmt``
+call divided by its 100 steps ("step", which includes the run's set-up and
+records), so it compares checkouts whatever form their runs take.
 
 A layer figure is the median over five repeats of the mean time per call,
 in microseconds, with each repeat about 50 ms long.  Each layer case runs in
@@ -106,7 +102,7 @@ CASES = [("rhs", n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradie
 CASES += [("field", n, "gradient_b") for n in (4, 6)]
 CASES += [("rate", 4, "gradient_b"), ("run", 2, "constant_eb")]
 CASES += [("probe", 4, "gradient_b")]
-CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b")]
+CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b", "random_cubic")]
 CASES += [("cli", 0, ""), ("main", 0, "")]
 LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "rate": "rate n={n} ", "run": "run n={n} ",
           "probe": "probe n={n} ", "bmt": "bmt ", "cli": "cli", "main": "main"}
@@ -234,12 +230,7 @@ state = bmt.BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
 steps = 100
 run = lambda: bmt.integrate_bmt(state, fld, par, 0.005, steps, 10)
-out = {}
-if not fld.constant:
-    rates, y0 = handed_to_rk4(bmt, run)
-    out["rate"] = median_us(lambda: rates(y0, None))
-out["step"] = median_us(run) / steps
-print(json.dumps(out))
+print(json.dumps({"step": median_us(run) / steps}))
 """
 
 CHILD_MAIN = """

@@ -18,7 +18,7 @@ follows a linear flow with a constant generator.  :class:`ConstantFieldOracle`
 evaluates it with one matrix exponential per sample time and serves as the
 reference for the fixed-step integrator.
 
-The integrator steps the 14-vector (x, u, s), with s the six covariant
+The integrator advances the 14-vector (x, u, s), with s the six covariant
 pairs S_{mu nu} in ``PAIRS`` order, the same pair layout as the oracle's
 generator.  With q^sigma = F^{rho sigma} u_rho its rate is
 
@@ -26,16 +26,17 @@ generator.  With q^sigma = F^{rho sigma} u_rho its rate is
 
 where du = -(e/m) q is the force law above, because F is antisymmetric, and
 K (linear in the six F pairs) and W (bilinear in q and u) are 6 x 6 maps
-read off fixed coefficient tensors.  A field that varies is evaluated at
-every RK4 stage, and ``_pair_rate`` steps the rate above.  In a constant
-field each part of the rate is linear, as in the map form of
-:mod:`grasspin.super_dynamics`: (x, u) follows one fixed generator, the
-body generator of that module, and given u the spin pairs follow
-L = (mu'/m) K(F) + ((mu' - e)/m) W(q, u), formed at each stage's u.  So
-RK4's step maps are formed for a block of steps at once, the body's first,
-and each step chains one small matrix-vector product per part.  That is
-the same RK4 with its terms reassociated, equal to stepping the rate up to
-roundoff.
+read off fixed coefficient tensors.  The rate is triangular, as in the map
+form of :mod:`grasspin.super_dynamics`: the body (x, u) does not see the
+spin, and given the body the spin pairs move linearly, ds = L s with
+L = (mu'/m) K(F) + ((mu' - e)/m) W(q, u).  So a run advances the body over
+a block of steps first, by ``super_dynamics._body_run``: one fixed map in a
+constant field, RK4 on the body rate in a varying one, which evaluates F
+once per stage.  Either way it yields each stage's u and F, and so L there.
+RK4's spin step maps are then formed from those L for the whole block at
+once, and each step chains one 6 x 6 matrix-vector product.  That is the
+same RK4 with the spin's terms reassociated, equal to stepping the rate up
+to roundoff.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ import numpy as np
 
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, _real_array, minkowski_dot, pack_pairs, unpack_pairs
-from .polynomials import _monomials
 from .super_dynamics import (
-    ModelParams, _body_run, _chain, _rec_steps, _require_finite, _run_maps, rk4, rk4_maps,
+    ModelParams, _body_run, _chain, _rec_steps, _require_finite, _run_maps, rk4_maps,
 )
 
 __all__ = [
@@ -122,12 +122,11 @@ def _pack(state: BMTState) -> np.ndarray:
 
 
 def _rate_maps():
-    """The fixed linear maps of the pair-space rate, as (_F_ETA, _K, _T).
+    """The fixed linear maps of the pair-space rate, as (_K, _T).
 
     With f the six pairs of F_{mu nu}, s those of S_{mu nu} and
     q = u @ (F eta):
 
-        (F eta).ravel() = f @ _F_ETA                                   (6, 16)
         pack(t - t^T) = K s,  t = F eta S,          K.ravel() = f @ _K    (6, 36)
         pack(w - w^T) = W s,  w_{mu nu} = (q S)_mu u_nu,
                               W.ravel() = (q outer u).ravel() @ _T       (16, 36)
@@ -140,66 +139,32 @@ def _rate_maps():
     k = np.moveaxis(pack_pairs(t - np.swapaxes(t, -1, -2)), -1, 1)
     w = unit[:, :, None, :, None] * np.diag(SIGNS)[:, None, :]   # [j, a, b, mu, nu]
     w = np.moveaxis(pack_pairs(w - np.swapaxes(w, -1, -2)), 0, -1)
-    return f_eta.reshape(6, 16), k.reshape(6, 36), w.reshape(16, 36)
+    return k.reshape(6, 36), w.reshape(16, 36)
 
 
-_F_ETA, _K, _T = _rate_maps()
+_K, _T = _rate_maps()
 
 
-def _spin_gen(f, u, k_f, k_w):
-    """k_f K(F) + k_w W(q, u) (..., 6, 6), q = u @ (F eta), at velocities u
-    (..., 4), with f the six pairs of F_{mu nu}: the spin generator of the
-    rate (k_f = mu'/m, k_w = (mu' - e)/m) and of the oracle's co-rotating
-    frame (both (mu' - e)/m)."""
-    q = u @ (f @ _F_ETA).reshape(4, 4)
+def _spin_gen(f_lower, u, uf, k_f, k_w):
+    """k_f K(F) + k_w W(q, u) (..., 6, 6) at fields F_{mu nu} ``f_lower``
+    (..., 4, 4) or one (4, 4) F, velocities u (..., 4) and uf = u @ F, whose
+    signs give q = u @ (F eta): the spin generator of the rate (k_f = mu'/m,
+    k_w = (mu' - e)/m) and of the oracle's co-rotating frame (both
+    (mu' - e)/m)."""
+    q = SIGNS * uf
     qu = (q[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
-    return (k_f * (f @ _K) + k_w * (qu @ _T)).reshape(u.shape[:-1] + (6, 6))
+    return (k_f * (pack_pairs(f_lower) @ _K) + k_w * (qu @ _T)).reshape(u.shape[:-1] + (6, 6))
 
 
-def _pair_rate(fld, par: ModelParams):
-    """The rate ``rate(y, i)`` of the 14-vector y = (x, u, s), for :func:`rk4`.
-
-    The three rates of :func:`integrate_bmt` are one product dy = G @ (u, s)
-    with the 14 x 10 matrix
-
-        G = [[1, 0], [-(e/m) (F eta)^T, 0], [0, (mu'/m) K + ((mu' - e)/m) W]].
-
-    F eta and the F-linear blocks of G come from the six F pairs through
-    fixed maps, with one product ``monomials(x) @ program`` per stage; a
-    constant field's value rows are degree-0 monomials.  W is bilinear in q
-    and u, so G's last block is u @ (q @ g_qu) with g_qu fixed for the run.
-    """
-    g_f = np.zeros((6, 14, 10))
-    g_f[:, 4:8, :4] = -(par.charge / par.mass) * np.swapaxes(_F_ETA.reshape(6, 4, 4), 1, 2)
-    g_f[:, 8:, 4:] = (par.mu_prime / par.mass) * _K.reshape(6, 6, 6)
-    maps = np.hstack([_F_ETA, g_f.reshape(6, 140)])
-    base = np.zeros(156)
-    base[16:].reshape(14, 10)[:4, :4] = np.eye(4)
-    g_qu = np.zeros((16, 14, 10))
-    g_qu[:, 8:, 4:] = (par.anomaly / par.mass) * _T.reshape(16, 6, 6)
-    g_qu = g_qu.reshape(4, 560)
-    exps, program = fld._f_exps, fld._f_cols @ maps
-    dot = np.dot   # less call overhead than @ on operands this small
-
-    def rate(y, i):
-        c = dot(_monomials(y[:4], exps), program) + base
-        u = y[4:8]
-        q = dot(u, c[:16].reshape(4, 4))
-        g = c[16:] + dot(u, dot(q, g_qu).reshape(4, 140))
-        return dot(g.reshape(14, 10), y[4:])
-
-    return rate
-
-
-def _const_run(f_lower, par: ModelParams, y0, h, steps, record_every):
-    """The map form of a constant-field run (module docstring): the recorded
+def _run(fld, par: ModelParams, y0, h, steps, record_every):
+    """The run of :func:`integrate_bmt` (module docstring): the recorded
     steps and the 14-vectors at them."""
     rec_steps = _rec_steps(h, steps, record_every)
-    f, body = pack_pairs(f_lower), _body_run(f_lower, par, h)
+    body = _body_run(fld, par, h)
 
     def advance(y, start, count):
-        z, u = body(y[:8], count)
-        gens = _spin_gen(f, u, par.mu_prime / par.mass, par.anomaly / par.mass)
+        z, u, f, uf = body(y[:8], count)
+        gens = _spin_gen(f, u, uf, par.mu_prime / par.mass, par.anomaly / par.mass)
         spin_maps, _ = rk4_maps(np.swapaxes(gens, -1, -2), h)
         return np.hstack((z, _chain(y[8:], spin_maps)))
 
@@ -207,9 +172,14 @@ def _const_run(f_lower, par: ModelParams, y0, h, steps, record_every):
 
 
 def bmt_rhs(state: BMTState, fld, par: ModelParams):
-    """(dx, du, dspin) of the reduced system at a state."""
-    dy = _pair_rate(fld, par)(_pack(state), 0)
-    return dy[:4], dy[4:8], unpack_pairs(dy[8:])
+    """(dx, du, dspin) of the reduced system at a state: dx = u, du the
+    Lorentz force, and dspin = L s with L the spin generator
+    :func:`_spin_gen` that :func:`integrate_bmt` steps."""
+    f = fld.f_lower_real(state.x)
+    uf = state.u @ f
+    gen = _spin_gen(f, state.u, uf, par.mu_prime / par.mass, par.anomaly / par.mass)
+    return (state.u.copy(), -(par.charge / par.mass) * SIGNS * uf,
+            unpack_pairs(gen @ pack_pairs(state.spin)))
 
 
 def integrate_bmt(
@@ -229,17 +199,15 @@ def integrate_bmt(
         dx = u,   du = -(e/m) q,   ds = [(mu'/m) K(F) + ((mu' - e)/m) W(q, u)] s.
 
     du is the Lorentz force (e/m) F^{mu nu} u_nu, which equals -(e/m) q^mu
-    because F is antisymmetric.  A polynomial field is evaluated once per
-    stage, by ``_pair_rate``.  A constant field runs as RK4 step maps chained
-    over blocks of steps (module docstring): (x, u) by one fixed map, s by
-    the maps of L at each stage's u.  The recorded spin pairs are unpacked
-    once, into exactly antisymmetric tensors, and returned with the
-    invariants u.u, max |u.S| and S.S of each recorded state.
+    because F is antisymmetric.  Every field runs one way, over blocks of
+    steps (module docstring): the body (x, u) first, by one fixed map in a
+    constant field and by RK4 on its rate, F evaluated once per stage, in a
+    varying one; then s by RK4's step maps of L at each stage's u and F,
+    chained.  The recorded spin pairs are unpacked once, into exactly
+    antisymmetric tensors, and returned with the invariants u.u, max |u.S|
+    and S.S of each recorded state.
     """
-    if fld.constant:
-        rec_steps, rec = _const_run(fld._f_const, par, _pack(state0), h, steps, record_every)
-    else:
-        rec_steps, rec = rk4(_pair_rate(fld, par), _pack(state0), h, steps, record_every)
+    rec_steps, rec = _run(fld, par, _pack(state0), h, steps, record_every)
     u, spin = rec[:, 4:8], unpack_pairs(rec[:, 8:])
     return BMTTrajectory(state0.s + h * rec_steps, rec[:, :4], u, spin, *_invariants(u, spin))
 
@@ -282,7 +250,7 @@ class ConstantFieldOracle:
         self._gen = np.zeros((14, 14))
         self._gen[:4, :4] = (par.charge / par.mass) * (SIGNS[:, None] * self.f_lo)
         self._gen[:4, 4:8] = np.eye(4)
-        self._gen[8:, 8:] = _spin_gen(pack_pairs(self.f_lo), state0.u, k_co, k_co)
+        self._gen[8:, 8:] = _spin_gen(self.f_lo, state0.u, state0.u @ self.f_lo, k_co, k_co)
 
     def sample(self, times: np.ndarray, h_ref: float | None = None) -> BMTTrajectory:
         """Oracle states at increasing times >= state0.s.

@@ -16,7 +16,9 @@ and reused by every later call.
 
 simulate-super, compare and verify run in algebra(2) through ``_super_run``:
 theta1 and theta2, which initial.spin.xi loads, are the only generators a run
-reaches, so a coefficient_masks column past them reads zero.  A run whose
+reaches.  So output.coefficient_masks names slots of the theta1 theta2 block,
+0 to 3, and algebra.n_generators sets only the algebra of verify's Maxwell
+points.  A run whose
 records and per-step monitors would exceed ``MAX_RECORD_BYTES`` (for verify,
 both its runs) exits 2 before any state is built; a non-finite run exits 3.
 """
@@ -182,8 +184,7 @@ def _cmd_simulate_super(cfg: RunConfig, out_path: str | None) -> int:
         traj.constraint_max[rec], traj.lambda_max[rec]]
     for mask in cfg.coefficient_masks:
         header += [f"{name}{m}_c{mask}" for name in ("x", "u", "xi") for m in range(4)]
-        columns += [a[..., mask] if mask < traj.alg.dim else np.zeros(a.shape[:-1])
-                    for a in (traj.x, traj.v, traj.xi)]
+        columns += [a[..., mask] for a in (traj.x, traj.v, traj.xi)]
     _emit_csv(out_path, header, np.column_stack(columns))
 
     con = float(np.max(traj.constraint_max))

@@ -189,9 +189,9 @@ class RunConfig:
     h: float
     steps: int
     record_every: int
-    n_generators: int                 # verify's Maxwell points; bounds the masks
+    n_generators: int                 # the algebra of verify's Maxwell points only
     seed: int
-    coefficient_masks: list[int] = field(default_factory=list)
+    coefficient_masks: list[int] = field(default_factory=list)   # theta1 theta2 slots, 0..3
     thresholds: dict = field(default_factory=dict)
     compare_threshold: float = 1e-6
     compare_enforce: bool = True
@@ -333,8 +333,10 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(mask_raw, list):
         raise ConfigError("output.coefficient_masks must be a list")
     masks = [_count(m, "output.coefficient_masks") for m in mask_raw]
-    if any(not 0 <= m < (1 << n_gen) for m in masks):
-        raise ConfigError("output.coefficient_masks entries must be valid subset masks")
+    for m in masks:
+        if not 0 <= m < 4:
+            raise ConfigError("output.coefficient_masks entries must be valid subset masks "
+                              f"of theta1 theta2, 0 to 3, got {m}")
 
     thresholds = {
         name: _positive(value, f"thresholds.{name}")

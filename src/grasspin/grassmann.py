@@ -377,7 +377,7 @@ class GrassmannAlgebra:
             c[mask] += float(val)
         return GrassmannNumber(self, c)
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"GrassmannAlgebra(n={self.n})"
 
 
@@ -418,7 +418,7 @@ class _DualAlgebra(GrassmannAlgebra):
     def _split(self) -> tuple[GrassmannAlgebra, bool]:
         return self.base, False
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"dual_algebra({self.base.n})"
 
 

@@ -91,9 +91,6 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def diff(self, axis: int) -> "Polynomial":
         out: dict[Exponents, float] = {}
         for exps, coef in self.terms.items():
@@ -130,7 +127,7 @@ class Polynomial:
             out = out + coef * np.prod(points ** np.asarray(exps), axis=-1)
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         if not self.terms:
             return "Polynomial(0)"
         bits = [

@@ -471,17 +471,38 @@ def _body_gen(f, par):
     return gen
 
 
-def _body_run(f, par, h):
+def _body_run(fld, par, h):
     """``run(z, count)``: the body states z (count + 1, 8) of ``count`` RK4
-    steps from z = (x0, v0) in the constant field f, and the velocities v0
-    (count, 4, 4) at each step's four stages.  The body's step map is one
-    fixed map, formed once here."""
-    maps, stages = rk4_maps(_body_gen(f, par)[None, None].repeat(4, axis=1), h)
+    steps from z = (x0, v0) in the field ``fld``, and at each step's four
+    stages the velocities v0 (count, 4, 4), F_{mu nu} and v0 @ F (count, 4,
+    4).  A constant field's step map is one fixed map, formed once here, and
+    its F is the one (4, 4) tensor.  A varying field steps the body rate
+    dx0 = v0, dv0 = k_v o (v0 F(x0)) with :func:`rk4`, F (count, 4, 4, 4)
+    evaluated at each stage."""
+    k_v = -(par.charge / par.mass) * SIGNS
+    if fld.constant:
+        f = fld._f_const
+        maps, stages = rk4_maps(_body_gen(f, par)[None, None].repeat(4, axis=1), h)
+
+        def run(z, count):
+            z = _chain(z, (maps[0],) * count)
+            zs = z[:-1, None, None]
+            v0 = (zs + zs @ stages)[:, :, 0, 4:]
+            return z, v0, f, v0 @ f
+
+        return run
 
     def run(z, count):
-        z = _chain(z, (maps[0],) * count)
-        zs = z[:-1, None, None]
-        return z, (zs + zs @ stages)[:, :, 0, 4:]
+        seen = []   # (v0, F, v0 @ F) of each stage, in call order
+
+        def rates(z, i):
+            v0, f = z[4:], fld.f_lower_real(z[:4])
+            vf = np.dot(v0, f)   # less call overhead than @ on operands this small
+            seen.append((v0, f, vf))
+            return np.concatenate((v0, k_v * vf))
+
+        z = rk4(rates, z, h, count, 1)[1]
+        return (z, *(np.reshape(a, (count, 4) + a.shape[1:]) for a in map(np.array, zip(*seen))))
 
     return run
 
@@ -533,7 +554,7 @@ def _check_lightlike(vv, start):
         raise LightlikeVelocityError(f"v.v has zero body{at}")
 
 
-def _const_run(f, par, packed, h, steps, record_every):
+def _const_run(fld, par, packed, h, steps, record_every):
     """The map form of a constant-field run at k <= 2 (module docstring).
 
     Returns the recorded steps, the packed states at them (R, 6, 4) and the
@@ -542,10 +563,10 @@ def _const_run(f, par, packed, h, steps, record_every):
     (step, stage) whose body v.v is zero, before any map divides by it.
     """
     rec_steps = _rec_steps(h, steps, record_every)
-    body = _body_run(f, par, h)
+    f, body = fld._f_const, _body_run(fld, par, h)
 
     def advance(y, start, count):
-        z, v0 = body(np.concatenate((y[0], y[2])), count)
+        z, v0 = body(np.concatenate((y[0], y[2])), count)[:2]
         vv = (SIGNS * v0 * v0).sum(axis=-1)
         _check_lightlike(vv, start)
         xi_maps, xi_stages = rk4_maps(_xi_gen(f, par, v0, vv), h)
@@ -766,7 +787,7 @@ def integrate_super(
         vv_body = np.array(vv_body)
     else:
         rec_steps, rec, (constraint_max, lambda_max, vv_body) = _const_run(
-            fld._f_const, par, packed, h, steps, record_every)
+            fld, par, packed, h, steps, record_every)
         rec = _unpack(alg, rec)
 
     lifted = np.zeros(rec.shape[:-1] + (state0.alg.dim,))

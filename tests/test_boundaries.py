@@ -4,6 +4,7 @@ the named exception, with a message that names the input."""
 import numpy as np
 import pytest
 
+import grasspin.grassmann
 from grasspin import (
     BMTState,
     ConstantFieldOracle,
@@ -17,11 +18,14 @@ from grasspin import (
     SuperState,
     algebra,
     constant_field,
+    integrate_bmt,
     integrate_super,
+    leading_order,
+    spin_velocity_angle,
 )
 from grasspin.grassmann import AlgebraMismatchError
 
-from conftest import standard_state
+from conftest import boosted_velocity, standard_state
 
 SPIN = np.zeros((4, 4))
 
@@ -132,3 +136,63 @@ def test_from_terms_bad_keys(terms, message):
 def test_grassmann_number_wrong_shape(coeffs):
     with pytest.raises(ValueError, match=r"expected 4 coefficients, got shape"):
         GrassmannNumber(algebra(2), coeffs)
+
+
+def _super_run(n):
+    st = SuperState.from_real(np.zeros(4), [1.0, 0.0, 0.0, 0.0], np.zeros((1, 4)), algebra(n))
+    return integrate_super(st, constant_field([0, 0, 0], [0, 0, 1.0]), ModelParams(1.0, 1.0, 1.2),
+                           h=0.01, steps=2)
+
+
+def _bmt_run():
+    """A gyration in the (1, 2) plane with no spin at all."""
+    st = BMTState(np.zeros(4), boosted_velocity(1.5), SPIN)
+    return integrate_bmt(st, constant_field([0, 0, 0], [0, 0, 1.0]), ModelParams(1.0, 1.0, 1.2),
+                         h=0.01, steps=4)
+
+
+def _point(*ns):
+    """An even point whose components lie in algebra(n) for n in ``ns``."""
+    return [algebra(n).scalar(0.1 * mu) for mu, n in enumerate(ns)]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: leading_order(_super_run(1)), "projection needs an algebra with at least 2 generators"),
+    (lambda: spin_velocity_angle(_bmt_run(), axis=0), "axis must be a spatial index 1..3"),
+    (lambda: spin_velocity_angle(_bmt_run()), "spin vector has no in-plane component to track"),
+    (lambda: constant_field([0, 0, 0], [0, 0, 1.0]).field_tensor([0.0] * 3),
+     "evaluation point must have 4 components"),
+    (lambda: constant_field([0, 0, 0], [0, 0, 1.0]).field_tensor(_point(2, 2, 3, 2)),
+     "point components from different algebras"),
+    (lambda: algebra(3).generator(0), r"generator index must be in \[1, 3\]"),
+    (lambda: algebra(3).generator(4), r"generator index must be in \[1, 3\]"),
+    (lambda: algebra(2).power(algebra(2).scalar_coeffs(2.0), -1),
+     "negative powers not supported at kernel level"),
+    (lambda: algebra(2).scalar(1.0).grade(-1), r"grade must be in \[0, 2\]"),
+    (lambda: algebra(2).scalar(1.0).grade(3), r"grade must be in \[0, 2\]"),
+], ids=["leading-order-n1", "angle-axis-0", "angle-no-in-plane-spin", "point-3-components",
+        "point-mixed-algebras", "generator-0", "generator-n+1", "power-negative", "grade-negative",
+        "grade-above-n"])
+def test_library_input_check(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("reals", [[1], [0, 2, 3]], ids=["one-real", "three-reals"])
+def test_even_point_takes_reals_beside_grassmann_numbers(reals):
+    """A real component of a point given in GrassmannNumbers is its body."""
+    fld = FieldConfig.from_entries([(1, (0, 0, 1, 0), 0.5), (2, (0, 1, 1, 0), -0.3)])
+    point = _point(3, 3, 3, 3)
+    mixed = [float(c.coeffs[0]) if mu in reals else c for mu, c in enumerate(point)]
+    want, got = fld.field_tensor(point), fld.field_tensor(mixed)
+    assert all(g.alg is algebra(3) and g == w for g, w in zip(got.ravel(), want.ravel()))
+
+
+def test_popcount_without_bitwise_count(monkeypatch):
+    """The loop taken on numpy < 2, which lacks np.bitwise_count."""
+    masks = np.arange(1 << 10, dtype=np.int64).reshape(32, 32)
+    want = grasspin.grassmann._popcount(masks)
+    monkeypatch.delattr(np, "bitwise_count")
+    got = grasspin.grassmann._popcount(masks)
+    assert np.array_equal(got, want)
+    assert np.array_equal(masks, np.arange(1 << 10).reshape(32, 32))   # input untouched

@@ -393,20 +393,17 @@ class TestRecordBudget:
         monkeypatch.setattr(cli.SuperState, "from_real", refuse)
 
     def test_estimate_at_sixteen_generators(self, tmp_path):
-        # N = 16 and a mask naming theta16 do not size the run: 2001 records of
-        # x, v and xi, (4, 4) float64 each, and the monitors of 2001 states,
-        # 6 x 4 float64 each; lifted into algebra(16) the records took 12.6 GB
+        # N = 16 does not size the run: 2001 records of x, v and xi, (4, 4)
+        # float64 each, and the monitors of 2001 states, 6 x 4 float64 each;
+        # lifted into algebra(16) the records took 12.6 GB
         assert cli._record_bytes(2000, 1) == 2001 * 3 * 4 * 4 * 8 + 2001 * 6 * 4 * 8
         cfg = write_cfg(tmp_path, {"algebra.n_generators": 16,
-                                   "output.coefficient_masks": [3, 1 << 15],
+                                   "output.coefficient_masks": [3],
                                    "integrator.steps": 2000, "integrator.record_every": 1})
         out = tmp_path / "o.csv"
         assert main(["simulate-super", "--config", cfg, "--out", str(out)]) == 0
         data = read_csv(out)
         assert len(data) == 2001
-        for name in ("x", "u", "xi"):
-            for m in range(4):
-                assert not np.any(data[f"{name}{m}_c32768"])
 
     @pytest.mark.parametrize("steps, every, records", [(300, 50, 7), (301, 50, 8), (1, 1, 2)])
     def test_estimate_counts_records_as_the_run_does(self, tmp_path, monkeypatch, steps, every,
@@ -719,27 +716,32 @@ class TestVerify:
         loads; algebra.n_generators sets only the Maxwell points' algebra, so
         verify's Maxwell line is left out."""
         for command in ("simulate-super", "compare", "verify"):
-            # mask 5 names theta3, which algebra(2) lacks; 201 records lifted
-            # into algebra(16) would take 1.3 GB, but the runs stay in algebra(2)
-            for masks, ns in (([3], (2, 4, 16)), ([3, 5], (3, 4, 16))):
-                lines, csvs = [], []
-                for n in ns:
-                    cfg = write_cfg(tmp_path, {
-                        "integrator": {"h": 2 * np.pi / 1000, "steps": 200, "record_every": 1},
-                        "verify": {"points": 8, "variations": 2},
-                        "output": {"coefficient_masks": masks},
-                        "algebra.n_generators": n,
-                    }, name=f"n{n}.yaml")
-                    out = tmp_path / f"n{n}.csv"
-                    code = main([command, "--config", cfg, "--out", str(out)])
-                    text = capsys.readouterr().out
-                    assert code == 0, (command, masks, n, text)
-                    lines.append([line for line in text.splitlines()
-                                  if not line.startswith("maxwell:")])
-                    csvs.append(out.read_bytes())
-                assert len(lines[0]) == {"simulate-super": 4, "compare": 4, "verify": 2}[command]
-                assert lines[0] == lines[1] == lines[2], (command, masks)
-                assert csvs[0] == csvs[1] == csvs[2], (command, masks)
+            # 201 records lifted into algebra(16) would take 1.3 GB, but the
+            # runs stay in algebra(2)
+            lines, csvs = [], []
+            for n in (2, 4, 16):
+                cfg = write_cfg(tmp_path, {
+                    "integrator": {"h": 2 * np.pi / 1000, "steps": 200, "record_every": 1},
+                    "verify": {"points": 8, "variations": 2},
+                    "output": {"coefficient_masks": [3]},
+                    "algebra.n_generators": n,
+                }, name=f"n{n}.yaml")
+                out = tmp_path / f"n{n}.csv"
+                code = main([command, "--config", cfg, "--out", str(out)])
+                text = capsys.readouterr().out
+                assert code == 0, (command, n, text)
+                lines.append([line for line in text.splitlines()
+                              if not line.startswith("maxwell:")])
+                csvs.append(out.read_bytes())
+            assert len(lines[0]) == {"simulate-super": 4, "compare": 4, "verify": 2}[command]
+            assert lines[0] == lines[1] == lines[2], command
+            assert csvs[0] == csvs[1] == csvs[2], command
+            # mask 5 names theta1 theta3, past the theta1 theta2 block that a
+            # run reaches, at any N
+            cfg = write_cfg(tmp_path, {"output": {"coefficient_masks": [3, 5]},
+                                       "algebra.n_generators": 16}, name="mask5.yaml")
+            assert main([command, "--config", cfg]) == 2
+            assert "output.coefficient_masks" in capsys.readouterr().err
 
     def test_nonclosed_expected_fail(self, capsys):
         code = main(["verify", "--config", str(ROOT / "configs" / "nonclosed_f.yaml")])
@@ -850,6 +852,30 @@ class TestOutputs:
         other["cli"]["a.yaml", "compare"] = (0, self.CSV.replace(b"2.0", b"2.000000002"), b"ok\n")
         assert outputs.judge(self.side(), other) == 0
         assert "a.yaml compare exit 0/0 dev 1.0e-09" in capsys.readouterr().out.splitlines()
+
+    # a state with max|x| = 3, max|u| = 2 and max|S| = 0.5 at its second row
+    STATE = "s,x0,x1,x2,x3,u0,u1,u2,u3,S01,S02,S03,S12,S13,S23,{}\n"
+    STATE_ROWS = ("0.0,0,0,0,0,1,0,0,0,0,0,0,0.25,0,0,{}\n"
+                  "0.05,3,0,-1,0,2,-1.7,0,0,0,0,0,0.5,0,0,{}\n")
+
+    @pytest.mark.parametrize("command, column, scale", [
+        ("simulate-bmt", "us_max", 2.0 * 0.5),
+        ("simulate-super", "constraint", 3.0),
+        ("compare", "dev_spin", 3.0),
+    ])
+    def test_state_column_scaled_by_state(self, outputs, capsys, command, column, scale):
+        # values of 1e-12 that move by 1e-16: 1e-4 of their own size, but
+        # roundoff on the state's scale
+        def side(last):
+            state = self.STATE.format(column) + self.STATE_ROWS.format("1e-12", last)
+            own = f"s,{column}\n0.0,1e-12\n0.05,{last}\n" if command == "compare" else state
+            return {"cli": {("a.yaml", "simulate-super"): (0, state.encode(), b"ok\n"),
+                            ("a.yaml", command): (0, own.encode(), b"ok\n")},
+                    "library": []}
+
+        assert outputs.judge(side("1e-12"), side("1.0001e-12")) == 0
+        line = [x for x in capsys.readouterr().out.splitlines() if x.startswith(f"a.yaml {command}")]
+        assert line == [f"a.yaml {command} exit 0/0 {column} {1e-16 / scale:.1e}"]
 
     @pytest.mark.parametrize("argv", [[], ["a", "b"]])
     def test_usage(self, outputs, argv):

@@ -17,6 +17,7 @@ from grasspin.grassmann import (
     algebra,
     dual_algebra,
 )
+from grasspin.polynomials import Polynomial
 
 
 # ----------------------------------------------------------------------
@@ -482,3 +483,23 @@ def test_lowest_term_degree_inequality(alg4):
 def test_pretty_repr(alg4):
     a = alg4.from_terms({(): 3.0, (1, 2): 2.0})
     assert "θ1θ2" in repr(a)
+
+
+@pytest.mark.parametrize("obj, want", [
+    (algebra(3), "GrassmannAlgebra(n=3)"),
+    (dual_algebra(2), "dual_algebra(2)"),
+    (Polynomial.zero(), "Polynomial(0)"),
+    (Polynomial({(1, 0, 0, 0): 2.0, (0, 0, 1, 2): -0.5}),
+     "Polynomial(2·x0^1x1^0x2^0x3^0 + -0.5·x0^0x1^0x2^1x3^2)"),
+], ids=["algebra", "dual-algebra", "zero-polynomial", "polynomial"])
+def test_object_repr(obj, want):
+    assert repr(obj) == want
+
+
+def test_integer_power(alg4):
+    a = alg4.from_terms({(): 2.0, (1,): 1.0, (2, 3): -0.5})
+    assert a ** 0 == alg4.scalar(1.0)
+    assert a ** np.int64(3) == a * a * a
+    for bad in (-1, 1.5):
+        with pytest.raises(TypeError):
+            a ** bad

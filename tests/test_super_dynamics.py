@@ -24,7 +24,6 @@ from grasspin.grassmann import (
 )
 from grasspin.minkowski import SIGNS
 from grasspin.polynomials import PolyVectorEvaluator
-import grasspin.bmt
 import grasspin.super_dynamics as sd
 from grasspin.super_dynamics import (
     LightlikeVelocityError, _body_gen, _const_monitors, _cut, _emul, _field, _gdot, _multiplier,
@@ -487,10 +486,10 @@ class TestConstProgram:
         sd._check_lightlike(np.ones((3, 4)), 0)
 
     def test_constant_field_runs_call_no_rate(self, b_field, params, monkeypatch):
-        """k <= 2 ``integrate_super`` and ``integrate_bmt`` on a constant field
-        chain step maps and never call a per-stage rate."""
+        """k <= 2 ``integrate_super`` on a constant field chains step maps and
+        never calls ``_rhs``; ``integrate_bmt`` runs beside it.  That a
+        constant-field BMT run evaluates no field is checked in test_bmt."""
         monkeypatch.setattr(sd, "_rhs", None)
-        monkeypatch.setattr(grasspin.bmt, "_pair_rate", None)
         traj = integrate_super(loaded_state(2), b_field, params, h=0.05, steps=8)
         bmt = integrate_bmt(BMTState.from_pairs(np.zeros(4), boosted_velocity(2.0),
                                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4]),
@@ -787,9 +786,17 @@ class TestIntegrateSuper:
                             record_every=record_every)
 
     def test_lightlike_abort_names_step(self, alg4, b_field, params):
-        st = SuperState.from_real(np.zeros(4), [1.0, 1.0, 0.0, 0.0], np.zeros((2, 4)), alg4)
-        with pytest.raises(LightlikeVelocityError, match="at step 0"):
-            integrate_super(st, b_field, params, h=1e-3, steps=3)
+        """Both paths name the step; ``integrate_super`` re-raises ``_rhs``'s
+        error with the step added, so only there the error has a cause."""
+        for fld, rows, on_rhs in (
+            (b_field, np.zeros((2, 4)), False),                                  # map form, k = 0
+            (gradient_b_field(), [[0, 0, 1, 0], [0, 0, 0, 1]], True),            # k = 2
+            (b_field, [[0, 0, 1, 0], [0, 0, 0, 1], [0.1, 0.1, 0, 0]], True),     # k = 3
+        ):
+            st = SuperState.from_real(np.zeros(4), [1.0, 1.0, 0.0, 0.0], rows, alg4)
+            with pytest.raises(LightlikeVelocityError, match="^v.v has zero body at step 0$") as err:
+                integrate_super(st, fld, params, h=1e-3, steps=3)
+            assert isinstance(err.value.__cause__, LightlikeVelocityError) == on_rhs
 
 
 @pytest.mark.parametrize("integrator", ["super", "bmt"])
