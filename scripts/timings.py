@@ -4,9 +4,10 @@ against another one.
 
     python scripts/timings.py OTHER_CHECKOUT [KIND ...] [-- CLI ARGS]
 
-KIND is one of ``rhs``, ``field``, ``rate``, ``run``, ``probe``, ``bmt``, ``cli`` and
-``main``, the case kinds below; given one or more, only cases of those kinds run, and
-with none every case runs.  An unknown kind prints the usage and exits 2.
+KIND is one of ``rhs``, ``field``, ``rate``, ``run``, ``probe``, ``bmt``,
+``oracle``, ``cli`` and ``main``, the case kinds below; given one or more, only
+cases of those kinds run, and with none every case runs.  An unknown kind
+prints the usage and exits 2.
 ``python scripts/timings.py OTHER probe`` runs its 11 rounds in about 15 s
 on a 2-core host, so a claim about one layer can be timed alone, or timed
 again, in little time.
@@ -48,6 +49,12 @@ in the job shape of the ``bmt_sweep`` benchmark workload (100 steps, h =
 0.005, every 10th state recorded).  Each times the whole ``integrate_bmt``
 call divided by its 100 steps ("step", which includes the run's set-up and
 records), so it compares checkouts whatever form their runs take.
+
+Oracle case: ``ConstantFieldOracle(...).sample`` on ``constant_eb``, mu' =
+1.2, from the BMT cases' state, at the 11 record times of a ``bmt_sweep``
+job (0, 0.05, ..., 0.5).  It reports the first call in ms, which includes
+any import the call makes, the median call in microseconds, and the
+child's peak RSS in MB, which sees every module the oracle loads.
 
 A layer figure is the median over five repeats of the mean time per call,
 in microseconds, with each repeat about 50 ms long.  Each layer case runs in
@@ -103,9 +110,11 @@ CASES += [("field", n, "gradient_b") for n in (4, 6)]
 CASES += [("rate", 4, "gradient_b"), ("run", 2, "constant_eb")]
 CASES += [("probe", 4, "gradient_b")]
 CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b", "random_cubic")]
+CASES += [("oracle", 0, "constant_eb")]
 CASES += [("cli", 0, ""), ("main", 0, "")]
 LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "rate": "rate n={n} ", "run": "run n={n} ",
-          "probe": "probe n={n} ", "bmt": "bmt ", "cli": "cli", "main": "main"}
+          "probe": "probe n={n} ", "bmt": "bmt ", "oracle": "oracle ", "cli": "cli",
+          "main": "main"}
 
 PRELUDE = """
 import json, statistics, sys, time
@@ -233,6 +242,22 @@ run = lambda: bmt.integrate_bmt(state, fld, par, 0.005, steps, 10)
 print(json.dumps({"step": median_us(run) / steps}))
 """
 
+CHILD_ORACLE = PRELUDE + """
+import resource
+import numpy as np
+from grasspin import BMTState, ConstantFieldOracle
+
+state = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                            [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+oracle = ConstantFieldOracle(state, fld.f_lower_real(np.zeros(4)), par)
+times = 0.005 * np.arange(0, 101, 10)
+t0 = time.perf_counter()
+oracle.sample(times)
+first = time.perf_counter() - t0
+print(json.dumps({"first call ms": 1e3 * first, "call": median_us(lambda: oracle.sample(times)),
+                  "peak rss MB": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
 CHILD_MAIN = """
 import contextlib, json, os, statistics, sys, time
 from grasspin.cli import main
@@ -253,7 +278,7 @@ print(json.dumps({"wall ms": 1e3 * statistics.median(t for _, t in runs), "exit"
 """
 
 CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "run": CHILD_RUN,
-            "probe": CHILD_PROBE, "bmt": CHILD_BMT, "main": CHILD_MAIN}
+            "probe": CHILD_PROBE, "bmt": CHILD_BMT, "oracle": CHILD_ORACLE, "main": CHILD_MAIN}
 
 
 def child_env(root: Path) -> dict:

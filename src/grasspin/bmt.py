@@ -15,8 +15,8 @@ For a homogeneous field the whole system has a closed form (Bargmann,
 Michel, Telegdi 1959): u(s) = exp((e/m) Fhat s) u(0), x(s) by exact
 quadrature of u, and a spin tensor that, seen in the co-rotating frame,
 follows a linear flow with a constant generator.  :class:`ConstantFieldOracle`
-evaluates it with one matrix exponential per sample time and serves as the
-reference for the fixed-step integrator.
+evaluates it with one matrix exponential per sample time, by :func:`_expm`,
+and serves as the reference for the fixed-step integrator.
 
 The integrator advances the 14-vector (x, u, s), with s the six covariant
 pairs S_{mu nu} in ``PAIRS`` order, the same pair layout as the oracle's
@@ -49,7 +49,8 @@ import numpy as np
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, _real_array, minkowski_dot, pack_pairs, unpack_pairs
 from .super_dynamics import (
-    ModelParams, _body_run, _chain, _rec_steps, _require_finite, _run_maps, rk4_maps,
+    ModelParams, NumericalAbortError, _body_run, _chain, _rec_steps, _require_finite, _run_maps,
+    rk4_maps,
 )
 
 __all__ = [
@@ -206,8 +207,16 @@ def integrate_bmt(
     chained.  The recorded spin pairs are unpacked once, into exactly
     antisymmetric tensors, and returned with the invariants u.u, max |u.S|
     and S.S of each recorded state.
+
+    Raises :class:`~grasspin.super_dynamics.NumericalAbortError`, naming the
+    first non-finite record, if the run leaves the float range; the last
+    state is always recorded, so no blow-up goes unseen.
     """
     rec_steps, rec = _run(fld, par, _pack(state0), h, steps, record_every)
+    bad = ~np.isfinite(rec).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericalAbortError(f"non-finite state at record {i} (step {rec_steps[i]})")
     u, spin = rec[:, 4:8], unpack_pairs(rec[:, 8:])
     return BMTTrajectory(state0.s + h * rec_steps, rec[:, :4], u, spin, *_invariants(u, spin))
 
@@ -215,6 +224,27 @@ def integrate_bmt(
 # ----------------------------------------------------------------------
 # Constant-field oracle
 # ----------------------------------------------------------------------
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of each matrix of a (..., n, n), by scaling and squaring
+    (Moler and Van Loan, SIAM Review 45 (2003) 3) in increment form.
+
+    One scaling s for the whole batch brings every ||x||_1, x = a / 2^s, to
+    <= 1.  There E = exp(x) - 1 is its Taylor series to degree 18, by
+    Horner's rule, with a remainder below ||x|| / 19! ~ 8e-18 ||x||; s
+    doublings E -> 2E + E E then give exp(a) - 1, and the identity is added
+    last.  Squaring 1 + E instead would round entries 1 + O(eps) and repeat
+    that rounding at every doubling.
+    """
+    s = max(0, int(np.frexp(np.abs(a).sum(axis=-2).max(initial=0.0))[1]))
+    x = np.ldexp(a, -s)
+    e = x / 18
+    for k in range(17, 0, -1):
+        e = (x + x @ e) / k
+    for _ in range(s):
+        e = 2 * e + e @ e
+    return np.eye(a.shape[-1]) + e
 
 
 class ConstantFieldOracle:
@@ -232,7 +262,8 @@ class ConstantFieldOracle:
         S(s) = L unpack(exp(G s) pack(S(0))) L^T,   L = Lambda^{-T} = eta Lambda eta.
 
     One matrix exponential of the 14x14 block-diagonal generator gives all
-    three at each sample time.  ``refine`` is accepted for call
+    three at each sample time; :func:`_expm` forms them for every sample
+    time in one batch, with numpy alone.  ``refine`` is accepted for call
     compatibility and stored as ``self.refine``; it selects nothing, since
     nothing is integrated.
     """
@@ -258,10 +289,6 @@ class ConstantFieldOracle:
         ``h_ref`` is accepted for call compatibility and unused: the closed
         form has no step size.
         """
-        # Imported here, its only use: scipy.linalg takes longer to import
-        # than the rest of the package.
-        import scipy.linalg
-
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ValueError("sample times must be a non-empty 1-D array")
@@ -271,7 +298,7 @@ class ConstantFieldOracle:
             raise ValueError("sample times must be strictly increasing")
         if times[0] < self.state0.s - 1e-15:
             raise ValueError("sample times must not precede the initial state")
-        prop = scipy.linalg.expm((times - self.state0.s)[:, None, None] * self._gen)
+        prop = _expm((times - self.state0.s)[:, None, None] * self._gen)
         lam = prop[:, :4, :4]
         xs = self.state0.x + prop[:, :4, 4:8] @ self.state0.u
         us = lam @ self.state0.u

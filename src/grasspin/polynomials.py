@@ -195,7 +195,7 @@ def _binomials(max_n: int, max_k: int) -> np.ndarray:
 def _monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """x^e at real points (..., 4) for each row e of ``exps`` -> (..., rows)."""
     points = np.asarray(points, dtype=float)
-    return (points[..., None, :] ** exps).prod(axis=-1)
+    return np.multiply.reduce(points[..., None, :] ** exps, axis=-1)
 
 
 def _taylor_block(polys: list[Polynomial], top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +255,8 @@ class PolyVectorEvaluator:
         exps, self.gather = _taylor_block(self.polys, top + grad)
         extra_exps, self.extra_gather = _taylor_block(self.extra, top)
         self._split = len(exps)          # rows of ``polys``'s block come first
-        self._exps = np.vstack((exps, extra_exps))
+        # float exponents, as ``**`` would cast them to at every evaluation
+        self._exps = np.vstack((exps, extra_exps), dtype=float)
 
         # slot (alpha, j) of component j = _fact * the _index'th entry of the
         # blocks' slot values, ``polys``'s block first

@@ -1,5 +1,7 @@
 """Reduced spin-precession system, its constant-field oracle, diagnostics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -23,10 +25,10 @@ from grasspin import (
     spin_vector,
     spin_velocity_angle,
 )
-from grasspin.bmt import PAIRS
+from grasspin.bmt import PAIRS, _expm
 from grasspin.minkowski import SIGNS, minkowski_dot, pack_pairs, unpack_pairs
 from grasspin.polynomials import _monomials
-from grasspin.super_dynamics import rk4
+from grasspin.super_dynamics import NumericalAbortError, rk4
 
 from conftest import _dspin, _du, boosted_velocity, field_corpus, gradient_b_field
 
@@ -267,6 +269,18 @@ class TestIntegrateBmt:
         varying.f_lower_real(np.zeros(4))
         assert len(calls) == 4 * 10 + 1
 
+    @pytest.mark.parametrize("record_every, record, step", [(10, 46, 460), (480, 1, 480)])
+    def test_non_finite_run_raises(self, params, record_every, record, step):
+        # random_cubic from the BMT state of scripts/timings.py: RK4 leaves its
+        # stable range, u.u reads 4.14 at step 390 and the spin is NaN by step
+        # 480, the last state, which is always recorded
+        st = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalAbortError, match=rf"^non-finite state at record {record} \(step {step}\)$"):
+            integrate_bmt(st, CORPUS["random_cubic"], params, h=0.005, steps=480,
+                          record_every=record_every)
+
     @pytest.mark.parametrize("steps, record_every, name", [
         (0, 1, "steps"), (-1, 1, "steps"), (5, 0, "record_every"), (5, -2, "record_every"),
     ])
@@ -294,11 +308,12 @@ class TestOracle:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_time_zero_returns_initial(self, params):
+        # bitwise, since the exponential of zero is exactly the identity
         st = planar_state()
         f = constant_f_lower([0.1, 0.2, 0.0], [0.0, 0.0, 1.0])
         out = ConstantFieldOracle(st, f, params).state_at(0.0)
-        assert np.allclose(out.x, st.x) and np.allclose(out.u, st.u)
-        assert np.allclose(out.spin, st.spin)
+        assert np.array_equal(out.x, st.x) and np.array_equal(out.u, st.u)
+        assert np.array_equal(out.spin, st.spin)
 
     def test_zero_charge_straight_line(self):
         par = ModelParams(mass=1.0, charge=0.0, mu_prime=0.8)
@@ -379,6 +394,81 @@ class TestOracle:
         out = ConstantFieldOracle(st, f, params).state_at(s_end)
         got = np.concatenate([out.x, out.u, out.spin.ravel()])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def oracle_generators() -> list[np.ndarray]:
+    """The oracle's 14 x 14 generators for 16 constant fields: 4 general E + B,
+    4 null (E perpendicular to B, |E| = |B|: a defective generator), 4 pure E
+    and 4 pure B."""
+    rng = np.random.default_rng(11)
+    gens = []
+    for kind in ("general", "null", "electric", "magnetic"):
+        for _ in range(4):
+            e, b = rng.normal(size=3), rng.normal(size=3)
+            if kind == "null":
+                b = np.cross(e, b)
+                b *= np.linalg.norm(e) / np.linalg.norm(b)
+            e, b = (0 * e if kind == "magnetic" else e), (0 * b if kind == "electric" else b)
+            oracle = ConstantFieldOracle(planar_state(1.5), constant_f_lower(e, b),
+                                         ModelParams(1.0, 1.0, 1.2))
+            gens.append(oracle._gen)
+    return gens
+
+
+class TestExpm:
+    """The oracle's exponential against references that share none of its
+    arithmetic."""
+
+    def test_matches_mpmath(self):
+        # times 2^-10 ... 2^3 in one batch, so that t * gen is exact: the
+        # 40-digit reference is mpmath's expm at the first time, squared for
+        # each next one, block by block (the generator is block-diagonal).
+        # At 2^4 a null field's body block, of norm 71, reads 1.1e-13, where
+        # scipy reads 8.0e-14: the conditioning of a nearly defective
+        # exponential, which other scalings and degrees left at 2.5e-14 or more
+        mpmath = pytest.importorskip("mpmath")
+        times = 2.0 ** np.arange(-10, 4)
+        blocks = (slice(0, 8), slice(8, 14))
+        with mpmath.workdps(40):
+            for gen in oracle_generators():
+                got = _expm(times[:, None, None] * gen)
+                exps = [mpmath.expm(mpmath.matrix((times[0] * gen[b, b]).tolist())) for b in blocks]
+                for got_t in got:
+                    want = np.zeros((14, 14))
+                    for b, e in zip(blocks, exps):
+                        want[b, b] = np.array(e.tolist(), dtype=float)
+                    assert np.max(np.abs(got_t - want)) <= 1e-13 * np.max(np.abs(want))
+                    exps = [e * e for e in exps]
+
+    def test_matches_scipy(self):
+        # the kernel it replaced, whose own error reaches about 2e-12 here
+        from scipy.linalg import expm
+
+        times = np.concatenate(([1e-3, 0.05, 0.5], np.arange(2.0, 16.0)))
+        for gen in oracle_generators():
+            a = times[:, None, None] * gen
+            got, want = _expm(a), expm(a)
+            scale = np.max(np.abs(want), axis=(1, 2))
+            assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-11 * scale)
+
+    def test_null_field_body_block_exact(self):
+        # in a null field A = eta F has A^3 = 0, so M = [[A, 1], [0, 0]] has
+        # M^4 = 0 and exp(t M) = 1 + tM + (tM)^2/2 + (tM)^3/6, in rationals
+        f = constant_f_lower([0.375, 0.5, 0.0], [0.0, 0.0, 0.625])
+        m = np.zeros((8, 8), dtype=object)
+        m[:4, :4] = [[Fraction(v) for v in row] for row in SIGNS[:, None] * f]
+        m[:4, 4:] = np.eye(4, dtype=int)
+        power = np.linalg.matrix_power
+        assert not power(m[:4, :4], 3).any() and power(m[:4, :4], 2).any()
+        times = [Fraction(1, 4), Fraction(1), Fraction(8)]
+        got = _expm(np.array([float(t) * m for t in times], dtype=float))
+        for got_t, t in zip(got, times):
+            want = (np.eye(8, dtype=int) + t * m + (t * m) @ (t * m) / 2
+                    + power(t * m, 3) / 6).astype(float)
+            assert np.max(np.abs(got_t - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+    def test_zero_is_identity(self):
+        assert np.array_equal(_expm(np.zeros((3, 14, 14))), np.broadcast_to(np.eye(14), (3, 14, 14)))
 
 
 class TestSpinVector:

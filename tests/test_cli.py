@@ -547,10 +547,17 @@ class TestLoading:
         assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_import_leaves_scipy_unloaded(self):
-        # only the constant-field oracle needs scipy, and importing it costs
-        # more than the rest of the package
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); import grasspin, grasspin.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # neither the package, its CLI nor the constant-field oracle loads
+        # scipy, whose import costs more than the rest of the package
+        code = "\n".join([
+            "import sys; sys.path.insert(0, sys.argv[1]); import grasspin, grasspin.cli",
+            "from grasspin import BMTState, ConstantFieldOracle, ModelParams, constant_f_lower",
+            "state = BMTState([0, 0, 0, 0], [1.25, 0.75, 0, 0], [[0, 0, 0, 0]] * 4)",
+            "f = constant_f_lower([0.3, -0.1, 0.2], [0.5, 0.2, 1.0])",
+            "oracle = ConstantFieldOracle(state, f, ModelParams(1.0, 1.0, 1.2))",
+            "oracle.sample([0.0, 0.25, 0.5]); oracle.state_at(1.0)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
         proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
@@ -589,6 +596,13 @@ class TestSimulateBmt:
         assert code == 0 and wall > 0 and rss > 0
         assert re.fullmatch("[0-9a-f]{16}", digest)
         assert timings.main([str(ROOT), "bogus"]) == 2
+
+    def test_timings_oracle_case(self, tmp_path):
+        # the oracle's first and median sample calls and its child's peak RSS
+        got = load_script("timings").measure(ROOT, ("oracle", 0, "constant_eb"), [],
+                                             tmp_path / "log")
+        assert set(got) == {"first call ms", "call", "peak rss MB"}
+        assert all(value > 0 for value in got.values())
 
     def test_timings_main_case(self, tmp_path):
         # in-process cli.main calls in one child, measured as the timing tool's main case does

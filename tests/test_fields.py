@@ -325,6 +325,16 @@ class TestFieldTensor:
                 want = unpack_pairs(_monomials(pts, fld._f_exps) @ fld._f_cols)
                 assert np.array_equal(fld.f_lower_real(pts), want), name
 
+    def test_monomials_of_float_exponents_bitwise(self):
+        # the evaluators store their exponents as floats; ``**`` casts
+        # integer exponents to float too, so every monomial keeps its bits
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(1000, 4)) * rng.choice([0.0, 1.0, 3.0], size=(1000, 4))
+        exps = rng.integers(0, 12, size=(40, 4))
+        want = (pts[..., None, :] ** exps).prod(axis=-1)
+        got = _monomials(pts, exps.astype(float))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_antisymmetry(self, alg4):
         rng = np.random.default_rng(5)
         for name, fld in field_corpus():
