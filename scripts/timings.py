@@ -48,7 +48,9 @@ BMT cases: ``constant_eb``, ``gradient_b`` and ``random_cubic``, mu' = 1.2,
 in the job shape of the ``bmt_sweep`` benchmark workload (100 steps, h =
 0.005, every 10th state recorded).  Each times the whole ``integrate_bmt``
 call divided by its 100 steps ("step", which includes the run's set-up and
-records), so it compares checkouts whatever form their runs take.
+records), so it compares checkouts whatever form their runs take, and the
+body alone ("body"): the ``run`` that ``super_dynamics._body_run`` returns,
+for the same 100 steps from the same (x, u), divided by them.
 
 Oracle case: ``ConstantFieldOracle(...).sample`` on ``constant_eb``, mu' =
 1.2, from the BMT cases' state, at the 11 record times of a ``bmt_sweep``
@@ -233,13 +235,17 @@ print(json.dumps({
 """
 
 CHILD_BMT = PRELUDE + """
+import numpy as np
 import grasspin.bmt as bmt
+from grasspin.super_dynamics import _body_run
 
 state = bmt.BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
 steps = 100
 run = lambda: bmt.integrate_bmt(state, fld, par, 0.005, steps, 10)
-print(json.dumps({"step": median_us(run) / steps}))
+body, z0 = _body_run(fld, par, 0.005), np.concatenate((state.x, state.u))
+print(json.dumps({"step": median_us(run) / steps,
+                  "body": median_us(lambda: body(z0, steps)) / steps}))
 """
 
 CHILD_ORACLE = PRELUDE + """

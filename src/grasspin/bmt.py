@@ -31,16 +31,17 @@ form of :mod:`grasspin.super_dynamics`: the body (x, u) does not see the
 spin, and given the body the spin pairs move linearly, ds = L s with
 L = (mu'/m) K(F) + ((mu' - e)/m) W(q, u).  So a run advances the body over
 a block of steps first, by ``super_dynamics._body_run``: one fixed map in a
-constant field, RK4 on the body rate in a varying one, which evaluates F
-once per stage.  Either way it yields each stage's u and F, and so L there.
-RK4's spin step maps are then formed from those L for the whole block at
-once, and each step chains one 6 x 6 matrix-vector product.  That is the
-same RK4 with the spin's terms reassociated, equal to stepping the rate up
-to roundoff.
+constant field, RK4 on the body rate in a varying one, which reads F once
+per stage by the field's real-point kernel.  Either way it yields each
+stage's u and F, and so L there.  RK4's spin step maps are then formed
+from those L for the whole block at once, and each step chains one 6 x 6
+matrix-vector product.  That is the same RK4 with the spin's terms
+reassociated, equal to stepping the rate up to roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -202,11 +203,13 @@ def integrate_bmt(
     du is the Lorentz force (e/m) F^{mu nu} u_nu, which equals -(e/m) q^mu
     because F is antisymmetric.  Every field runs one way, over blocks of
     steps (module docstring): the body (x, u) first, by one fixed map in a
-    constant field and by RK4 on its rate, F evaluated once per stage, in a
-    varying one; then s by RK4's step maps of L at each stage's u and F,
-    chained.  The recorded spin pairs are unpacked once, into exactly
-    antisymmetric tensors, and returned with the invariants u.u, max |u.S|
-    and S.S of each recorded state.
+    constant field and by RK4 on its rate in a varying one, where each
+    stage reads F by the field's real-point kernel and writes its u, F and
+    u @ F into the block's buffers (``super_dynamics._body_run``); then s by
+    RK4's step maps of L at each stage's u and F, chained.  The recorded
+    spin pairs are unpacked once, into exactly antisymmetric tensors, and
+    returned with the invariants u.u, max |u.S| and S.S of each recorded
+    state.
 
     Raises :class:`~grasspin.super_dynamics.NumericalAbortError`, naming the
     first non-finite record, if the run leaves the float range; the last
@@ -226,25 +229,37 @@ def integrate_bmt(
 # ----------------------------------------------------------------------
 
 
+# The Taylor coefficients 1/k! of exp, k = 0, ..., 18, each correctly rounded
+_EXP_TAYLOR = [1 / math.factorial(k) for k in range(19)]
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) of each matrix of a (..., n, n), by scaling and squaring
     (Moler and Van Loan, SIAM Review 45 (2003) 3) in increment form.
 
     One scaling s for the whole batch brings every ||x||_1, x = a / 2^s, to
-    <= 1.  There E = exp(x) - 1 is its Taylor series to degree 18, by
-    Horner's rule, with a remainder below ||x|| / 19! ~ 8e-18 ||x||; s
+    <= 1.  There E = exp(x) - 1 is its Taylor series to degree 18, with a
+    remainder below ||x|| / 19! ~ 8e-18 ||x||, evaluated by Paterson and
+    Stockmeyer (SIAM J. Comput. 2 (1973) 60): x^2, x^3 and x^4, then Horner's
+    rule in x^4 over blocks c_4j + c_4j+1 x + c_4j+2 x^2 + c_4j+3 x^3, seven
+    matrix products in all, the identity left out of the last block.  s
     doublings E -> 2E + E E then give exp(a) - 1, and the identity is added
     last.  Squaring 1 + E instead would round entries 1 + O(eps) and repeat
     that rounding at every doubling.
     """
     s = max(0, int(np.frexp(np.abs(a).sum(axis=-2).max(initial=0.0))[1]))
     x = np.ldexp(a, -s)
-    e = x / 18
-    for k in range(17, 0, -1):
-        e = (x + x @ e) / k
+    eye, c = np.eye(a.shape[-1]), _EXP_TAYLOR
+    x2 = x @ x
+    x3, x4 = x2 @ x, x2 @ x2
+    e = c[16] * eye + c[17] * x + c[18] * x2
+    for j in (12, 8, 4, 0):
+        e = e @ x4 + (c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3)
+        if j:
+            e = e + c[j] * eye
     for _ in range(s):
         e = 2 * e + e @ e
-    return np.eye(a.shape[-1]) + e
+    return eye + e
 
 
 class ConstantFieldOracle:
@@ -287,7 +302,9 @@ class ConstantFieldOracle:
         """Oracle states at increasing times >= state0.s.
 
         ``h_ref`` is accepted for call compatibility and unused: the closed
-        form has no step size.
+        form has no step size.  Raises
+        :class:`~grasspin.super_dynamics.NumericalAbortError`, naming the
+        first non-finite sample, if a state leaves the float range.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
@@ -305,6 +322,10 @@ class ConstantFieldOracle:
         co_spin = unpack_pairs(prop[:, 8:, 8:] @ pack_pairs(self.state0.spin))
         lam_inv_t = SIGNS[:, None] * lam * SIGNS
         spins = lam_inv_t @ co_spin @ np.swapaxes(lam_inv_t, -1, -2)
+        bad = ~np.isfinite(np.hstack((xs, us, spins.reshape(-1, 16)))).all(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise NumericalAbortError(f"non-finite state at sample {i} (s = {float(times[i])!r})")
         return BMTTrajectory(times.copy(), xs, us, spins, *_invariants(us, spins))
 
     def state_at(self, s: float, h_ref: float | None = None) -> BMTState:

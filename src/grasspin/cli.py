@@ -51,13 +51,9 @@ EXIT_NUMERICAL = 3
 MAX_RECORD_BYTES = 10**9
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _emit_csv(out_path: str | None, header: list[str], rows) -> None:
+def _emit_csv(out_path: str | None, header: list[str], rows: np.ndarray) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -477,8 +477,12 @@ def _body_run(fld, par, h):
     stages the velocities v0 (count, 4, 4), F_{mu nu} and v0 @ F (count, 4,
     4).  A constant field's step map is one fixed map, formed once here, and
     its F is the one (4, 4) tensor.  A varying field steps the body rate
-    dx0 = v0, dv0 = k_v o (v0 F(x0)) with :func:`rk4`, F (count, 4, 4, 4)
-    evaluated at each stage."""
+    dx0 = v0, dv0 = k_v o (v0 F(x0)) with :func:`rk4`.  Each stage copies
+    its x0 into a padded point (x0, 1) that the run owns and reads F there
+    by the field's real-point kernel, ``_f_padded``; it writes its v0, F
+    and v0 @ F straight into row k of three block buffers of 4 count rows,
+    k counting the stages in call order, which are returned as (count, 4,
+    ...) views, F (count, 4, 4, 4)."""
     k_v = -(par.charge / par.mass) * SIGNS
     if fld.constant:
         f = fld._f_const
@@ -492,17 +496,23 @@ def _body_run(fld, par, h):
 
         return run
 
+    padded, f_at = np.ones(5), fld._f_padded
+
     def run(z, count):
-        seen = []   # (v0, F, v0 @ F) of each stage, in call order
+        v0s, fs, vfs = np.empty((4 * count, 4)), np.empty((4 * count, 16)), np.empty((4 * count, 4))
+        f44 = fs.reshape(-1, 4, 4)
+        stage = iter(range(4 * count))
 
         def rates(z, i):
-            v0, f = z[4:], fld.f_lower_real(z[:4])
-            vf = np.dot(v0, f)   # less call overhead than @ on operands this small
-            seen.append((v0, f, vf))
+            k, v0 = next(stage), z[4:]
+            padded[:4] = z[:4]
+            v0s[k] = v0
+            f_at(padded, out=fs[k])
+            vf = np.dot(v0, f44[k], out=vfs[k])   # less call overhead than @ here
             return np.concatenate((v0, k_v * vf))
 
         z = rk4(rates, z, h, count, 1)[1]
-        return (z, *(np.reshape(a, (count, 4) + a.shape[1:]) for a in map(np.array, zip(*seen))))
+        return z, v0s.reshape(count, 4, 4), f44.reshape(count, 4, 4, 4), vfs.reshape(count, 4, 4)
 
     return run
 

@@ -26,13 +26,26 @@ from grasspin import (
     spin_velocity_angle,
 )
 from grasspin.bmt import PAIRS, _expm
+from grasspin.fields import _gathered
 from grasspin.minkowski import SIGNS, minkowski_dot, pack_pairs, unpack_pairs
 from grasspin.polynomials import _monomials
-from grasspin.super_dynamics import NumericalAbortError, rk4
+from grasspin.super_dynamics import NumericalAbortError, _body_run, rk4
 
 from conftest import _dspin, _du, boosted_velocity, field_corpus, gradient_b_field
 
 CORPUS = dict(field_corpus())
+
+
+def bench_polynomial_field():
+    """A field shaped like the benchmark's polynomial fields: B along x3
+    with a gradient along x2, plus three small quadratic terms in A, one of
+    them a square."""
+    b0, g = 1.1, 0.05
+    return FieldConfig.from_entries([
+        (1, (0, 0, 1, 0), 0.5 * b0), (1, (0, 0, 2, 0), g / 4.0),
+        (2, (0, 1, 0, 0), -0.5 * b0), (2, (0, 1, 1, 0), -g / 2.0),
+        (3, (0, 2, 0, 0), 0.012), (0, (0, 0, 1, 1), -0.008), (2, (1, 0, 0, 1), 0.015),
+    ])
 
 
 def spin_from_generators(c1, c2):
@@ -252,22 +265,45 @@ class TestIntegrateBmt:
         assert np.max(np.abs(traj.ss - traj.ss[0])) < 1e-8
 
     def test_constant_field_skips_field_evaluation(self, params, b_field, monkeypatch):
-        # every real-point evaluation of F, by f_lower_real, computes the
-        # monomials of F's value rows
+        # every real-point evaluation of F, by f_lower_real or a body stage,
+        # gathers the monomials of F's value rows
         calls = []
 
-        def counted(points, exps):
-            calls.append(np.shape(points))
-            return _monomials(points, exps)
+        def counted(padded, index):
+            calls.append(np.shape(padded))
+            return _gathered(padded, index)
 
         varying = gradient_b_field()
-        monkeypatch.setattr(grasspin.fields, "_monomials", counted)
+        monkeypatch.setattr(grasspin.fields, "_gathered", counted)
         integrate_bmt(planar_state(), b_field, params, h=0.01, steps=10)
         assert calls == []
         integrate_bmt(planar_state(), varying, params, h=0.01, steps=10)
         assert len(calls) == 4 * 10
         varying.f_lower_real(np.zeros(4))
         assert len(calls) == 4 * 10 + 1
+
+    @pytest.mark.parametrize("name", ["gradient_b", "random_cubic", "bench_polynomial"])
+    def test_body_run_matches_stepped_power_form(self, params, name):
+        # the varying-field body against the rate it replaced: F by the
+        # power-form monomials of its value rows at each stage, stepped by rk4
+        # and stacked; every array keeps its bits
+        fld = CORPUS.get(name) or bench_polynomial_field()
+        exps, cols = fld._program.value_rows()
+        f_real, k_v = unpack_pairs(cols).reshape(-1, 16), -(params.charge / params.mass) * SIGNS
+        seen = []
+
+        def rates(z, i):
+            v0, f = z[4:], (_monomials(z[:4], exps) @ f_real).reshape(4, 4)
+            vf = np.dot(v0, f)
+            seen.append((v0, f, vf))
+            return np.concatenate((v0, k_v * vf))
+
+        z0 = np.concatenate(([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5)))
+        got = _body_run(fld, params, 0.005)(z0, 30)
+        want = (rk4(rates, z0, 0.005, 30, 1)[1],
+                *(np.reshape(a, (30, 4) + a.shape[1:]) for a in map(np.array, zip(*seen))))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
     @pytest.mark.parametrize("record_every, record, step", [(10, 46, 460), (480, 1, 480)])
     def test_non_finite_run_raises(self, params, record_every, record, step):
@@ -358,6 +394,18 @@ class TestOracle:
             oracle.sample(np.array([0.5, bad]))
         with pytest.raises(ValueError, match="times"):
             oracle.state_at(bad)
+
+    @pytest.mark.parametrize("times, record", [([0.0, 1e308], 1), ([0.0, 0.5, 1e308], 2), ([1e308], 0)])
+    def test_non_finite_sample_raises(self, params, times, record):
+        # t G overflows on constant_eb, so the state at s = 1e308 is NaN; the
+        # first such sample is named, and state_at inherits the check
+        oracle = ConstantFieldOracle(planar_state(), CORPUS["constant_eb"]._f_const, params)
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalAbortError, match=rf"^non-finite state at sample {record} \(s = 1e\+308\)$"):
+            oracle.sample(np.array(times))
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalAbortError, match=r"^non-finite state at sample 0 \(s = 1e\+308\)$"):
+            oracle.state_at(1e308)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_field(self, params, bad):

@@ -604,6 +604,12 @@ class TestSimulateBmt:
         assert set(got) == {"first call ms", "call", "peak rss MB"}
         assert all(value > 0 for value in got.values())
 
+    def test_timings_bmt_case(self, tmp_path):
+        # a whole integrate_bmt call and its body alone, per step
+        got = load_script("timings").measure(ROOT, ("bmt", 0, "gradient_b"), [], tmp_path / "log")
+        assert set(got) == {"step", "body"}
+        assert all(value > 0 for value in got.values())
+
     def test_timings_main_case(self, tmp_path):
         # in-process cli.main calls in one child, measured as the timing tool's main case does
         timings = load_script("timings")

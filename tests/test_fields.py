@@ -1,6 +1,7 @@
 """Field tensor evaluation, exact derivatives, and the Maxwell identity."""
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from grasspin.fields import (
     DirectField,
     FieldConfig,
     NonEvenPointError,
+    _gather_index,
+    _gathered,
     _parse_even_point,
     constant_f_lower,
     constant_field,
@@ -206,6 +209,17 @@ def _direct_field() -> DirectField:
                         (2, 3): Polynomial.constant(0.7)})
 
 
+def _quintic_field() -> FieldConfig:
+    """A potential with an x1^3 and an x2^4 term."""
+    return FieldConfig.from_entries([(2, (1, 3, 0, 1), 0.37), (0, (0, 1, 1, 0), -0.8),
+                                     (3, (0, 0, 4, 1), 0.21)])
+
+
+def _pad(points: np.ndarray) -> np.ndarray:
+    """Real points (..., 4) padded to (x0, x1, x2, x3, 1)."""
+    return np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
+
+
 def _assert_close(got, want, label):
     """``got`` equals ``want`` to 1e-13 of its largest |coefficient|."""
     assert got.shape == want.shape, label
@@ -297,9 +311,7 @@ class TestFieldTensor:
         # the quintic's x1^3 reaches Taylor order 3, which algebra(6) reads
         alg = algebra(n_gen)
         rng = np.random.default_rng(3)
-        quintic = FieldConfig.from_entries([(2, (1, 3, 0, 1), 0.37), (0, (0, 1, 1, 0), -0.8),
-                                            (3, (0, 0, 4, 1), 0.21)])
-        for name, fld in field_corpus() + [("quintic", quintic)]:
+        for name, fld in field_corpus() + [("quintic", _quintic_field())]:
             point = random_even_point(alg, rng, dense=True)
             assert_matches_substitution(fld, point, name)
 
@@ -318,12 +330,36 @@ class TestFieldTensor:
         # f_lower_real reads F's value columns straight into the 4x4 layout;
         # each entry must be the same dot product as over those columns
         rng = np.random.default_rng(8)
-        direct = DirectField({(0, 1): Polynomial({(1, 0, 0, 0): 0.3, (0, 2, 0, 1): -1.1}),
-                              (2, 3): Polynomial.constant(0.7)})
-        for name, fld in field_corpus() + [("direct", direct)]:
+        for name, fld in field_corpus() + [("direct", _direct_field())]:
+            exps, cols = fld._program.value_rows()
             for pts in (rng.normal(size=4), rng.normal(size=(50, 4))):
-                want = unpack_pairs(_monomials(pts, fld._f_exps) @ fld._f_cols)
+                want = unpack_pairs(_gathered(_pad(pts), _gather_index(exps)) @ cols)
                 assert np.array_equal(fld.f_lower_real(pts), want), name
+
+    def test_gathered_monomials_match_power_form(self):
+        # the gather kernel against the power form _monomials, which the
+        # Taylor program keeps: the same bits where every exponent is at most
+        # 1, and elsewhere within one rounding per multiplication of the exact
+        # product, x^k being k - 1 multiplications of x
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(1000, 4)) * rng.choice([0.0, 1.0, -3.0], size=(1000, 4))
+        fields = field_corpus() + [("direct", _direct_field()), ("quintic", _quintic_field())]
+        powers = 0
+        for name, fld in fields:
+            exps = fld._program.value_rows()[0]
+            got, want = _gathered(_pad(pts), _gather_index(exps)), _monomials(pts, exps)
+            low = (exps <= 1).all(axis=1)
+            assert np.array_equal(got[:, low].view(np.int64), want[:, low].view(np.int64)), name
+            for r in np.flatnonzero(~low):
+                powers += 1
+                e = [int(k) for k in exps[r]]
+                bound = (1 + Fraction(2) ** -53) ** (sum(e) - 1) - 1
+                for p, g in zip(pts, got[:, r]):
+                    exact = Fraction(1)
+                    for x, k in zip(p, e):
+                        exact *= Fraction(float(x)) ** k
+                    assert abs(Fraction(float(g)) - exact) <= bound * abs(exact), (name, e, p)
+        assert powers > 0   # the square and quintic fields carry powers above 1
 
     def test_monomials_of_float_exponents_bitwise(self):
         # the evaluators store their exponents as floats; ``**`` casts
