@@ -26,7 +26,10 @@ makes, those inside inverses and field evaluation included.
 Field cases: ``gradient_b`` at N in {4, 6}, from the same state as the
 ``_rhs`` cases.  Each times ``super_dynamics._field(..., grad=True)`` at the
 state's x, whose souls carry every even degree the algebra has: F and dF
-at a soul-carrying point, as one ``_rhs`` call forms them.
+at a soul-carrying point, as one ``_rhs`` call forms them.  Each also
+times ``f_and_potential_coeffs`` at the 16 midpoints of the probe cases'
+path, run from ``loaded_state(N)``: F and A in one batched read, as one
+chunk of the discrete action forms them.
 
 Rate case: ``gradient_b`` at N = 4, mu' = 1.2, from ``loaded_state(4)``.
 It records the rate function and initial state that ``integrate_super``
@@ -196,10 +199,15 @@ print(json.dumps({
 
 CHILD_FIELD = PRELUDE + """
 from grasspin import integrate_super
-from grasspin.super_dynamics import _field
+from grasspin.super_dynamics import _field, _split_even
 
 traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=4)
-print(json.dumps({"F and dF": median_us(lambda: _field(traj.alg, fld, traj.x[-1], grad=True))}))
+path = integrate_super(loaded_state(n), fld, par, h=0.005, steps=16, record_every=1)
+bodies, souls = _split_even(0.5 * (path.x[:-1] + path.x[1:]))
+print(json.dumps({
+    "F and dF": median_us(lambda: _field(traj.alg, fld, traj.x[-1], grad=True)),
+    "F and A x16": median_us(lambda: fld.f_and_potential_coeffs(bodies, souls, path.alg)),
+}))
 """
 
 CHILD_RATE = PRELUDE + """

@@ -50,7 +50,7 @@ import numpy as np
 from .minkowski import PAIRS  # noqa: F401  (re-exported as grasspin.bmt.PAIRS)
 from .minkowski import EPS_UPPER, SIGNS, _real_array, minkowski_dot, pack_pairs, unpack_pairs
 from .super_dynamics import (
-    ModelParams, NumericalAbortError, _body_run, _chain, _rec_steps, _require_finite, _run_maps,
+    ModelParams, _abort_non_finite, _body_run, _chain, _rec_steps, _require_finite, _run_maps,
     rk4_maps,
 )
 
@@ -94,10 +94,11 @@ class BMTState:
 
 def _invariants(u: np.ndarray, spin: np.ndarray):
     """u.u, max_nu |u^mu S_{mu nu}| and S_{mu nu} S^{mu nu} of states
-    (..., 4) and (..., 4, 4)."""
-    uu = minkowski_dot(u, u)
-    us_max = np.max(np.abs((u[..., None, :] @ spin)[..., 0, :]), axis=-1)
-    ss = np.sum(spin**2 * np.outer(SIGNS, SIGNS), axis=(-2, -1))
+    (..., 4) and (..., 4, 4); inf or NaN, silently, past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        uu = minkowski_dot(u, u)
+        us_max = np.max(np.abs((u[..., None, :] @ spin)[..., 0, :]), axis=-1)
+        ss = np.sum(spin**2 * np.outer(SIGNS, SIGNS), axis=(-2, -1))
     return uu, us_max, ss
 
 
@@ -212,16 +213,15 @@ def integrate_bmt(
     state.
 
     Raises :class:`~grasspin.super_dynamics.NumericalAbortError`, naming the
-    first non-finite record, if the run leaves the float range; the last
-    state is always recorded, so no blow-up goes unseen.
+    first record whose state or invariants are non-finite, if the run
+    leaves the float range; the last state is always recorded, so no
+    blow-up goes unseen.
     """
     rec_steps, rec = _run(fld, par, _pack(state0), h, steps, record_every)
-    bad = ~np.isfinite(rec).all(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        raise NumericalAbortError(f"non-finite state at record {i} (step {rec_steps[i]})")
     u, spin = rec[:, 4:8], unpack_pairs(rec[:, 8:])
-    return BMTTrajectory(state0.s + h * rec_steps, rec[:, :4], u, spin, *_invariants(u, spin))
+    invariants = _invariants(u, spin)
+    _abort_non_finite("record {i} (step {})", rec_steps, rec, *invariants)
+    return BMTTrajectory(state0.s + h * rec_steps, rec[:, :4], u, spin, *invariants)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +304,8 @@ class ConstantFieldOracle:
         ``h_ref`` is accepted for call compatibility and unused: the closed
         form has no step size.  Raises
         :class:`~grasspin.super_dynamics.NumericalAbortError`, naming the
-        first non-finite sample, if a state leaves the float range.
+        first sample whose state or invariants are non-finite, if a state
+        leaves the float range.
         """
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
@@ -322,11 +323,9 @@ class ConstantFieldOracle:
         co_spin = unpack_pairs(prop[:, 8:, 8:] @ pack_pairs(self.state0.spin))
         lam_inv_t = SIGNS[:, None] * lam * SIGNS
         spins = lam_inv_t @ co_spin @ np.swapaxes(lam_inv_t, -1, -2)
-        bad = ~np.isfinite(np.hstack((xs, us, spins.reshape(-1, 16)))).all(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            raise NumericalAbortError(f"non-finite state at sample {i} (s = {float(times[i])!r})")
-        return BMTTrajectory(times.copy(), xs, us, spins, *_invariants(us, spins))
+        invariants = _invariants(us, spins)
+        _abort_non_finite("sample {i} (s = {!r})", times, xs, us, spins, *invariants)
+        return BMTTrajectory(times.copy(), xs, us, spins, *invariants)
 
     def state_at(self, s: float, h_ref: float | None = None) -> BMTState:
         """Oracle state at time s; ``h_ref`` is unused, as in :meth:`sample`."""

@@ -19,7 +19,8 @@ components are the 24 pairs of d_kappa F, read off F's Taylor slots by a
 fixed integer map, then F, then A, so each caller reads a contiguous run of
 them from one pass: F and dF for a stage of the equations of motion, F and
 A for the discrete action.  The rows that F's values read come first, so
-the reduced (BMT) path evaluates F at real points over those rows alone.
+the reduced (BMT) path evaluates F at real points over those rows alone,
+by the program's monomial kernel; this module forms no monomial itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .grassmann import GrassmannAlgebra, GrassmannNumber, Parity, algebra
 from .minkowski import EPS_UPPER, PAIRS, SIGNS, _real_array, unpack_pairs
-from .polynomials import Polynomial, PolyVectorEvaluator
+from . import polynomials
+from .polynomials import Polynomial, PolyVectorEvaluator, _padded
 
 __all__ = [
     "NonEvenPointError",
@@ -87,32 +89,6 @@ def _wrap_tensor(coeffs: np.ndarray, alg: GrassmannAlgebra) -> np.ndarray:
     return out
 
 
-def _gather_index(exps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The gathers of the monomials x^e, e the rows of ``exps`` (rows, 4),
-    from a padded point (x0, x1, x2, x3, 1): one index row per degree, whose
-    entry r names the next variable of monomial r, variables ascending and
-    each repeated by its exponent, and 4, the padding 1, past its degree."""
-    exps = np.asarray(exps).astype(np.int64)
-    index = np.full((max(1, int(exps.sum(axis=1).max(initial=0))), len(exps)), 4)
-    for r, e in enumerate(exps):
-        var = np.repeat(np.arange(4), e)
-        index[: var.size, r] = var
-    return tuple(index)
-
-
-def _gathered(padded: np.ndarray, index: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The monomials of :func:`_gather_index` ``index`` at padded points
-    (..., 5) -> (..., rows): one ``take`` per degree, multiplied in from the
-    left.  Where every exponent is at most 1 each is the same product as
-    :func:`~grasspin.polynomials._monomials` forms, x^1 = x and x^0 = 1
-    exactly; a higher power is a product x x ..., correctly rounded at each
-    multiplication, where ``**`` need not be."""
-    mono = padded.take(index[0], axis=-1)
-    for var in index[1:]:
-        mono *= padded.take(var, axis=-1)
-    return mono
-
-
 # Components of a field's Taylor program: the 24 pairs of d_kappa F
 # (kappa-major), the six F pairs, then A_mu for a potential field.  Every
 # caller reads a contiguous run of them from one pass.
@@ -152,8 +128,7 @@ class _FieldBase:
         # F's pairs = the monomials of the rows F's values read, by the gathers
         # _f_index, @ their columns; _f_real lays those columns out as a
         # flattened 4x4 tensor
-        exps, cols = self._program.value_rows()
-        self._f_index = _gather_index(exps)
+        self._f_index, cols = self._program.value_rows()
         self._f_real = unpack_pairs(cols).reshape(-1, 16)
         self._f_const = self.f_lower_real(np.zeros(4)) if self.constant else None
 
@@ -162,15 +137,14 @@ class _FieldBase:
     def _f_padded(self, padded: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """F_{mu nu}, flattened to (..., 16), at real points padded to
         (..., 5) as (x0, x1, x2, x3, 1): the kernel of every real-point
-        evaluation of F.  Its monomials are :func:`_gathered`, and one
-        ``np.dot`` writes F into ``out`` when given."""
-        return np.dot(_gathered(padded, self._f_index), self._f_real, out=out)
+        evaluation of F.  ``polynomials._gathered`` forms its monomials, and
+        one ``np.dot`` writes F into ``out`` when given."""
+        return np.dot(polynomials._gathered(padded, self._f_index), self._f_real, out=out)
 
     def f_lower_real(self, points: np.ndarray) -> np.ndarray:
         """F_{mu nu} at real points (..., 4) -> (..., 4, 4)."""
-        points = np.asarray(points, dtype=float)
-        padded = np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
-        return self._f_padded(padded).reshape(points.shape[:-1] + (4, 4))
+        padded = _padded(points)
+        return self._f_padded(padded).reshape(padded.shape[:-1] + (4, 4))
 
     def df_lower_real(self, points: np.ndarray) -> np.ndarray:
         """d_kappa F_{mu nu} at real points -> (..., 4, 4, 4)."""

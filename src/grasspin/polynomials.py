@@ -5,6 +5,11 @@ every derivative is again an exact polynomial and evaluation at a
 Grassmann-even point reduces to a finite Taylor expansion about the body:
 the nilpotent part has degree >= 2, hence soul monomials of combined order
 above N/2 vanish identically.
+
+Every monomial the Taylor program reads at a real point, for its slots and
+for ``fields``' F through ``value_rows``, is formed by one kernel,
+:func:`_gathered`, as index gathers from (x0, x1, x2, x3, 1), with no
+``**``.  :meth:`Polynomial.eval` keeps the power form, as a reference.
 """
 
 from __future__ import annotations
@@ -192,10 +197,32 @@ def _binomials(max_n: int, max_k: int) -> np.ndarray:
                     dtype=float)
 
 
-def _monomials(points: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """x^e at real points (..., 4) for each row e of ``exps`` -> (..., rows)."""
+def _gather_index(exps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The gathers of the monomials x^e, e the rows of ``exps`` (rows, 4),
+    from a padded point (x0, x1, x2, x3, 1): one index row per degree, whose
+    entry r names the next variable of monomial r, variables ascending and
+    each repeated by its exponent, and 4, the padding 1, past its degree."""
+    depth = np.arange(max(1, int(exps.sum(axis=1).max(initial=0))))
+    # the variable at depth d is the count of leading variables whose
+    # exponents sum to at most d
+    return tuple((depth[:, None, None] >= exps.cumsum(axis=1)).sum(axis=-1))
+
+
+def _gathered(padded: np.ndarray, index: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The monomials of :func:`_gather_index` ``index`` at padded points
+    (..., 5) -> (..., rows): one ``take`` per degree, multiplied in from the
+    left.  A power x^k is the product x x ... x, correctly rounded at each
+    multiplication, and x^0 is the padding 1."""
+    mono = padded.take(index[0], axis=-1)
+    for var in index[1:]:
+        mono *= padded.take(var, axis=-1)
+    return mono
+
+
+def _padded(points: np.ndarray) -> np.ndarray:
+    """Real points (..., 4) as (x0, x1, x2, x3, 1), the input of :func:`_gathered`."""
     points = np.asarray(points, dtype=float)
-    return np.multiply.reduce(points[..., None, :] ** exps, axis=-1)
+    return np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
 
 
 def _taylor_block(polys: list[Polynomial], top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +281,13 @@ class PolyVectorEvaluator:
 
         exps, self.gather = _taylor_block(self.polys, top + grad)
         extra_exps, self.extra_gather = _taylor_block(self.extra, top)
-        self._split = len(exps)          # rows of ``polys``'s block come first
-        # float exponents, as ``**`` would cast them to at every evaluation
-        self._exps = np.vstack((exps, extra_exps), dtype=float)
+        # the gathers of every monomial row, ``polys``'s block first, of that
+        # block, and of its leading rows (alpha = 0, one per written term),
+        # which the values of ``polys`` read
+        self._split = len(exps)
+        self._all_gathers = _gather_index(np.vstack((exps, extra_exps)))
+        self._polys_gathers = _gather_index(exps)
+        self._value_gathers = _gather_index(exps[: sum(len(p.terms) for p in self.polys)])
 
         # slot (alpha, j) of component j = _fact * the _index'th entry of the
         # blocks' slot values, ``polys``'s block first
@@ -278,24 +309,13 @@ class PolyVectorEvaluator:
         self._first_extra = n - n_extra
         self._plans = {}
 
-    def value_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The values of ``polys`` alone at real points: the exponents
-        (rows, 4) of the monomial rows they read, which lead this program's
-        rows, and their value columns (rows, len(polys)), so that
-        ``_monomials(points, exponents) @ columns`` gives the values."""
-        stop = len(self.polys)
-        rows = int(np.count_nonzero(self.gather[:, :stop].any(axis=1)))
-        return self._exps[:rows], self.gather[:rows, :stop]
-
-    def monomials(self, points: np.ndarray) -> np.ndarray:
-        """The program's monomials at real points (..., 4) -> (..., n_monomials).
-
-        ``monomials(points) @ gather``, over the first rows, holds the slot
-        values of ``polys`` (each monomial's weight in each slot), and the
-        remaining rows times ``extra_gather`` those of ``extra``; the first
-        columns of ``gather`` give the values of ``polys``.
-        """
-        return _monomials(points, self._exps)
+    def value_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The values of ``polys`` alone at real points: the gathers of the
+        monomial rows they read, which lead this program's rows, cut to their
+        own highest degree, and their value columns (rows, len(polys)):
+        ``_gathered(_padded(points), gathers) @ columns`` gives the values."""
+        rows = len(self._value_gathers[0])
+        return self._value_gathers, self.gather[:rows, : len(self.polys)]
 
     def _plan(self, comps: slice, souls: bool, max_n: int) -> tuple:
         """How :meth:`eval_even` reads the components ``comps`` (a slice of
@@ -326,12 +346,10 @@ class PolyVectorEvaluator:
         (..., 4) -> (..., n_alphas, n); ``extra`` says whether it reads the
         ``extra`` block."""
         split = self._split
+        mono = _gathered(_padded(points), self._all_gathers if extra else self._polys_gathers)
+        values = mono[..., :split] @ self.gather
         if extra:
-            mono = self.monomials(points)
-            values = np.concatenate((mono[..., :split] @ self.gather,
-                                     mono[..., split:] @ self.extra_gather), axis=-1)
-        else:
-            values = _monomials(points, self._exps[:split]) @ self.gather
+            values = np.concatenate((values, mono[..., split:] @ self.extra_gather), axis=-1)
         table = values.take(index, axis=-1)
         return table if fact is None else table * fact
 

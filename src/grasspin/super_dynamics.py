@@ -158,6 +158,16 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _abort_non_finite(where: str, at: np.ndarray, *records: np.ndarray) -> None:
+    """Raise NumericalAbortError naming the first record, a row of each of
+    ``records`` (R, ...), with a non-finite entry: "non-finite state at " +
+    ``where``, formatted with the record's index i and its entry of ``at``."""
+    bad = ~np.logical_and.reduce([np.isfinite(r.reshape(len(at), -1)).all(axis=1) for r in records])
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericalAbortError("non-finite state at " + where.format(at[i].item(), i=i))
+
+
 # ----------------------------------------------------------------------
 # Batched Grassmann 4-vector helpers (raw coefficient arrays)
 # ----------------------------------------------------------------------
@@ -769,7 +779,8 @@ def integrate_super(
     returns v.xi and v.v with the rate, so the monitors make no Grassmann
     product of their own; its step loop keeps each step's xi.v, lam and v.v
     body, and their abs/max reductions run once, after it.  The map form
-    reduces them block by block from the chained states.
+    reduces them block by block from the chained states.  A non-finite
+    record raises NumericalAbortError naming it; the last is always kept.
     """
     state0.validate()
     alg, masks, y0 = state0.alg.subalgebra(state0.x, state0.v, state0.xi)
@@ -799,6 +810,7 @@ def integrate_super(
         rec_steps, rec, (constraint_max, lambda_max, vv_body) = _const_run(
             fld, par, packed, h, steps, record_every)
         rec = _unpack(alg, rec)
+    _abort_non_finite("record {i} (step {})", rec_steps, rec)
 
     lifted = np.zeros(rec.shape[:-1] + (state0.alg.dim,))
     lifted[..., masks] = rec

@@ -8,7 +8,7 @@ from grasspin import (
     DiscretePath, FieldConfig, ModelParams, Polynomial, SuperState, action, algebra, constant_field,
 )
 from grasspin.minkowski import PAIRS, SIGNS, unpack_pairs
-from grasspin.polynomials import PolyVectorEvaluator
+from grasspin.polynomials import PolyVectorEvaluator, _taylor_block
 
 
 def load_script(name):
@@ -83,6 +83,15 @@ def field_corpus() -> list[tuple[str, FieldConfig]]:
         ("gradient_b", gradient_b_field()),
         ("random_cubic", FieldConfig(cubic)),
     ]
+
+
+def program_row_exponents(fld) -> np.ndarray:
+    """The exponents (rows, 4) of every monomial row of a field's Taylor
+    program, as ``_taylor_block`` lays them out: F's block, one Taylor order
+    higher for dF, then the potential's, if any."""
+    prog = fld._program
+    top = prog.n_orders - 1
+    return np.vstack((_taylor_block(prog.polys, top + 1)[0], _taylor_block(prog.extra, top)[0]))
 
 
 def reference_f_polys(fld) -> list[list[Polynomial]]:

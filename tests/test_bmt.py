@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import grasspin.bmt
-import grasspin.fields
+import grasspin.polynomials
 from grasspin import (
     BMTState,
     ConstantFieldOracle,
@@ -26,12 +26,12 @@ from grasspin import (
     spin_velocity_angle,
 )
 from grasspin.bmt import PAIRS, _expm
-from grasspin.fields import _gathered
 from grasspin.minkowski import SIGNS, minkowski_dot, pack_pairs, unpack_pairs
-from grasspin.polynomials import _monomials
+from grasspin.polynomials import _gathered
 from grasspin.super_dynamics import NumericalAbortError, _body_run, rk4
 
-from conftest import _dspin, _du, boosted_velocity, field_corpus, gradient_b_field
+from conftest import (_dspin, _du, boosted_velocity, field_corpus, gradient_b_field,
+                      program_row_exponents)
 
 CORPUS = dict(field_corpus())
 
@@ -266,7 +266,7 @@ class TestIntegrateBmt:
 
     def test_constant_field_skips_field_evaluation(self, params, b_field, monkeypatch):
         # every real-point evaluation of F, by f_lower_real or a body stage,
-        # gathers the monomials of F's value rows
+        # gathers the monomials of F's value rows by the program's kernel
         calls = []
 
         def counted(padded, index):
@@ -274,7 +274,7 @@ class TestIntegrateBmt:
             return _gathered(padded, index)
 
         varying = gradient_b_field()
-        monkeypatch.setattr(grasspin.fields, "_gathered", counted)
+        monkeypatch.setattr(grasspin.polynomials, "_gathered", counted)
         integrate_bmt(planar_state(), b_field, params, h=0.01, steps=10)
         assert calls == []
         integrate_bmt(planar_state(), varying, params, h=0.01, steps=10)
@@ -285,15 +285,17 @@ class TestIntegrateBmt:
     @pytest.mark.parametrize("name", ["gradient_b", "random_cubic", "bench_polynomial"])
     def test_body_run_matches_stepped_power_form(self, params, name):
         # the varying-field body against the rate it replaced: F by the
-        # power-form monomials of its value rows at each stage, stepped by rk4
-        # and stacked; every array keeps its bits
+        # power-form monomials x0^e0 x1^e1 x2^e2 x3^e3 of its value rows at
+        # each stage, stepped by rk4 and stacked; every array keeps its bits
         fld = CORPUS.get(name) or bench_polynomial_field()
-        exps, cols = fld._program.value_rows()
+        cols = fld._program.value_rows()[1]
+        exps = program_row_exponents(fld)[: len(cols)].astype(float)
         f_real, k_v = unpack_pairs(cols).reshape(-1, 16), -(params.charge / params.mass) * SIGNS
         seen = []
 
         def rates(z, i):
-            v0, f = z[4:], (_monomials(z[:4], exps) @ f_real).reshape(4, 4)
+            mono = np.multiply.reduce(z[:4] ** exps, axis=-1)
+            v0, f = z[4:], (mono @ f_real).reshape(4, 4)
             vf = np.dot(v0, f)
             seen.append((v0, f, vf))
             return np.concatenate((v0, k_v * vf))
@@ -305,11 +307,13 @@ class TestIntegrateBmt:
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
-    @pytest.mark.parametrize("record_every, record, step", [(10, 46, 460), (480, 1, 480)])
+    @pytest.mark.parametrize("record_every, record, step", [(10, 43, 430), (480, 1, 480)])
     def test_non_finite_run_raises(self, params, record_every, record, step):
         # random_cubic from the BMT state of scripts/timings.py: RK4 leaves its
-        # stable range, u.u reads 4.14 at step 390 and the spin is NaN by step
-        # 480, the last state, which is always recorded
+        # stable range, u.u reads 4.14 at step 390, S.S is NaN at step 430
+        # while every entry of the state is finite (|S| near 1e164), the
+        # state is NaN at step 460 and stays so to step 480, the last state,
+        # which is always recorded
         st = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
                                  [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
         with np.errstate(all="ignore"), pytest.raises(
@@ -406,6 +410,24 @@ class TestOracle:
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalAbortError, match=r"^non-finite state at sample 0 \(s = 1e\+308\)$"):
             oracle.state_at(1e308)
+
+    def test_non_finite_invariants_raise(self, params, monkeypatch):
+        # constant_eb from the BMT state of scripts/timings.py: at s = 1000
+        # the sampled x, u and S are finite (|S| near 1e242), but max |u.S|
+        # overflows and S.S reads NaN, so the sample is named all the same
+        st = BMTState.from_pairs([0.0, 0.1, -0.2, 0.3], boosted_velocity(1.5),
+                                 [0.1, -0.2, 0.05, 0.5, -0.3, 0.4])
+        oracle = ConstantFieldOracle(st, CORPUS["constant_eb"]._f_const, params)
+        checked = []
+        abort = grasspin.bmt._abort_non_finite
+        monkeypatch.setattr(grasspin.bmt, "_abort_non_finite",
+                            lambda *args: checked.append(args) or abort(*args))
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalAbortError, match=r"^non-finite state at sample 1 \(s = 1000\.0\)$"):
+            oracle.sample(np.array([0.0, 1e3]))
+        (_, _, x, u, spin, uu, us_max, ss), = checked
+        assert all(np.isfinite(a).all() for a in (x, u, spin, uu))
+        assert np.isinf(us_max[1]) and np.isnan(ss[1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_field(self, params, bad):

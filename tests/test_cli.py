@@ -13,13 +13,14 @@ import pytest
 import yaml
 
 import grasspin.cli as cli
-from grasspin.cli import _check_finite, main
+from grasspin import ModelParams, algebra, constant_field, integrate_super
+from grasspin.cli import main
 from grasspin.config import ConfigError, load_config, parse_config
 from grasspin.minkowski import SIGNS
 from grasspin.polynomials import PolyVectorEvaluator
 from grasspin.super_dynamics import LightlikeVelocityError, NumericalAbortError
 
-from conftest import load_script
+from conftest import load_script, standard_state
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bmt_regression.csv"
@@ -161,8 +162,14 @@ class TestExitCodes:
         assert path in capsys.readouterr().err
 
     def test_non_finite_is_not_a_lightlike_velocity(self):
-        with pytest.raises(NumericalAbortError, match="non-finite") as info:
-            _check_finite(np.zeros(3), np.array([1.0, np.inf]))
+        # the library run under the Grassmann subcommands' overflow above:
+        # B = 1e200 at h = 1 from the config's state leaves the float range
+        # in the first step
+        fld = constant_field([0.0, 0.0, 0.0], [0.0, 0.0, 1e200])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalAbortError, match=r"^non-finite state at record 1 \(step 1\)$") as info:
+            integrate_super(standard_state(algebra(2)), fld, ModelParams(1.0, 1.0, 1.2),
+                            h=1.0, steps=8)
         assert not isinstance(info.value, LightlikeVelocityError)
 
     @pytest.mark.parametrize("path, value, name", [
@@ -608,6 +615,14 @@ class TestSimulateBmt:
         # a whole integrate_bmt call and its body alone, per step
         got = load_script("timings").measure(ROOT, ("bmt", 0, "gradient_b"), [], tmp_path / "log")
         assert set(got) == {"step", "body"}
+        assert all(value > 0 for value in got.values())
+
+    def test_timings_field_case(self, tmp_path):
+        # F and dF at a soul-carrying point, and F and A at the probe path's
+        # 16 midpoints in one batch
+        got = load_script("timings").measure(ROOT, ("field", 4, "gradient_b"), [],
+                                             tmp_path / "log")
+        assert set(got) == {"F and dF", "F and A x16"}
         assert all(value > 0 for value in got.values())
 
     def test_timings_main_case(self, tmp_path):

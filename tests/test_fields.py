@@ -11,8 +11,6 @@ from grasspin.fields import (
     DirectField,
     FieldConfig,
     NonEvenPointError,
-    _gather_index,
-    _gathered,
     _parse_even_point,
     constant_f_lower,
     constant_field,
@@ -20,9 +18,10 @@ from grasspin.fields import (
 )
 from grasspin.grassmann import MAX_GENERATORS, GrassmannNumber, algebra
 from grasspin.minkowski import PAIRS, SIGNS, pack_pairs, unpack_pairs
-from grasspin.polynomials import Polynomial, PolyVectorEvaluator, _monomials
+from grasspin.polynomials import Polynomial, PolyVectorEvaluator, _gathered, _padded
 
-from conftest import ReferenceField, field_corpus, gradient_b_field, reference_f_polys
+from conftest import (ReferenceField, field_corpus, gradient_b_field, program_row_exponents,
+                      reference_f_polys)
 
 
 def substitute(poly: Polynomial, point):
@@ -215,11 +214,6 @@ def _quintic_field() -> FieldConfig:
                                      (3, (0, 0, 4, 1), 0.21)])
 
 
-def _pad(points: np.ndarray) -> np.ndarray:
-    """Real points (..., 4) padded to (x0, x1, x2, x3, 1)."""
-    return np.concatenate((points, np.ones(points.shape[:-1] + (1,))), axis=-1)
-
-
 def _assert_close(got, want, label):
     """``got`` equals ``want`` to 1e-13 of its largest |coefficient|."""
     assert got.shape == want.shape, label
@@ -328,48 +322,55 @@ class TestFieldTensor:
 
     def test_real_point_layout_equals_value_slots(self):
         # f_lower_real reads F's value columns straight into the 4x4 layout;
-        # each entry must be the same dot product as over those columns
+        # each entry must be the same dot product as over those columns, of
+        # the monomials that lead the program's rows, by gathers cut to F's
+        # own degree.  Where every exponent is at most 1, as in the corpus,
+        # they keep the bits of the power form x0^e0 x1^e1 x2^e2 x3^e3
         rng = np.random.default_rng(8)
+        cut = 0
         for name, fld in field_corpus() + [("direct", _direct_field())]:
-            exps, cols = fld._program.value_rows()
+            gathers, cols = fld._program.value_rows()
+            exps = program_row_exponents(fld)[: len(cols)]
+            assert len(gathers) == max(1, exps.sum(axis=1).max(initial=0)), name
+            cut += len(gathers) < len(fld._program._all_gathers)
             for pts in (rng.normal(size=4), rng.normal(size=(50, 4))):
-                want = unpack_pairs(_gathered(_pad(pts), _gather_index(exps)) @ cols)
-                assert np.array_equal(fld.f_lower_real(pts), want), name
+                mono = _gathered(_padded(pts), gathers)
+                lead = _gathered(_padded(pts), fld._program._all_gathers)[..., : len(cols)]
+                assert np.array_equal(mono, lead), name
+                assert np.array_equal(fld.f_lower_real(pts), unpack_pairs(mono @ cols)), name
+                if name != "direct":
+                    power = np.multiply.reduce(pts[..., None, :] ** exps.astype(float), axis=-1)
+                    assert np.array_equal(mono, power), name
+        assert cut > 0   # gradient_b's A is quadratic, its F linear
 
     def test_gathered_monomials_match_power_form(self):
-        # the gather kernel against the power form _monomials, which the
-        # Taylor program keeps: the same bits where every exponent is at most
-        # 1, and elsewhere within one rounding per multiplication of the exact
-        # product, x^k being k - 1 multiplications of x
+        # the program's one monomial kernel over every row of the program:
+        # F's block, one Taylor order higher for dF, and the potential's.
+        # Each monomial lies within one rounding per multiplication of the
+        # exact product, x^k being k - 1 multiplications of x, so a row of
+        # degree at most 1 is exact; rows of equal exponents hold equal bits
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(1000, 4)) * rng.choice([0.0, 1.0, -3.0], size=(1000, 4))
         fields = field_corpus() + [("direct", _direct_field()), ("quintic", _quintic_field())]
-        powers = 0
+        powers = potential_rows = 0
         for name, fld in fields:
-            exps = fld._program.value_rows()[0]
-            got, want = _gathered(_pad(pts), _gather_index(exps)), _monomials(pts, exps)
-            low = (exps <= 1).all(axis=1)
-            assert np.array_equal(got[:, low].view(np.int64), want[:, low].view(np.int64)), name
-            for r in np.flatnonzero(~low):
-                powers += 1
-                e = [int(k) for k in exps[r]]
-                bound = (1 + Fraction(2) ** -53) ** (sum(e) - 1) - 1
-                for p, g in zip(pts, got[:, r]):
+            exps = program_row_exponents(fld)
+            got = _gathered(_padded(pts), fld._program._all_gathers)
+            assert got.shape == (len(pts), len(exps)), name
+            potential_rows += len(exps) - fld._program._split
+            unique, first, inverse = np.unique(exps, axis=0, return_index=True,
+                                               return_inverse=True)
+            assert np.array_equal(got, got[:, first[inverse.ravel()]]), name
+            for e, g_col in zip(unique.tolist(), got[:, first].T):
+                powers += max(e) > 1
+                bound = (1 + Fraction(2) ** -53) ** max(sum(e) - 1, 0) - 1
+                for p, g in zip(pts.tolist(), g_col.tolist()):
                     exact = Fraction(1)
                     for x, k in zip(p, e):
-                        exact *= Fraction(float(x)) ** k
-                    assert abs(Fraction(float(g)) - exact) <= bound * abs(exact), (name, e, p)
-        assert powers > 0   # the square and quintic fields carry powers above 1
-
-    def test_monomials_of_float_exponents_bitwise(self):
-        # the evaluators store their exponents as floats; ``**`` casts
-        # integer exponents to float too, so every monomial keeps its bits
-        rng = np.random.default_rng(9)
-        pts = rng.normal(size=(1000, 4)) * rng.choice([0.0, 1.0, 3.0], size=(1000, 4))
-        exps = rng.integers(0, 12, size=(40, 4))
-        want = (pts[..., None, :] ** exps).prod(axis=-1)
-        got = _monomials(pts, exps.astype(float))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                        exact *= Fraction(x) ** k
+                    assert abs(Fraction(g) - exact) <= bound * abs(exact), (name, e, p)
+        # the square and quintic fields carry powers above 1
+        assert powers > 0 and potential_rows > 0
 
     def test_antisymmetry(self, alg4):
         rng = np.random.default_rng(5)
