@@ -4,10 +4,10 @@ against another one.
 
     python scripts/timings.py OTHER_CHECKOUT [KIND ...] [-- CLI ARGS]
 
-KIND is one of ``rhs``, ``field``, ``rate``, ``run``, ``probe``, ``bmt``,
-``oracle``, ``cli`` and ``main``, the case kinds below; given one or more, only
-cases of those kinds run, and with none every case runs.  An unknown kind
-prints the usage and exits 2.
+KIND is one of ``rhs``, ``field``, ``build``, ``rate``, ``run``, ``probe``,
+``bmt``, ``oracle``, ``cli`` and ``main``, the case kinds below; given one
+or more, only cases of those kinds run, and with none every case runs.  An
+unknown kind prints the usage and exits 2.
 ``python scripts/timings.py OTHER probe`` runs its 11 rounds in about 15 s
 on a 2-core host, so a claim about one layer can be timed alone, or timed
 again, in little time.
@@ -30,6 +30,13 @@ at a soul-carrying point, as one ``_rhs`` call forms them.  Each also
 times ``f_and_potential_coeffs`` at the 16 midpoints of the probe cases'
 path, run from ``loaded_state(N)``: F and A in one batched read, as one
 chunk of the discrete action forms them.
+
+Build case: constructing ``constant_field(E, B)`` with ``constant_eb``'s E
+and B, and constructing ``gradient_b``; then the first soul-point read of a
+constant field, ``f_and_df_coeffs`` at the field cases' soul-carrying x at
+N = 4, on fresh ``constant_field(E, B)`` built before the clock starts.  A
+constant field builds its Taylor program on that read, so the read carries
+the build that its construction no longer makes.
 
 Rate case: ``gradient_b`` at N = 4, mu' = 1.2, from ``loaded_state(4)``.
 It records the rate function and initial state that ``integrate_super``
@@ -112,14 +119,15 @@ ROUNDS = 11
 CLI_ARGS = ["compare", "--config", "configs/constant_b.yaml"]
 CASES = [("rhs", n, name) for n in (2, 4, 6) for name in ("constant_eb", "gradient_b")]
 CASES += [("field", n, "gradient_b") for n in (4, 6)]
+CASES += [("build", 4, "constant_eb")]
 CASES += [("rate", 4, "gradient_b"), ("run", 2, "constant_eb")]
 CASES += [("probe", 4, "gradient_b")]
 CASES += [("bmt", 0, name) for name in ("constant_eb", "gradient_b", "random_cubic")]
 CASES += [("oracle", 0, "constant_eb")]
 CASES += [("cli", 0, ""), ("main", 0, "")]
-LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "rate": "rate n={n} ", "run": "run n={n} ",
-          "probe": "probe n={n} ", "bmt": "bmt ", "oracle": "oracle ", "cli": "cli",
-          "main": "main"}
+LABELS = {"rhs": "n={n} ", "field": "field n={n} ", "build": "build n={n} ",
+          "rate": "rate n={n} ", "run": "run n={n} ", "probe": "probe n={n} ", "bmt": "bmt ",
+          "oracle": "oracle ", "cli": "cli", "main": "main"}
 
 PRELUDE = """
 import json, statistics, sys, time
@@ -210,6 +218,33 @@ print(json.dumps({
 }))
 """
 
+CHILD_BUILD = PRELUDE + """
+from conftest import gradient_b_field
+from grasspin import constant_field, integrate_super
+from grasspin.super_dynamics import _split_even
+
+e_field, b_field = [0.3, -0.1, 0.2], [0.5, 0.2, 1.0]   # constant_eb's
+traj = integrate_super(loaded_state(n), fld, par, h=0.05, steps=4)
+bodies, souls = _split_even(traj.x[-1])
+
+def first_read_us(count=200, repeat=5):
+    # each read is the first one on its field, built before the clock starts
+    times = []
+    for _ in range(repeat):
+        fields = [constant_field(e_field, b_field) for _ in range(count)]
+        t0 = time.perf_counter()
+        for built in fields:
+            built.f_and_df_coeffs(bodies, souls, traj.alg)
+        times.append((time.perf_counter() - t0) / count)
+    return 1e6 * statistics.median(times)
+
+print(json.dumps({
+    "constant_field": median_us(lambda: constant_field(e_field, b_field)),
+    "gradient_b": median_us(gradient_b_field),
+    "first soul read": first_read_us(),
+}))
+"""
+
 CHILD_RATE = PRELUDE + """
 import grasspin.super_dynamics as sd
 
@@ -291,8 +326,9 @@ runs = [call() for _ in range(6)]
 print(json.dumps({"wall ms": 1e3 * statistics.median(t for _, t in runs), "exit": runs[-1][0]}))
 """
 
-CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "rate": CHILD_RATE, "run": CHILD_RUN,
-            "probe": CHILD_PROBE, "bmt": CHILD_BMT, "oracle": CHILD_ORACLE, "main": CHILD_MAIN}
+CHILDREN = {"rhs": CHILD_RHS, "field": CHILD_FIELD, "build": CHILD_BUILD, "rate": CHILD_RATE,
+            "run": CHILD_RUN, "probe": CHILD_PROBE, "bmt": CHILD_BMT, "oracle": CHILD_ORACLE,
+            "main": CHILD_MAIN}
 
 
 def child_env(root: Path) -> dict:

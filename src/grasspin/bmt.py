@@ -350,6 +350,12 @@ def spin_velocity_angle(traj: BMTTrajectory, axis: int = 3) -> tuple[np.ndarray,
     The gyration plane is spanned by the two spatial axes other than
     ``axis``.  Raises if the motion leaves the plane or the spin vector has
     no in-plane component to track.
+
+    The spin angle is that of the lab-frame spin vector's spatial part
+    (:func:`spin_vector`), not of the rest-frame spin zeta = s - s^0 u /
+    (1 + gamma).  Boosted, the spin turns against the velocity unevenly
+    within each anomalous turn, so this angle is not linear in s even where
+    the rest-frame angle is (see :func:`anomalous_precession`).
     """
     if axis not in (1, 2, 3):
         raise ValueError("axis must be a spatial index 1..3")
@@ -367,7 +373,19 @@ def spin_velocity_angle(traj: BMTTrajectory, axis: int = 3) -> tuple[np.ndarray,
 
 def anomalous_precession(traj: BMTTrajectory, axis: int = 3) -> float:
     """Mean proper-time rate of the spin-vs-velocity in-plane angle: the slope
-    of a linear fit of the unwrapped relative angle against proper time."""
+    of a linear fit of the unwrapped relative angle of
+    :func:`spin_velocity_angle` against proper time.
+
+    That angle is the lab-frame spin vector's, so the slope is biased
+    against the rest-frame rate a gamma (e/m) B, a = mu'/e - 1, whenever
+    the fit spans a non-integer number of anomalous turns.  In a uniform B
+    along axis 3 (m = e = B = 1, 4000 steps of h = 2 pi / 1000, spin in the
+    plane) its magnitude reads 0.1331 against 0.125 at gamma = 1.25 and
+    a = 0.1 (+6.5%), 0.2019 against 0.2 at gamma = 2 (+1.0%) and 0.5108
+    against 0.5 at gamma = 5 (+2.2%); at a = 0.2 the bias is +0.5 to
+    +1.6%.  The rest-frame spin's angle gives a gamma (e/m) B to six digits
+    on the same runs.
+    """
     s, rel = spin_velocity_angle(traj, axis)
     design = np.stack([s - s[0], np.ones_like(s)], axis=1)
     coef, *_ = np.linalg.lstsq(design, rel, rcond=None)

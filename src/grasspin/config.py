@@ -58,6 +58,8 @@ def _finite(value, name: str) -> np.ndarray:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be numeric") from err
+    except OverflowError as err:   # an integer literal past the float range
+        raise ConfigError(f"{name} must be finite") from err
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite")
     return arr

@@ -21,6 +21,17 @@ them from one pass: F and dF for a stage of the equations of motion, F and
 A for the discrete action.  The rows that F's values read come first, so
 the reduced (BMT) path evaluates F at real points over those rows alone,
 by the program's monomial kernel; this module forms no monomial itself.
+
+A field whose polynomials all have degree <= 1 (every constant field, and
+a linear DirectField) builds its program on the first read that needs it:
+a soul-point, derivative, potential or real-point-kernel read.  A constant
+field's F, ``_f_const``, comes from its pairs' constant terms at once;
+``integrate_super`` and ``integrate_bmt`` read only that, so their runs
+on a constant field build no program.  A field with a term of degree
+>= 2 builds its program at construction: a Taylor weight is a
+coefficient times binomials C(e, alpha), which exceed 1 only at degree
+>= 2, so only such a field's build can overflow, and that must surface
+where the field is made, as a ValueError naming the term.
 """
 
 from __future__ import annotations
@@ -121,16 +132,36 @@ class _FieldBase:
             raise ValueError(f"field terms combine past the float range: {err}") from err
 
     def _init_program(self, f_pairs: list[Polynomial], potential: list[Polynomial] = ()) -> None:
-        """The one Taylor program of F, given as its six ``PAIRS``
-        polynomials, of dF, read off F's slots, and of ``potential``."""
-        self._program = PolyVectorEvaluator(f_pairs, grad=True, extra=potential)
+        """F, given as its six ``PAIRS`` polynomials, and ``potential``: the
+        one Taylor program of dF, read off F's slots, of F and of the
+        potential, and F's real-point tables, built now if any polynomial
+        has degree >= 2 and else on first read (module docstring)."""
+        self._f_pairs, self._potential = f_pairs, list(potential)
         self.constant = all(p.degree == 0 for p in f_pairs)
-        # F's pairs = the monomials of the rows F's values read, by the gathers
-        # _f_index, @ their columns; _f_real lays those columns out as a
-        # flattened 4x4 tensor
+        self._f_const = None
+        if self.constant:
+            # + 0.0 makes the negative of a zero pair +0.0, as the program's
+            # dot product gives it
+            self._f_const = unpack_pairs([p.terms.get((0, 0, 0, 0), 0.0) for p in f_pairs]) + 0.0
+        if any(p.degree >= 2 for p in f_pairs + self._potential):
+            self._build_program()
+
+    def _build_program(self) -> None:
+        """The Taylor program ``_program`` and F's real-point tables: F's
+        pairs = the monomials of the rows F's values read, by the gathers
+        ``_f_index``, @ their columns, which ``_f_real`` lays out as a
+        flattened 4x4 tensor."""
+        self._program = PolyVectorEvaluator(self._f_pairs, grad=True, extra=self._potential)
         self._f_index, cols = self._program.value_rows()
         self._f_real = unpack_pairs(cols).reshape(-1, 16)
-        self._f_const = self.f_lower_real(np.zeros(4)) if self.constant else None
+
+    def __getattr__(self, name: str):
+        # reached only when normal lookup fails: a read of a table that is
+        # not built yet builds all three, which are then instance attributes
+        if name not in ("_program", "_f_index", "_f_real"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_program()
+        return self.__dict__[name]
 
     # -- real-point evaluation (reduced dynamics path) -------------------
 

@@ -497,6 +497,7 @@ def _body_run(fld, par, h):
     if fld.constant:
         f = fld._f_const
         maps, stages = rk4_maps(_body_gen(f, par)[None, None].repeat(4, axis=1), h)
+        stages = np.stack(stages, axis=1)
 
         def run(z, count):
             z = _chain(z, (maps[0],) * count)
@@ -590,6 +591,7 @@ def _const_run(fld, par, packed, h, steps, record_every):
         vv = (SIGNS * v0 * v0).sum(axis=-1)
         _check_lightlike(vv, start)
         xi_maps, xi_stages = rk4_maps(_xi_gen(f, par, v0, vv), h)
+        xi_stages = np.stack(xi_stages, axis=1)
         xi = _chain(y[4:], xi_maps)
         xis = xi[:-1, None]
         soul_maps, _ = rk4_maps(_soul_gen(f, par, v0, vv, xis + xis @ xi_stages)[0], h)
@@ -689,8 +691,10 @@ def rk4_maps(gens, h: float):
     :func:`rk4` takes one step from a batch of N zero matrices psi, the
     increments of identity matrices phi = 1 + psi, its k-th rate call
     returning phi @ gens[:, k].  Returns the step increments D (N, d, d) and
-    the stage increments S (N, 4, d, d): RK4 takes y_n to y_n + y_n @ D[n],
-    and its stage i of step n to y_n + y_n @ S[n, i].  Kept as increments,
+    the list of the four stage increments S_i (N, d, d): RK4 takes y_n to
+    y_n + y_n @ D[n], and its stage i of step n to y_n + y_n @ S_i[n].  A
+    caller that reads the stages stacks them; the others drop the list, so
+    no (N, 4, d, d) copy is made for them.  Kept as increments,
     the maps round no entry 1 + O(h), whose error a fixed map would repeat
     at every step.  An affine source rides in a homogeneous last component
     of y, held at 1 by a zero last column.
@@ -702,7 +706,7 @@ def rk4_maps(gens, h: float):
         gen = gens[:, len(stages) - 1]
         return gen + psi @ gen
 
-    return rk4(rates, np.zeros(gens[:, 0].shape), h, 1, 1)[1][1], np.stack(stages, axis=1)
+    return rk4(rates, np.zeros(gens[:, 0].shape), h, 1, 1)[1][1], stages
 
 
 def _chain(y, maps):

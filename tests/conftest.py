@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from grasspin import (
-    DiscretePath, FieldConfig, ModelParams, Polynomial, SuperState, action, algebra, constant_field,
+    BMTState, DiscretePath, FieldConfig, ModelParams, Polynomial, SuperState, action, algebra,
+    bmt_rhs, constant_field, spin_vector,
 )
 from grasspin.minkowski import PAIRS, SIGNS, unpack_pairs
 from grasspin.polynomials import PolyVectorEvaluator, _taylor_block
@@ -154,6 +155,28 @@ def richardson_quotient(path, fld, par, dx: np.ndarray, h_dir: float) -> np.ndar
 
 def boosted_velocity(gamma: float = 2.0) -> np.ndarray:
     return np.array([gamma, np.sqrt(gamma * gamma - 1.0), 0.0, 0.0])
+
+
+def rest_frame_spin(state) -> np.ndarray:
+    """The rest-frame spin zeta = s - s^0 u / (1 + gamma) (three-vectors s
+    and u, gamma = u^0) of a BMT state, or of every record of a trajectory,
+    from the polarization 4-vector s of ``spin_vector``: the boost to the
+    particle's rest frame, where s = (0, zeta)."""
+    s, u = spin_vector(state), np.asarray(state.u)
+    return s[..., 1:] - s[..., :1] * u[..., 1:] / (1.0 + u[..., :1])
+
+
+def rest_frame_spin_rate(state: BMTState, fld, par: ModelParams) -> np.ndarray:
+    """d zeta / dt, t = x^0 the lab time, of :func:`rest_frame_spin` at a
+    BMT state: ``bmt_rhs``'s du and dS carried through ``spin_vector``, which
+    is bilinear in (u, S), and through zeta by the product rule, then
+    divided by dt/ds = gamma."""
+    _, du, dspin = bmt_rhs(state, fld, par)
+    s, u = spin_vector(state), state.u
+    ds = spin_vector(BMTState(state.x, du, state.spin)) + spin_vector(BMTState(state.x, u, dspin))
+    boost = 1.0 + u[0]   # 1 + gamma
+    dzeta = ds[1:] - (ds[0] * u[1:] + s[0] * du[1:]) / boost + s[0] * u[1:] * du[0] / boost**2
+    return dzeta / u[0]
 
 
 def standard_state(alg, gamma: float = 2.0) -> SuperState:

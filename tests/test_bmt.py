@@ -26,12 +26,12 @@ from grasspin import (
     spin_velocity_angle,
 )
 from grasspin.bmt import PAIRS, _expm
-from grasspin.minkowski import SIGNS, minkowski_dot, pack_pairs, unpack_pairs
+from grasspin.minkowski import EPS_UPPER, SIGNS, minkowski_dot, pack_pairs, unpack_pairs
 from grasspin.polynomials import _gathered
 from grasspin.super_dynamics import NumericalAbortError, _body_run, rk4
 
 from conftest import (_dspin, _du, boosted_velocity, field_corpus, gradient_b_field,
-                      program_row_exponents)
+                      program_row_exponents, rest_frame_spin, rest_frame_spin_rate)
 
 CORPUS = dict(field_corpus())
 
@@ -560,6 +560,63 @@ class TestSpinVector:
             spin = spin - spin.T
             st = BMTState(np.zeros(4), u, spin)
             assert abs(minkowski_dot(u, spin_vector(st))) < 1e-12
+
+
+class TestThomasBmt:
+    """The covariant rate against the Thomas-BMT equation in three-vector
+    form (Jackson, *Classical Electrodynamics*, 3rd ed., eq. 11.170;
+    Bargmann, Michel and Telegdi, PRL 2 (1959) 435), written independently
+    of :func:`grasspin.bmt._spin_gen`:
+
+        dzeta/dt = (e/m) zeta x [(a + 1/gamma) B - a gamma/(gamma + 1) (beta.B) beta
+                                 - (a + 1/(gamma + 1)) beta x E],
+
+    zeta the rest-frame spin, t the lab time and a = mu'/e - 1.  zeta
+    describes S while u^mu S_{mu nu} = 0, which the rate must keep; the
+    part of the rate that keeps it, the W term, drops out of dzeta/dt.
+    Together the two pin the sign and size of every coupling, and what E
+    and B of ``constant_field`` (and of a config) mean."""
+
+    @staticmethod
+    def thomas_rate(zeta, u, e_field, b_field, par):
+        gamma = u[0]
+        beta = u[1:] / gamma
+        a = par.mu_prime / par.charge - 1.0
+        omega = ((a + 1.0 / gamma) * b_field - a * gamma / (gamma + 1.0) * (beta @ b_field) * beta
+                 - (a + 1.0 / (gamma + 1.0)) * np.cross(beta, e_field))
+        return par.charge / par.mass * np.cross(zeta, omega)
+
+    def test_rest_frame_spin_rate(self):
+        """200 random (m, e, mu', E, B, u, zeta), |u| = gamma |beta| up to 9;
+        every tenth state sits at the magic momentum gamma^2 = 1 + 1/a."""
+        rng = np.random.default_rng(1959)
+        for k in range(200):
+            magic = k % 10 == 0
+            mass, charge = rng.uniform(0.5, 2.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            a = rng.uniform(0.05, 1.5) if magic else rng.uniform(-1.5, 1.5)
+            par = ModelParams(mass, charge, charge * (1.0 + a))
+            e_field, b_field = rng.normal(size=3), rng.normal(size=3)
+            direction = rng.normal(size=3)
+            size = np.sqrt(1.0 / a) if magic else rng.uniform(0.0, 9.0)
+            p = size * direction / np.linalg.norm(direction)
+            u = np.concatenate([[np.sqrt(1.0 + p @ p)], p])
+            # the spin tensor of rest-frame spin zeta, with u.S = 0:
+            # s = (p.zeta, zeta + (p.zeta) p / (1 + gamma)) and
+            # S_{rho sigma} = -eps_{rho sigma alpha beta} u^alpha s^beta, eps_lower = -EPS_UPPER
+            zeta = rng.normal(size=3)
+            s = np.concatenate([[p @ zeta], zeta + (p @ zeta) * p / (1.0 + u[0])])
+            st = BMTState(rng.normal(size=4), u, np.einsum("rsab,a,b->rs", EPS_UPPER, u, s))
+            assert np.allclose(rest_frame_spin(st), zeta, rtol=0, atol=1e-12 * (1 + p @ p))
+            fld = constant_field(e_field, b_field)
+            got = rest_frame_spin_rate(st, fld, par)
+            want = self.thomas_rate(zeta, u, e_field, b_field, par)
+            scale = (abs(charge) / mass * np.linalg.norm(zeta) * (abs(a) + 1.0)
+                     * (np.linalg.norm(e_field) + np.linalg.norm(b_field)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (k, got, want)
+            # zeta fixes S only while u^mu S_{mu nu} = 0, which the rate must keep
+            _, du, dspin = bmt_rhs(st, fld, par)
+            frenkel = du @ st.spin + u @ dspin
+            assert np.max(np.abs(frenkel)) <= 1e-12 * scale * u[0] ** 2, (k, frenkel)
 
 
 class TestAnomalousPrecession:

@@ -172,6 +172,22 @@ class TestExitCodes:
                             h=1.0, steps=8)
         assert not isinstance(info.value, LightlikeVelocityError)
 
+    @pytest.mark.parametrize("command", ["simulate-bmt", "simulate-super"])
+    @pytest.mark.parametrize("path, value", [
+        ("params.mass", 10**400), ("field.E", [0.0, 10**400, 0.0]),
+    ], ids=["params.mass", "field.E"])
+    def test_number_past_the_float_range_is_config_error(self, tmp_path, capsys, command,
+                                                         path, value):
+        # a YAML integer literal above the float range converts with an
+        # OverflowError, not a ValueError
+        cfg = write_cfg(tmp_path, {path: value,
+                                   "initial.spin": {"s_tensor": [0, 0, 0, 0, 0, 0.5]}
+                                   if command == "simulate-bmt" else BASE["initial"]["spin"]})
+        assert str(10**400) in Path(cfg).read_text()
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{path} must be finite" in err
+
     @pytest.mark.parametrize("path, value, name", [
         ("params.mass", float("nan"), "mass"),
         ("params.charge", float("inf"), "charge"),
@@ -623,6 +639,14 @@ class TestSimulateBmt:
         got = load_script("timings").measure(ROOT, ("field", 4, "gradient_b"), [],
                                              tmp_path / "log")
         assert set(got) == {"F and dF", "F and A x16"}
+        assert all(value > 0 for value in got.values())
+
+    def test_timings_build_case(self, tmp_path):
+        # constructing a constant field and gradient_b, and a constant
+        # field's first soul-point read, which builds its program
+        got = load_script("timings").measure(ROOT, ("build", 4, "constant_eb"), [],
+                                             tmp_path / "log")
+        assert set(got) == {"constant_field", "gradient_b", "first soul read"}
         assert all(value > 0 for value in got.values())
 
     def test_timings_main_case(self, tmp_path):

@@ -2,11 +2,13 @@
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
+from grasspin.config import load_config
 from grasspin.fields import (
     DirectField,
     FieldConfig,
@@ -22,6 +24,8 @@ from grasspin.polynomials import Polynomial, PolyVectorEvaluator, _gathered, _pa
 
 from conftest import (ReferenceField, field_corpus, gradient_b_field, program_row_exponents,
                       reference_f_polys)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def substitute(poly: Polynomial, point):
@@ -252,14 +256,53 @@ def test_program_matches_three_evaluator_reference(n):
 
 
 def test_building_a_field_builds_one_program(monkeypatch):
+    """A field with a term of degree >= 2 builds its one program at
+    construction.  A constant field builds none there; its first soul-point,
+    derivative, potential or real-point-kernel read builds exactly one, and
+    no later read of any of the four builds another."""
     built = []
     init = PolyVectorEvaluator.__init__
     monkeypatch.setattr(PolyVectorEvaluator, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    for build in (gradient_b_field, _direct_field, lambda: constant_field([0.3, 0, 0], [0, 0, 1.0])):
+    alg = algebra(4)
+    rng = np.random.default_rng(7)
+    bodies, souls, _ = _parse_even_point(random_even_point(alg, rng, dense=True))
+    pts = rng.normal(size=(3, 4))
+    reads = {
+        "soul point": lambda fld: fld.f_lower_coeffs(bodies, souls, alg),
+        "derivative": lambda fld: fld.df_lower_real(pts),
+        "potential": lambda fld: fld.potential_coeffs(bodies, souls, alg),
+        "real-point kernel": lambda fld: fld.f_lower_real(pts),
+    }
+    for build in (gradient_b_field, _direct_field):
         built.clear()
-        build()
-        assert len(built) == 1
+        fld = build()
+        assert len(built) == 1, build
+        fld.f_lower_coeffs(bodies, souls, alg)
+        fld.f_lower_real(pts)
+        assert len(built) == 1, build
+    for first, read in reads.items():
+        built.clear()
+        fld = constant_field([0.3, 0, 0], [0, 0, 1.0])
+        assert not built, first
+        read(fld)
+        assert len(built) == 1, first
+        for again in reads.values():
+            again(fld)
+        assert len(built) == 1, first
+
+
+@pytest.mark.parametrize("name, fld", [(name, fld) for name, fld in field_corpus() + [
+    (f"{cfg}.yaml", load_config(str(CONFIGS / f"{cfg}.yaml")).build_field())
+    for cfg in ("constant_b", "bmt_regression")
+] if fld.constant])
+def test_constant_f_equals_the_built_programs_bitwise(name, fld):
+    """A constant field's F, formed from its pairs' constant terms without
+    its program, holds the bits, signs of zeros included, that the program
+    it builds later reads at the origin."""
+    f_const = fld._f_const.copy()
+    assert "_program" not in vars(fld)
+    assert f_const.tobytes() == fld.f_lower_real(np.zeros(4)).tobytes()
 
 
 def test_program_memory_is_bounded():
